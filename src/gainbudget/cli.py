@@ -30,9 +30,32 @@ from .report import ChartSpec, EvaluationReport, InputDigest, ModelResult, rende
 
 def _decimal(text: str) -> Decimal:
     try:
-        return Decimal(text)
+        value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite decimal number: {text!r}")
+    return value
+
+
+def _quantile_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be between 0 and 1, got {text!r}")
+    return value
 
 
 def _add_io_flags(p: argparse.ArgumentParser, many: bool) -> None:
@@ -40,7 +63,7 @@ def _add_io_flags(p: argparse.ArgumentParser, many: bool) -> None:
                    help="delimited prediction file(s) with a header row")
     p.add_argument("--name", action="append", default=None, metavar="NAME",
                    help="model name for the matching input (repeatable; default: file stem)")
-    p.add_argument("--quantiles", type=int, default=10, metavar="Q",
+    p.add_argument("--quantiles", type=_quantile_count, default=10, metavar="Q",
                    help="number of quantiles (default: 10, i.e. deciles)")
     p.add_argument("--tie-policy", choices=[t.value for t in TiePolicy],
                    default=TiePolicy.STABLE.value,
@@ -67,7 +90,7 @@ def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--cutoff-k", type=int, default=None, metavar="K",
                        help="treat the top K ranked instances as positive predictions")
-    group.add_argument("--cutoff-frac", type=float, default=None, metavar="F",
+    group.add_argument("--cutoff-frac", type=_fraction, default=None, metavar="F",
                        help="cutoff as a fraction of the dataset (k = round(F*N))")
 
 

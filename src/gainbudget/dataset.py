@@ -4,6 +4,12 @@ The input format is delimited text (comma by default, tab supported) with a
 header row.  Each data row carries an opaque identifier, a finite confidence
 score, and a binary gold label.  Parsing is strict: every malformed row is
 reported with its 1-based line number, and nothing is silently coerced.
+
+A parsed dataset is held as three parallel columns (ids, scores, labels)
+rather than one object per row, so a million-row file costs three
+containers, not a million objects for the allocator and the garbage
+collector to track.  `LabeledInstance` remains the row type for callers
+that build or inspect datasets row by row.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,22 +54,43 @@ class LabeledInstance:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Instances of one model's output file, in input-file order.
+    """One model's output file as columns, in input-file order.
 
-    The class itself is permissive (so reports can describe broken data);
-    `validate_dataset` checks the uniqueness and non-emptiness invariants.
+    Row i is (ids[i], scores[i], labels[i]); a label byte is 1 for a
+    positive and 0 for a negative.  `positive_total` is counted once, when
+    the dataset is built.  The class itself is permissive (so reports can
+    describe broken data); `validate_dataset` checks the uniqueness and
+    non-emptiness invariants.
     """
 
     name: str
-    instances: tuple[LabeledInstance, ...]
+    ids: list[str]
+    scores: array  # array('d')
+    labels: bytearray
+    positive_total: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "positive_total", self.labels.count(1))
+
+    @classmethod
+    def from_instances(cls, name: str, rows: Iterable[LabeledInstance]) -> LabeledDataset:
+        """Build the columns from row objects, keeping their order."""
+        rows = tuple(rows)
+        return cls(
+            name=name,
+            ids=[row.id for row in rows],
+            scores=array("d", [row.score for row in rows]),
+            labels=bytearray(row.positive for row in rows),
+        )
 
     @property
     def size(self) -> int:
-        return len(self.instances)
+        return len(self.ids)
 
     @property
-    def positive_total(self) -> int:
-        return sum(1 for inst in self.instances if inst.positive)
+    def instances(self) -> tuple[LabeledInstance, ...]:
+        """The rows as objects, built anew on each access."""
+        return tuple(map(LabeledInstance, self.ids, self.scores, map(bool, self.labels)))
 
 
 @dataclass(frozen=True)
@@ -73,17 +101,24 @@ class ValidationReport:
     bad_rows: tuple[tuple[int, str], ...] = ()
 
 
+#: Issues spelled out in a DatasetError message; the rest are only counted.
+MAX_LISTED_ISSUES = 20
+
+
 class DatasetError(ValueError):
     """A file could not be turned into a valid dataset.
 
-    `issues` lists (1-based line number, reason) pairs; line 0 marks
-    file-level problems such as a missing column.
+    `issues` lists every (1-based line number, reason) pair; line 0 marks
+    file-level problems such as a missing column.  The message names the
+    first MAX_LISTED_ISSUES of them and counts the rest.
     """
 
     def __init__(self, message: str, issues: Sequence[tuple[int, str]] = ()):
         self.issues = tuple(issues)
         lines = [message]
-        lines += [f"  line {line}: {reason}" for line, reason in self.issues]
+        lines += [f"  line {line}: {reason}" for line, reason in self.issues[:MAX_LISTED_ISSUES]]
+        if len(self.issues) > MAX_LISTED_ISSUES:
+            lines.append(f"  ... and {len(self.issues) - MAX_LISTED_ISSUES} more")
         super().__init__("\n".join(lines))
 
 
@@ -95,8 +130,9 @@ def parse_dataset(
     """Parse delimited text into a dataset, preserving row order.
 
     Raises DatasetError listing every bad row (non-numeric or non-finite
-    score, unrecognized label token, empty or duplicate id, short row).
-    Blank lines are skipped.
+    score, unrecognized label token, empty or duplicate id, short row), or
+    a header that lacks a configured column or repeats one.  Blank lines
+    are skipped.
     """
     reader = csv.reader(source, delimiter=schema.delimiter)
     try:
@@ -104,15 +140,19 @@ def parse_dataset(
     except StopIteration:
         raise DatasetError(f"{name}: empty input, expected a header row") from None
 
-    columns = {col.strip(): idx for idx, col in enumerate(header)}
-    missing = [
-        col
-        for col in (schema.id_col, schema.score_col, schema.label_col)
-        if col not in columns
-    ]
+    configured = (schema.id_col, schema.score_col, schema.label_col)
+    names = [col.strip() for col in header]
+    columns = {col: idx for idx, col in enumerate(names)}
+    missing = [col for col in configured if col not in columns]
     if missing:
         raise DatasetError(
             f"{name}: missing configured column(s) {', '.join(missing)}",
+            [(1, f"header is {header!r}")],
+        )
+    repeated = [col for col in dict.fromkeys(configured) if names.count(col) > 1]
+    if repeated:
+        raise DatasetError(
+            f"{name}: configured column(s) {', '.join(repeated)} appear more than once",
             [(1, f"header is {header!r}")],
         )
     id_idx = columns[schema.id_col]
@@ -120,64 +160,67 @@ def parse_dataset(
     label_idx = columns[schema.label_col]
     width = max(id_idx, score_idx, label_idx) + 1
 
-    positive = {tok.lower() for tok in schema.positive_tokens}
-    negative = {tok.lower() for tok in schema.negative_tokens}
+    # A token in both sets counts as positive.
+    label_of = {tok.lower(): 0 for tok in schema.negative_tokens}
+    label_of.update({tok.lower(): 1 for tok in schema.positive_tokens})
 
-    instances: list[LabeledInstance] = []
+    ids: list[str] = []
+    scores = array("d")
+    labels = bytearray()
     seen: set[str] = set()
     issues: list[tuple[int, str]] = []
     for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < width:
-            issues.append((line, f"row has {len(row)} fields, expected at least {width}"))
-            continue
-
-        uid = row[id_idx].strip()
-        if not uid:
-            issues.append((line, "empty id"))
+        # A blank row is short or has an empty id, so only those are tested.
+        if len(row) < width or not (uid := row[id_idx].strip()):
+            if all(not cell.strip() for cell in row):
+                continue
+            if len(row) < width:
+                reason = f"row has {len(row)} fields, expected at least {width}"
+            else:
+                reason = "empty id"
+            issues.append((reader.line_num, reason))
             continue
         if uid in seen:
-            issues.append((line, f"duplicate id {uid!r}"))
+            issues.append((reader.line_num, f"duplicate id {uid!r}"))
             continue
 
+        text = row[score_idx]
         try:
-            score = float(row[score_idx])
+            if "_" in text:  # float() accepts digit grouping such as 1_0
+                raise ValueError(text)
+            score = float(text)
         except ValueError:
-            issues.append((line, f"non-numeric score {row[score_idx]!r}"))
+            issues.append((reader.line_num, f"non-numeric score {text!r}"))
             continue
         if not math.isfinite(score):
-            issues.append((line, f"non-finite score {row[score_idx]!r}"))
+            issues.append((reader.line_num, f"non-finite score {text!r}"))
             continue
 
-        token = row[label_idx].strip().lower()
-        if token in positive:
-            label = True
-        elif token in negative:
-            label = False
-        else:
-            issues.append((line, f"unrecognized label token {row[label_idx]!r}"))
+        label = label_of.get(row[label_idx].strip().lower())
+        if label is None:
+            issues.append((reader.line_num, f"unrecognized label token {row[label_idx]!r}"))
             continue
 
         seen.add(uid)
-        instances.append(LabeledInstance(id=uid, score=score, positive=label))
+        ids.append(uid)
+        scores.append(score)
+        labels.append(label)
 
     if issues:
         raise DatasetError(f"{name}: {len(issues)} invalid row(s)", issues)
-    if not instances:
+    if not ids:
         raise DatasetError(f"{name}: dataset has zero instances")
-    return LabeledDataset(name=name, instances=tuple(instances))
+    return LabeledDataset(name=name, ids=ids, scores=scores, labels=labels)
 
 
 def validate_dataset(d: LabeledDataset) -> ValidationReport:
     """Report counts and invariant violations; never raises."""
     seen: set[str] = set()
     duplicates: list[str] = []
-    for inst in d.instances:
-        if inst.id in seen and inst.id not in duplicates:
-            duplicates.append(inst.id)
-        seen.add(inst.id)
+    for uid in d.ids:
+        if uid in seen and uid not in duplicates:
+            duplicates.append(uid)
+        seen.add(uid)
     return ValidationReport(
         instance_count=d.size,
         positive_count=d.positive_total,
@@ -194,8 +237,8 @@ def render_dataset(d: LabeledDataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "score", "label"])
-    for inst in d.instances:
-        writer.writerow([inst.id, repr(inst.score), "1" if inst.positive else "0"])
+    for uid, score, label in zip(d.ids, d.scores, d.labels):
+        writer.writerow([uid, repr(score), "1" if label else "0"])
     return out.getvalue()
 
 
@@ -207,6 +250,8 @@ def read_dataset_file(
     """Load a dataset from disk; returns (dataset, sha256 of the raw bytes).
 
     The digest feeds report metadata so runs are traceable to exact inputs.
+    A leading UTF-8 byte-order mark is skipped; an undecodable byte is
+    reported with the line that holds it.
     """
     path = Path(path)
     if name is None:
@@ -216,6 +261,20 @@ def read_dataset_file(
     except OSError as exc:
         raise DatasetError(f"{name}: cannot read {path}: {exc.strerror or exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
-    text = raw.decode("utf-8")
-    dataset = parse_dataset(io.StringIO(text, newline=""), schema, name=name)
+    # Decoded chunk by chunk as csv pulls lines, so no second copy of the
+    # whole text is made; newline="" leaves line endings to csv.
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:
+        try:
+            dataset = parse_dataset(stream, schema, name=name)
+        except UnicodeDecodeError:
+            # The stream's error counts bytes from the start of one chunk;
+            # decoding the whole file again gives the offset in the file.
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                before = raw[: exc.start]
+                line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+                bad = f"undecodable byte 0x{raw[exc.start]:02x} at byte offset {exc.start}"
+                raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
+            raise
     return dataset, digest

@@ -3,6 +3,7 @@
 Gain for a quantile is the number of positive instances it holds divided by
 the total number of positives in the test set.  Profiles store the integer
 counts and defer division to presentation, so sum-to-one checks are exact.
+Counts at a cutoff are read from the ranking's prefix sums, not recounted.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
     n = r.size
     if not 0 <= k <= n:
         raise ValueError(f"cutoff must be in 0..{n}, got {k}")
-    tp = sum(1 for inst in r.order[:k] if inst.positive)
+    tp = r.cum[k]
     fp = k - tp
     fn = r.positive_total - tp
     tn = n - k - fn
@@ -178,14 +179,16 @@ def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
 def accuracy_at_cutoff(r: RankedList, k: int) -> float:
     """Fraction of correct predictions at cutoff k.
 
-    Computed by a direct scan, independently of confusion_at_cutoff, so the
-    two stay mutually checkable.
+    Computed by a direct scan of the ranked labels, independently of the
+    prefix sums that confusion_at_cutoff reads, so the two stay mutually
+    checkable.
     """
     n = r.size
     if not 0 <= k <= n:
         raise ValueError(f"cutoff must be in 0..{n}, got {k}")
+    labels = r.dataset.labels
     correct = sum(
-        1 for rank, inst in enumerate(r.order) if inst.positive == (rank < k)
+        1 for rank, i in enumerate(r.indices) if labels[i] == (rank < k)
     )
     return correct / n
 

@@ -1,11 +1,26 @@
-"""Ordering instances by score and splitting the order into quantiles."""
+"""Ordering instances by score and splitting the order into quantiles.
+
+A ranking is a list of row indices into its dataset's columns, plus one
+prefix-sum array: `cum[k]` is the number of positives among the top k rows.
+Every count over a contiguous stretch of the ranking (a quantile, a cutoff)
+is then a difference of two entries of `cum`.
+
+Ties are ordered by one stable descending sort over a pre-ordered index
+list: input order for `stable`, negatives before positives for
+`pessimistic`, positives before negatives for `optimistic`, each group in
+input order.  Equal scores (including 0.0 and -0.0) keep that pre-order.
+"""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, compress
 
 from .dataset import LabeledDataset, LabeledInstance
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class TiePolicy(str, Enum):
@@ -22,16 +37,34 @@ class TiePolicy(str, Enum):
 
 @dataclass(frozen=True)
 class RankedList:
-    """Instances in descending-score order under an explicit tie policy."""
+    """A dataset's rows in descending-score order under an explicit tie policy.
 
-    dataset_name: str
-    order: tuple[LabeledInstance, ...]
+    `indices[r]` is the dataset row at rank r; `cum[k]` is the number of
+    positives in ranks 0..k-1, so `cum[0] == 0` and `cum[-1]` is the total.
+    """
+
+    dataset: LabeledDataset
+    indices: list[int]
     policy: TiePolicy
-    positive_total: int
+    cum: array  # array('q'), length size + 1
+
+    @property
+    def dataset_name(self) -> str:
+        return self.dataset.name
+
+    @property
+    def positive_total(self) -> int:
+        return self.cum[-1]
 
     @property
     def size(self) -> int:
-        return len(self.order)
+        return len(self.indices)
+
+    @property
+    def order(self) -> tuple[LabeledInstance, ...]:
+        """The ranked rows as objects, built anew on each access."""
+        rows = self.dataset.instances
+        return tuple(rows[i] for i in self.indices)
 
 
 @dataclass(frozen=True)
@@ -54,21 +87,19 @@ class QuantilePartition:
 
 def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> RankedList:
     """Sort descending by score; ties resolved per policy, then input order."""
-    if not d.instances:
+    n = d.size
+    if not n:
         raise ValueError("cannot rank an empty dataset")
     if policy is TiePolicy.STABLE:
-        key = lambda inst: -inst.score
-    elif policy is TiePolicy.PESSIMISTIC:
-        key = lambda inst: (-inst.score, inst.positive)
+        pre = range(n)
     else:
-        key = lambda inst: (-inst.score, not inst.positive)
-    order = tuple(sorted(d.instances, key=key))
-    return RankedList(
-        dataset_name=d.name,
-        order=order,
-        policy=policy,
-        positive_total=sum(1 for inst in order if inst.positive),
-    )
+        positives = list(compress(range(n), d.labels))
+        negatives = list(compress(range(n), d.labels.translate(_FLIP)))
+        pre = negatives + positives if policy is TiePolicy.PESSIMISTIC else positives + negatives
+    # Python's sort is stable under reverse=True, so ties keep `pre` order.
+    indices = sorted(pre, key=d.scores.__getitem__, reverse=True)
+    cum = array("q", accumulate(map(d.labels.__getitem__, indices), initial=0))
+    return RankedList(dataset=d, indices=indices, policy=policy, cum=cum)
 
 
 def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition:
@@ -79,15 +110,10 @@ def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition
             f"quantile count must be between 1 and {n}, got {quantile_count}"
         )
     boundaries = tuple(q * n // quantile_count for q in range(quantile_count + 1))
-    sizes = []
-    positives = []
-    for q in range(quantile_count):
-        segment = r.order[boundaries[q] : boundaries[q + 1]]
-        sizes.append(len(segment))
-        positives.append(sum(1 for inst in segment if inst.positive))
+    cum = r.cum
     return QuantilePartition(
         ranked=r,
         boundaries=boundaries,
-        per_quantile_positive=tuple(positives),
-        per_quantile_size=tuple(sizes),
+        per_quantile_positive=tuple(cum[b] - cum[a] for a, b in zip(boundaries, boundaries[1:])),
+        per_quantile_size=tuple(b - a for a, b in zip(boundaries, boundaries[1:])),
     )

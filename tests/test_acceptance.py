@@ -118,7 +118,7 @@ def _random_dataset(rng: random.Random, max_size: int) -> LabeledDataset:
     if not any(inst.positive for inst in instances):
         pick = rng.randrange(n)
         instances[pick] = LabeledInstance(str(pick), instances[pick].score, True)
-    return LabeledDataset(name="r", instances=tuple(instances))
+    return LabeledDataset.from_instances(name="r", rows=tuple(instances))
 
 
 def test_c6_property_suite():
@@ -142,9 +142,9 @@ def test_c6_property_suite():
             for i, c in zip(ideal.cumulative_positive_count, profile.cumulative_positive_count)
         )
 
-        doubled = LabeledDataset(
+        doubled = LabeledDataset.from_instances(
             name=d.name,
-            instances=tuple(
+            rows=tuple(
                 LabeledInstance(i.id, i.score * 2, i.positive) for i in d.instances
             ),
         )

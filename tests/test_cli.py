@@ -217,6 +217,31 @@ class TestErrorsAndHelp:
         code, _, err = invoke(capsys, "eval", str(worked_path("s1m1")), "--nope")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--budget", "NaN"),
+            ("--budget", "sNaN"),
+            ("--unit-cost", "Infinity"),
+            ("--unit-cost", "-Infinity"),
+            ("--quantiles", "0"),
+            ("--quantiles", "-2"),
+            ("--cutoff-frac", "2"),
+            ("--cutoff-frac", "-0.1"),
+            ("--cutoff-frac", "nan"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, capsys, flag, value):
+        # The input does not exist: a usage error must come before any read.
+        code, out, err = invoke(
+            capsys, "compare", "no-such-file.csv", "--unit-cost", "0.04",
+            "--full-recall", f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 2

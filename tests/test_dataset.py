@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -107,6 +108,59 @@ class TestParse:
         with pytest.raises(DatasetError, match="cannot read"):
             read_dataset_file(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("blank", [" , , ", "\t,", " "])
+    def test_rows_of_blank_cells_skipped(self, blank):
+        d = parse_text(f"id,score,label\na,1,1\n{blank}\nb,2,0\n")
+        assert d.ids == ["a", "b"]
+
+    @pytest.mark.parametrize("score", ["1_0", "0.5_5", "1e1_0"])
+    def test_underscore_score_rejected(self, score):
+        with pytest.raises(DatasetError) as exc:
+            parse_text(f"id,score,label\na,1,1\nb,{score},0\n")
+        assert exc.value.issues == ((3, f"non-numeric score {score!r}"),)
+
+    def test_repeated_configured_column_rejected(self):
+        with pytest.raises(DatasetError, match="score appear more than once") as exc:
+            parse_text("id,score,label,score\na,1,1,2\n")
+        assert exc.value.issues[0][0] == 1
+
+    def test_repeated_other_column_allowed(self):
+        d = parse_text("id,note,score,label,note\na,x,1,1,y\n")
+        assert d.size == 1
+
+    def test_message_lists_first_issues_only(self):
+        text = "id,score,label\n" + "".join(f"r{i},bad,1\n" for i in range(10_000))
+        with pytest.raises(DatasetError) as exc:
+            parse_text(text)
+        assert len(exc.value.issues) == 10_000
+        lines = str(exc.value).splitlines()
+        assert lines[0] == "t: 10000 invalid row(s)"
+        assert lines[1:21] == [f"  line {i + 2}: non-numeric score 'bad'" for i in range(20)]
+        assert lines[21:] == ["  ... and 9980 more"]
+
+
+class TestReadFile:
+    def test_byte_order_mark_skipped(self, tmp_path):
+        raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"
+        (tmp_path / "bom.csv").write_bytes(raw)
+        d, digest = read_dataset_file(tmp_path / "bom.csv")
+        assert d.ids == ["a", "b"]
+        assert digest == hashlib.sha256(raw).hexdigest()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("rows_before", [1, 5000])
+    def test_undecodable_byte_reports_its_line(self, tmp_path, newline, rows_before):
+        # 5000 rows put the bad byte well past the first chunk the reader decodes.
+        good = "".join(f"r{i},1,0{newline}" for i in range(rows_before)).encode()
+        raw = f"id,score,label{newline}".encode() + good + b"x,\xff,1" + newline.encode()
+        (tmp_path / "bad.csv").write_bytes(raw)
+        with pytest.raises(DatasetError, match="not valid UTF-8") as exc:
+            read_dataset_file(tmp_path / "bad.csv")
+        offset = raw.index(b"\xff")
+        assert exc.value.issues == (
+            (rows_before + 2, f"undecodable byte 0xff at byte offset {offset}"),
+        )
+
 
 class TestValidate:
     def test_worked_example_counts(self, worked_datasets):
@@ -123,9 +177,9 @@ class TestValidate:
         assert report.positive_count == 414
 
     def test_constructed_duplicate(self):
-        d = LabeledDataset(
+        d = LabeledDataset.from_instances(
             name="dup",
-            instances=(
+            rows=(
                 LabeledInstance("x", 1.0, True),
                 LabeledInstance("x", 2.0, False),
             ),
@@ -133,7 +187,7 @@ class TestValidate:
         assert validate_dataset(d).duplicate_ids == ("x",)
 
     def test_never_throws_on_degenerate_data(self):
-        report = validate_dataset(LabeledDataset(name="empty", instances=()))
+        report = validate_dataset(LabeledDataset.from_instances(name="empty", rows=()))
         assert report.instance_count == 0
         assert report.positive_count == 0
 
@@ -157,7 +211,7 @@ def datasets(draw):
     instances = tuple(
         LabeledInstance(uid, draw(scores), draw(st.booleans())) for uid in uids
     )
-    return LabeledDataset(name="prop", instances=instances)
+    return LabeledDataset.from_instances(name="prop", rows=instances)
 
 
 @given(datasets())

@@ -27,7 +27,7 @@ def perfect_dataset(n=10, positives=5):
     instances = tuple(
         LabeledInstance(str(i), float(n - i), i < positives) for i in range(n)
     )
-    return LabeledDataset(name="perfect", instances=instances)
+    return LabeledDataset.from_instances(name="perfect", rows=instances)
 
 
 class TestGainProfile:
@@ -51,8 +51,8 @@ class TestGainProfile:
         assert g.gain == (0.2,) * 5 + (0.0,) * 5
 
     def test_zero_positives_rejected(self):
-        d = LabeledDataset(
-            name="nopos", instances=(LabeledInstance("a", 1.0, False),)
+        d = LabeledDataset.from_instances(
+            name="nopos", rows=(LabeledInstance("a", 1.0, False),)
         )
         with pytest.raises(ValueError, match="no positive"):
             gain_profile(partition_quantiles(rank_instances(d), 1))
@@ -208,7 +208,7 @@ def profiles(draw):
     instances = tuple(
         LabeledInstance(str(i), float(s), l) for i, (l, s) in enumerate(zip(lab, scores))
     )
-    d = LabeledDataset(name="prop", instances=instances)
+    d = LabeledDataset.from_instances(name="prop", rows=instances)
     ranked = rank_instances(d)
     q = draw(st.integers(min_value=1, max_value=ranked.size))
     return gain_profile(partition_quantiles(ranked, q)), ranked

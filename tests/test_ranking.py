@@ -17,7 +17,7 @@ def make_dataset(labels, scores, name="t"):
         LabeledInstance(str(i + 1), float(s), bool(l))
         for i, (l, s) in enumerate(zip(labels, scores))
     )
-    return LabeledDataset(name=name, instances=instances)
+    return LabeledDataset.from_instances(name=name, rows=instances)
 
 
 class TestRankInstances:
@@ -49,7 +49,7 @@ class TestRankInstances:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            rank_instances(LabeledDataset(name="e", instances=()))
+            rank_instances(LabeledDataset.from_instances(name="e", rows=()))
 
 
 class TestPartition:
@@ -125,9 +125,9 @@ def test_order_is_permutation(d):
 @settings(max_examples=200)
 def test_doubling_scores_keeps_stable_order(d):
     # doubling is exact in binary floating point, so relative order is intact
-    doubled = LabeledDataset(
+    doubled = LabeledDataset.from_instances(
         name=d.name,
-        instances=tuple(
+        rows=tuple(
             LabeledInstance(i.id, i.score * 2, i.positive) for i in d.instances
         ),
     )
