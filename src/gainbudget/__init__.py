@@ -24,22 +24,17 @@ from .dataset import (
     DatasetError,
     LabeledDataset,
     LabeledInstance,
-    ValidationReport,
     parse_dataset,
     read_dataset_file,
-    render_dataset,
-    validate_dataset,
 )
 from .metrics import (
     ClassMetrics,
     ConfusionMatrix,
     GainProfile,
-    accuracy_at_cutoff,
     class_metrics,
     confusion_at_cutoff,
     gain_profile,
     ideal_profile,
-    random_baseline,
 )
 from .ranking import (
     QuantilePartition,
@@ -81,8 +76,6 @@ __all__ = [
     "RankedList",
     "TargetPlan",
     "TiePolicy",
-    "ValidationReport",
-    "accuracy_at_cutoff",
     "class_metrics",
     "confusion_at_cutoff",
     "cost_to_target",
@@ -94,12 +87,9 @@ __all__ = [
     "partition_quantiles",
     "profit_ratio",
     "quantile_cost",
-    "random_baseline",
     "rank_instances",
     "read_dataset_file",
     "render_chart",
-    "render_dataset",
     "render_json",
     "render_table",
-    "validate_dataset",
 ]

@@ -4,17 +4,19 @@ Three decisions are covered: how many positives a fixed budget buys, the
 cheapest route to a target number of positives, and whether one more
 quantile of annotation is worth paying for.
 
-All money is exact: unit costs are decimals, intermediate arithmetic uses
-rationals, and rounding (half-up to whole cents) happens only at the public
-boundary.  The default cost of annotating q of Q quantiles is the fractional
-rule unit_cost * N * q / Q; the `integer` rule instead prices the instances
-actually contained in the first q floor-rule quantiles.
+All money is exact: unit costs and budgets are decimals, intermediate
+arithmetic uses rationals, and every amount leaves this module as an int of
+minor units (whole cents), rounded half-up once from the exact rational;
+renderers only format it.  The default cost of annotating q of Q quantiles
+is the fractional rule unit_cost * N * q / Q; the `integer` rule instead
+prices the instances actually contained in the first q floor-rule quantiles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -37,6 +39,9 @@ class _FullRecall:
 #: Target marker meaning "recover every positive instance".
 FULL_RECALL = _FullRecall()
 
+#: Field metadata marking an amount of money, held as integer minor units.
+_MONEY = {"money": True}
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -57,11 +62,11 @@ class CostModel:
 class BudgetPlan:
     """What a fixed budget buys: the affordable prefix and its yield."""
 
-    budget: Decimal
+    budget: int = field(metadata=_MONEY)
     affordable_quantiles: int
     expected_tp: int
-    spend: Decimal
-    leftover: Decimal
+    spend: int = field(metadata=_MONEY)
+    leftover: int = field(metadata=_MONEY)
     profit: float
 
 
@@ -72,7 +77,7 @@ class TargetPlan:
     target_tp: int
     achievable: bool
     quantiles_needed: int
-    cost: Decimal
+    cost: int = field(metadata=_MONEY)
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class MarginalReport:
 
     annotated_quantiles: int
     next_quantile_tp: int
-    next_quantile_cost: Decimal
+    next_quantile_cost: int = field(metadata=_MONEY)
     tp_per_cost: float
     exhausted: bool
 
@@ -93,23 +98,22 @@ def _exact_cost(cm: CostModel, size: int, q: int, quantile_count: int) -> Fracti
     return unit * size * q / quantile_count
 
 
-def _to_money(value: Fraction) -> Decimal:
-    """Round an exact amount half-up to whole cents."""
-    cents = math.floor(value * 100 + Fraction(1, 2))
-    return Decimal(cents).scaleb(-2)
+def _to_minor(value: Fraction) -> int:
+    """Round an exact amount half-up to whole minor units (cents)."""
+    return math.floor(value * 100 + Fraction(1, 2))
 
 
-def quantile_cost(cm: CostModel, size: int, q: int, quantile_count: int) -> Decimal:
-    """Price of annotating the first q of `quantile_count` quantiles."""
+def quantile_cost(cm: CostModel, size: int, q: int, quantile_count: int) -> int:
+    """Price in minor units of annotating the first q of `quantile_count` quantiles."""
     if quantile_count < 1:
         raise ValueError(f"quantile count must be positive, got {quantile_count}")
     if not 0 <= q <= quantile_count:
         raise ValueError(f"q must be in 0..{quantile_count}, got {q}")
-    return _to_money(_exact_cost(cm, size, q, quantile_count))
+    return _to_minor(_exact_cost(cm, size, q, quantile_count))
 
 
-def profit_ratio(tp: int, cost: Decimal) -> float:
-    """Positive instances gained per currency unit spent.
+def profit_ratio(tp: int, cost: int) -> float:
+    """Positive instances gained per currency unit spent; `cost` is in minor units.
 
     0 when nothing was gained; +inf when something was gained for free.
     """
@@ -119,33 +123,40 @@ def profit_ratio(tp: int, cost: Decimal) -> float:
         return 0.0
     if cost == 0:
         return math.inf
-    return float(Decimal(tp) / cost)
+    return float(Decimal(tp * 100) / Decimal(cost))
 
 
 def fixed_budget_plan(g: GainProfile, cm: CostModel, budget: Decimal) -> BudgetPlan:
     """Fixed-budget plan: maximize positives the budget can buy.
 
-    A budget exactly equal to a prefix cost affords that prefix.
+    A budget exactly equal to a prefix cost affords that prefix.  The
+    rounded prefix cost is compared with the exact, unrounded budget.
     """
     if not isinstance(budget, Decimal):
         budget = Decimal(str(budget))
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
+    exact = Fraction(budget)
+    # A whole-cent cost is within the budget iff it is at most this many cents.
+    limit = math.floor(exact * 100)
     quantile_count = g.quantile_count
-    affordable = 0
-    for q in range(1, quantile_count + 1):
-        if quantile_cost(cm, g.size, q, quantile_count) <= budget:
-            affordable = q
-        else:
-            break
+    # Prefix costs never decrease with q, so the affordable prefix is a bisection.
+    affordable = bisect_right(
+        range(1, quantile_count + 1),
+        limit,
+        key=lambda q: quantile_cost(cm, g.size, q, quantile_count),
+    )
     expected_tp = g.cumulative_positive_count[affordable - 1] if affordable else 0
     spend = quantile_cost(cm, g.size, affordable, quantile_count)
+    # Rounding the budget and subtracting whole cents equals rounding the
+    # exact leftover, so the leftover is rounded once as well.
+    rounded = _to_minor(exact)
     return BudgetPlan(
-        budget=budget,
+        budget=rounded,
         affordable_quantiles=affordable,
         expected_tp=expected_tp,
         spend=spend,
-        leftover=budget - spend,
+        leftover=rounded - spend,
         profit=profit_ratio(expected_tp, spend),
     )
 
@@ -165,18 +176,12 @@ def cost_to_target(
             raise ValueError(f"target must be at least 1, got {target}")
         goal = target
     quantile_count = g.quantile_count
-    cumulative = g.cumulative_positive_count
-    if goal > g.positive_total:
-        return TargetPlan(
-            target_tp=goal,
-            achievable=False,
-            quantiles_needed=quantile_count,
-            cost=quantile_cost(cm, g.size, quantile_count, quantile_count),
-        )
-    needed = next(q for q in range(1, quantile_count + 1) if cumulative[q - 1] >= goal)
+    # Cumulative counts never decrease, so the first prefix reaching the goal
+    # is a bisection; an unreachable goal prices every quantile.
+    needed = min(bisect_left(g.cumulative_positive_count, goal) + 1, quantile_count)
     return TargetPlan(
         target_tp=goal,
-        achievable=True,
+        achievable=goal <= g.positive_total,
         quantiles_needed=needed,
         cost=quantile_cost(cm, g.size, needed, quantile_count),
     )
@@ -190,7 +195,7 @@ def marginal_analysis(g: GainProfile, cm: CostModel, annotated: int) -> Marginal
     cumulative = g.cumulative_positive_count
     done = cumulative[annotated - 1] if annotated else 0
     next_tp = cumulative[annotated] - done
-    next_cost = _to_money(
+    next_cost = _to_minor(
         _exact_cost(cm, g.size, annotated + 1, quantile_count)
         - _exact_cost(cm, g.size, annotated, quantile_count)
     )

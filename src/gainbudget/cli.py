@@ -22,10 +22,15 @@ from .budget import (
     fixed_budget_plan,
     marginal_analysis,
 )
-from .dataset import ColumnSchema, DatasetError, LabeledDataset, read_dataset_file
+from .dataset import ColumnSchema, LabeledDataset, read_dataset_file
 from .metrics import GainProfile, class_metrics, confusion_at_cutoff, gain_profile
 from .ranking import RankedList, TiePolicy, partition_quantiles, rank_instances
 from .report import ChartSpec, EvaluationReport, InputDigest, ModelResult, render_chart, render_json, render_table
+
+
+#: Largest decimal exponent a nonzero money flag may have, either sign.
+#: Exact arithmetic on 1e-999999999 would build a 10^999999999 denominator.
+MAX_MONEY_EXPONENT = 100
 
 
 def _decimal(text: str) -> Decimal:
@@ -35,6 +40,9 @@ def _decimal(text: str) -> Decimal:
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
     if not value.is_finite():
         raise argparse.ArgumentTypeError(f"not a finite decimal number: {text!r}")
+    if value and not -MAX_MONEY_EXPONENT <= value.adjusted() <= MAX_MONEY_EXPONENT:
+        bounds = f"1e-{MAX_MONEY_EXPONENT} and 1e{MAX_MONEY_EXPONENT + 1}"
+        raise argparse.ArgumentTypeError(f"magnitude not between {bounds}: {text!r}")
     return value
 
 
@@ -94,9 +102,9 @@ def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
                        help="cutoff as a fraction of the dataset (k = round(F*N))")
 
 
-def _add_cost_flags(p: argparse.ArgumentParser, with_plans: bool) -> None:
+def _add_cost_flags(p: argparse.ArgumentParser, with_plans: bool, required: bool) -> None:
     p.add_argument("--unit-cost", type=_decimal, default=None, metavar="MONEY",
-                   help="annotation cost per candidate")
+                   required=required, help="annotation cost per candidate")
     p.add_argument("--currency", default="$", metavar="LABEL",
                    help="currency label for display (default: $)")
     p.add_argument("--cost-rule", choices=[c.value for c in CostRule],
@@ -128,20 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="side-by-side profiles for several models")
     _add_io_flags(p_cmp, many=True)
     _add_cutoff_flags(p_cmp)
-    _add_cost_flags(p_cmp, with_plans=True)
+    _add_cost_flags(p_cmp, with_plans=True, required=False)
     p_cmp.add_argument("--fscore", action="append", default=None, metavar="NAME=VALUE",
                        help="externally supplied F-score for a model (repeatable)")
     _add_format_flags(p_cmp)
 
     p_budget = sub.add_parser("budget", help="fixed-budget and cost-to-target plans")
     _add_io_flags(p_budget, many=True)
-    _add_cost_flags(p_budget, with_plans=True)
+    _add_cost_flags(p_budget, with_plans=True, required=True)
+    p_budget.set_defaults(plan_required=True)
     _add_format_flags(p_budget)
 
     p_stop = sub.add_parser("stop", help="is one more quantile of annotation worth it?")
     _add_io_flags(p_stop, many=True)
-    _add_cost_flags(p_stop, with_plans=False)
-    p_stop.add_argument("--annotated-quantiles", type=int, default=None, metavar="Q",
+    _add_cost_flags(p_stop, with_plans=False, required=True)
+    p_stop.add_argument("--annotated-quantiles", type=int, required=True, metavar="Q",
                         help="quantiles already annotated")
     _add_format_flags(p_stop)
 
@@ -206,9 +215,9 @@ def _evaluate(
 
 
 def _cutoff_for(args: argparse.Namespace, ranked: RankedList) -> int | None:
-    if args.cutoff_k is not None:
+    if getattr(args, "cutoff_k", None) is not None:
         return args.cutoff_k
-    if args.cutoff_frac is not None:
+    if getattr(args, "cutoff_frac", None) is not None:
         return math.floor(args.cutoff_frac * ranked.size + 0.5)
     return None
 
@@ -217,7 +226,7 @@ def _parse_fscores(
     args: argparse.Namespace, parser: argparse.ArgumentParser, names: list[str]
 ) -> dict[str, float]:
     scores: dict[str, float] = {}
-    for entry in args.fscore or []:
+    for entry in getattr(args, "fscore", None) or []:
         name, sep, value = entry.partition("=")
         if not sep:
             parser.error(f"--fscore expects NAME=VALUE, got {entry!r}")
@@ -237,33 +246,15 @@ def _emit(content: str, out: str | None) -> None:
         Path(out).write_bytes(content.encode("utf-8"))
 
 
-def _render(report: EvaluationReport, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        content = render_json(report)
-    else:
-        content = render_table(report, style=args.format)
-    _emit(content, args.out)
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
+        return _dispatch(parser.parse_args(argv), parser)
+    except SystemExit as exc:  # --help, or a usage error from argparse or _dispatch
+        if exc.code is None:
             return 0
-        return code if isinstance(code, int) else 2
-
-    try:
-        return _dispatch(args, parser)
-    except SystemExit as exc:  # parser.error inside dispatch
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    except (DatasetError, ValueError) as exc:
-        print(f"gainbudget: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
         print(f"gainbudget: {exc}", file=sys.stderr)
         return 1
 
@@ -284,60 +275,47 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _emit(render_chart(spec), args.svg_out)
         return 0
 
-    wants_cost = args.command in ("compare", "budget")
-    wants_plan = wants_cost and (
-        args.budget is not None or args.target is not None or args.full_recall
-    )
-    if args.command == "budget" and args.unit_cost is None:
-        parser.error("budget requires --unit-cost")
-    if args.command == "budget" and not wants_plan:
-        parser.error("budget requires --budget, --target, or --full-recall")
-    if wants_plan and args.unit_cost is None:
+    # A section is computed only when its flag exists on the subcommand and
+    # was given; argparse itself enforces the flags a subcommand requires.
+    unit_cost = getattr(args, "unit_cost", None)
+    budget = getattr(args, "budget", None)
+    target = FULL_RECALL if getattr(args, "full_recall", False) else getattr(args, "target", None)
+    annotated = getattr(args, "annotated_quantiles", None)
+    if budget is None and target is None:
+        if getattr(args, "plan_required", False):
+            parser.error(f"{args.command} requires --budget, --target, or --full-recall")
+    elif unit_cost is None:
         parser.error("--budget/--target/--full-recall require --unit-cost")
-    if args.command == "stop":
-        if args.unit_cost is None:
-            parser.error("stop requires --unit-cost")
-        if args.annotated_quantiles is None:
-            parser.error("stop requires --annotated-quantiles")
 
     datasets, digests = _load(args, parser)
     evaluated = _evaluate(datasets, args.quantiles, policy)
 
     cost_model = None
-    if args.command in ("compare", "budget", "stop") and args.unit_cost is not None:
+    if unit_cost is not None:
         cost_model = CostModel(
-            unit_cost=args.unit_cost,
+            unit_cost=unit_cost,
             currency_label=args.currency,
             cost_rule=CostRule(args.cost_rule),
         )
-
-    fscores: dict[str, float] = {}
-    if args.command == "compare":
-        fscores = _parse_fscores(args, parser, [d.name for d in datasets])
+    fscores = _parse_fscores(args, parser, [d.name for d in datasets])
 
     results = []
     for ranked, profile in evaluated:
         confusion = None
         metrics = None
-        if args.command in ("eval", "compare"):
-            k = _cutoff_for(args, ranked)
-            if k is not None:
-                confusion = confusion_at_cutoff(ranked, k)
-                metrics = class_metrics(
-                    confusion, confusion.positive_support, confusion.negative_support
-                )
-        budget_plan = None
-        target_plan = None
-        marginal = None
-        if cost_model is not None and args.command in ("compare", "budget"):
-            if args.budget is not None:
-                budget_plan = fixed_budget_plan(profile, cost_model, args.budget)
-            if args.full_recall:
-                target_plan = cost_to_target(profile, cost_model, FULL_RECALL)
-            elif args.target is not None:
-                target_plan = cost_to_target(profile, cost_model, args.target)
-        if cost_model is not None and args.command == "stop":
-            marginal = marginal_analysis(profile, cost_model, args.annotated_quantiles)
+        k = _cutoff_for(args, ranked)
+        if k is not None:
+            confusion = confusion_at_cutoff(ranked, k)
+            metrics = class_metrics(
+                confusion, confusion.positive_support, confusion.negative_support
+            )
+        budget_plan = target_plan = marginal = None
+        if budget is not None:
+            budget_plan = fixed_budget_plan(profile, cost_model, budget)
+        if target is not None:
+            target_plan = cost_to_target(profile, cost_model, target)
+        if annotated is not None:
+            marginal = marginal_analysis(profile, cost_model, annotated)
         results.append(
             ModelResult(
                 profile=profile,
@@ -358,7 +336,10 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         currency_label=cost_model.currency_label if cost_model else None,
         inputs=digests,
     )
-    _render(report, args)
+    if args.format == "json":
+        _emit(render_json(report), args.out)
+    else:
+        _emit(render_table(report, style=args.format), args.out)
     return 0
 
 

@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 DEFAULT_POSITIVE_TOKENS = frozenset({"1", "true"})
 DEFAULT_NEGATIVE_TOKENS = frozenset({"0", "false"})
@@ -58,9 +58,8 @@ class LabeledDataset:
 
     Row i is (ids[i], scores[i], labels[i]); a label byte is 1 for a
     positive and 0 for a negative.  `positive_total` is counted once, when
-    the dataset is built.  The class itself is permissive (so reports can
-    describe broken data); `validate_dataset` checks the uniqueness and
-    non-emptiness invariants.
+    the dataset is built.  The class itself is permissive; `parse_dataset`
+    enforces unique ids and at least one row.
     """
 
     name: str
@@ -91,14 +90,6 @@ class LabeledDataset:
     def instances(self) -> tuple[LabeledInstance, ...]:
         """The rows as objects, built anew on each access."""
         return tuple(map(LabeledInstance, self.ids, self.scores, map(bool, self.labels)))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    instance_count: int
-    positive_count: int
-    duplicate_ids: tuple[str, ...]
-    bad_rows: tuple[tuple[int, str], ...] = ()
 
 
 #: Issues spelled out in a DatasetError message; the rest are only counted.
@@ -132,9 +123,19 @@ def parse_dataset(
     Raises DatasetError listing every bad row (non-numeric or non-finite
     score, unrecognized label token, empty or duplicate id, short row), or
     a header that lacks a configured column or repeats one.  Blank lines
-    are skipped.
+    are skipped.  Text the csv module cannot split (a field longer than
+    csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
+    with the line the reader stopped on.
     """
     reader = csv.reader(source, delimiter=schema.delimiter)
+    try:
+        return _parse_rows(reader, schema, name)
+    except csv.Error as exc:
+        issue = (reader.line_num, str(exc))
+        raise DatasetError(f"{name}: malformed delimited text", [issue]) from None
+
+
+def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
     try:
         header = next(reader)
     except StopIteration:
@@ -213,35 +214,6 @@ def parse_dataset(
     return LabeledDataset(name=name, ids=ids, scores=scores, labels=labels)
 
 
-def validate_dataset(d: LabeledDataset) -> ValidationReport:
-    """Report counts and invariant violations; never raises."""
-    seen: set[str] = set()
-    duplicates: list[str] = []
-    for uid in d.ids:
-        if uid in seen and uid not in duplicates:
-            duplicates.append(uid)
-        seen.add(uid)
-    return ValidationReport(
-        instance_count=d.size,
-        positive_count=d.positive_total,
-        duplicate_ids=tuple(duplicates),
-        bad_rows=(),
-    )
-
-
-def render_dataset(d: LabeledDataset) -> str:
-    """Serialize to the canonical file format (comma, id/score/label, 1/0).
-
-    Scores are written with repr so parse(render(d)) == d exactly.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "score", "label"])
-    for uid, score, label in zip(d.ids, d.scores, d.labels):
-        writer.writerow([uid, repr(score), "1" if label else "0"])
-    return out.getvalue()
-
-
 def read_dataset_file(
     path: str | Path,
     schema: ColumnSchema = ColumnSchema(),
@@ -250,8 +222,8 @@ def read_dataset_file(
     """Load a dataset from disk; returns (dataset, sha256 of the raw bytes).
 
     The digest feeds report metadata so runs are traceable to exact inputs.
-    A leading UTF-8 byte-order mark is skipped; an undecodable byte is
-    reported with the line that holds it.
+    A leading UTF-8 byte-order mark is skipped; a NUL or undecodable byte
+    is reported with the line that holds it.
     """
     path = Path(path)
     if name is None:
@@ -261,6 +233,12 @@ def read_dataset_file(
     except OSError as exc:
         raise DatasetError(f"{name}: cannot read {path}: {exc.strerror or exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
+    # The csv module rejects NUL before Python 3.11 and keeps it in a field
+    # after, so it is rejected here, the same way on every version.
+    nul = raw.find(b"\0")
+    if nul >= 0:
+        bad = f"NUL byte at byte offset {nul}"
+        raise DatasetError(f"{name}: input holds a NUL byte", [(_line_at(raw, nul), bad)])
     # Decoded chunk by chunk as csv pulls lines, so no second copy of the
     # whole text is made; newline="" leaves line endings to csv.
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:
@@ -272,9 +250,14 @@ def read_dataset_file(
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                before = raw[: exc.start]
-                line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+                line = _line_at(raw, exc.start)
                 bad = f"undecodable byte 0x{raw[exc.start]:02x} at byte offset {exc.start}"
                 raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
             raise
     return dataset, digest
+
+
+def _line_at(raw: bytes, offset: int) -> int:
+    """1-based line of byte `offset` under \\n, \\r\\n and \\r line endings."""
+    before = raw[:offset]
+    return before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1

@@ -1,15 +1,16 @@
 """Gain, cumulative gain, and threshold classification metrics.
 
 Gain for a quantile is the number of positive instances it holds divided by
-the total number of positives in the test set.  Profiles store the integer
-counts and defer division to presentation, so sum-to-one checks are exact.
-Counts at a cutoff are read from the ranking's prefix sums, not recounted.
+the total number of positives in the test set.  A profile stores only the
+integer counts; each gain is divided out where it is printed, so sum-to-one
+checks are exact.  Counts at a cutoff are read from the ranking's prefix
+sums, not recounted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .ranking import QuantilePartition, RankedList
 
@@ -19,13 +20,15 @@ class GainProfile:
     """Per-quantile positive counts for one model's ranking.
 
     `size` is the number of ranked instances behind the profile (N).
-    Gain and cumulative gain are derived views over the stored counts.
+    `cumulative_positive_count` is built once, from the per-quantile counts.
+    Gain and cumulative gain are these counts divided by `positive_total`.
     """
 
     model_name: str
     per_quantile_positive: tuple[int, ...]
     positive_total: int
     size: int
+    cumulative_positive_count: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.positive_total < 1:
@@ -37,39 +40,13 @@ class GainProfile:
                 "per-quantile positives must sum to positive_total "
                 f"({sum(self.per_quantile_positive)} != {self.positive_total})"
             )
+        object.__setattr__(
+            self, "cumulative_positive_count", tuple(accumulate(self.per_quantile_positive))
+        )
 
     @property
     def quantile_count(self) -> int:
         return len(self.per_quantile_positive)
-
-    @property
-    def cumulative_positive_count(self) -> tuple[int, ...]:
-        counts = []
-        running = 0
-        for c in self.per_quantile_positive:
-            running += c
-            counts.append(running)
-        return tuple(counts)
-
-    @property
-    def gain(self) -> tuple[float, ...]:
-        return tuple(c / self.positive_total for c in self.per_quantile_positive)
-
-    @property
-    def cumulative(self) -> tuple[float, ...]:
-        return tuple(c / self.positive_total for c in self.cumulative_positive_count)
-
-    @property
-    def gain_exact(self) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(c, self.positive_total) for c in self.per_quantile_positive
-        )
-
-    @property
-    def cumulative_exact(self) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(c, self.positive_total) for c in self.cumulative_positive_count
-        )
 
 
 @dataclass(frozen=True)
@@ -152,18 +129,6 @@ def ideal_profile(size: int, positive_total: int, quantile_count: int) -> GainPr
     )
 
 
-def random_baseline(quantile_count: int) -> GainProfile:
-    """Uniform profile: gain 1/Q per quantile, the diagonal reference curve."""
-    if quantile_count < 1:
-        raise ValueError(f"quantile count must be positive, got {quantile_count}")
-    return GainProfile(
-        model_name="random",
-        per_quantile_positive=(1,) * quantile_count,
-        positive_total=quantile_count,
-        size=quantile_count,
-    )
-
-
 def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
     """Predict the top k instances positive, the rest negative, and tally."""
     n = r.size
@@ -174,23 +139,6 @@ def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
     fn = r.positive_total - tp
     tn = n - k - fn
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn, cutoff_k=k)
-
-
-def accuracy_at_cutoff(r: RankedList, k: int) -> float:
-    """Fraction of correct predictions at cutoff k.
-
-    Computed by a direct scan of the ranked labels, independently of the
-    prefix sums that confusion_at_cutoff reads, so the two stay mutually
-    checkable.
-    """
-    n = r.size
-    if not 0 <= k <= n:
-        raise ValueError(f"cutoff must be in 0..{n}, got {k}")
-    labels = r.dataset.labels
-    correct = sum(
-        1 for rank, i in enumerate(r.indices) if labels[i] == (rank < k)
-    )
-    return correct / n
 
 
 def class_metrics(

@@ -78,7 +78,6 @@ class QuantilePartition:
     ranked: RankedList
     boundaries: tuple[int, ...]
     per_quantile_positive: tuple[int, ...]
-    per_quantile_size: tuple[int, ...]
 
     @property
     def quantile_count(self) -> int:
@@ -115,5 +114,4 @@ def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition
         ranked=r,
         boundaries=boundaries,
         per_quantile_positive=tuple(cum[b] - cum[a] for a, b in zip(boundaries, boundaries[1:])),
-        per_quantile_size=tuple(b - a for a, b in zip(boundaries, boundaries[1:])),
     )

@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
-from fractions import Fraction
+from dataclasses import dataclass, fields
+from decimal import Decimal, localcontext
 from typing import Any, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from .budget import BudgetPlan, CostRule, MarginalReport, TargetPlan
 from .metrics import ClassMetrics, ConfusionMatrix, GainProfile, ideal_profile
 from .ranking import TiePolicy
-
-_CENT = Decimal("0.01")
 
 _SERIES_COLORS = (
     "#d62728",  # red
@@ -113,19 +110,21 @@ class EvaluationReport:
         return tuple(name for _, _, name in sorted(indexed, key=lambda t: (-t[0], t[1])))
 
 
-def _fmt_money(value: Decimal) -> str:
-    return str(value.quantize(_CENT, rounding=ROUND_HALF_UP))
+def _fmt_money(units: int) -> str:
+    """Minor units (cents) as a decimal amount with two places."""
+    return f"{units // 100}.{units % 100:02d}"
 
 
 def _fmt_ratio(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.2f}"
 
 
-def _sig12(f: Fraction) -> str:
-    """Exact rational rendered as a decimal string, 12 significant digits."""
+def _sig12(counts: Sequence[int], total: int) -> list[str]:
+    """Each count / total as a decimal string with 12 significant digits."""
     with localcontext() as ctx:
         ctx.prec = 12
-        return str(Decimal(f.numerator) / Decimal(f.denominator))
+        divisor = Decimal(total)
+        return [str(Decimal(c) / divisor) for c in counts]
 
 
 def _text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -185,12 +184,20 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
     section(
         "Gain",
         ["Model"] + qcols,
-        [[m.name] + [f"{g:.2f}" for g in m.profile.gain] for m in r.models],
+        [
+            [m.name] + [f"{c / p.positive_total:.2f}" for c in p.per_quantile_positive]
+            for m in r.models
+            for p in [m.profile]
+        ],
     )
     section(
         "Cumulative gain",
         ["Model"] + qcols,
-        [[m.name] + [f"{c:.2f}" for c in m.profile.cumulative] for m in r.models],
+        [
+            [m.name] + [f"{c / p.positive_total:.2f}" for c in p.cumulative_positive_count]
+            for m in r.models
+            for p in [m.profile]
+        ],
     )
     section(
         "Cumulative positives",
@@ -318,13 +325,21 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _money_doc(value: Decimal, currency: str | None) -> dict[str, Any]:
-    minor = int(value.quantize(_CENT, rounding=ROUND_HALF_UP).scaleb(2))
-    return {"minor_units": minor, "currency": currency}
-
-
-def _ratio_doc(value: float) -> float | str:
-    return value if math.isfinite(value) else "inf"
+def _plan_doc(
+    plan: BudgetPlan | TargetPlan | MarginalReport | None, currency: str | None
+) -> dict[str, Any] | None:
+    """A plan's fields in declaration order; money as minor units, inf as "inf"."""
+    if plan is None:
+        return None
+    doc: dict[str, Any] = {}
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        if f.metadata.get("money"):
+            value = {"minor_units": value, "currency": currency}
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = "inf"
+        doc[f.name] = value
+    return doc
 
 
 def render_json(r: EvaluationReport) -> str:
@@ -365,36 +380,6 @@ def render_json(r: EvaluationReport) -> str:
                 },
                 "conventions": list(cm.conventions),
             }
-        budget_plan: dict[str, Any] | None = None
-        if m.budget_plan is not None:
-            p = m.budget_plan
-            budget_plan = {
-                "budget": _money_doc(p.budget, currency),
-                "affordable_quantiles": p.affordable_quantiles,
-                "expected_tp": p.expected_tp,
-                "spend": _money_doc(p.spend, currency),
-                "leftover": _money_doc(p.leftover, currency),
-                "profit": _ratio_doc(p.profit),
-            }
-        target_plan: dict[str, Any] | None = None
-        if m.target_plan is not None:
-            p = m.target_plan
-            target_plan = {
-                "target_tp": p.target_tp,
-                "achievable": p.achievable,
-                "quantiles_needed": p.quantiles_needed,
-                "cost": _money_doc(p.cost, currency),
-            }
-        marginal: dict[str, Any] | None = None
-        if m.marginal is not None:
-            p = m.marginal
-            marginal = {
-                "annotated_quantiles": p.annotated_quantiles,
-                "next_quantile_tp": p.next_quantile_tp,
-                "next_quantile_cost": _money_doc(p.next_quantile_cost, currency),
-                "tp_per_cost": _ratio_doc(p.tp_per_cost),
-                "exhausted": p.exhausted,
-            }
         models.append(
             {
                 "name": m.name,
@@ -402,13 +387,13 @@ def render_json(r: EvaluationReport) -> str:
                 "positive_total": profile.positive_total,
                 "per_quantile_positive": list(profile.per_quantile_positive),
                 "cumulative_positive_count": list(profile.cumulative_positive_count),
-                "gain": [_sig12(g) for g in profile.gain_exact],
-                "cumulative": [_sig12(c) for c in profile.cumulative_exact],
+                "gain": _sig12(profile.per_quantile_positive, profile.positive_total),
+                "cumulative": _sig12(profile.cumulative_positive_count, profile.positive_total),
                 "classification": classification,
                 "supplied_fscore": m.supplied_fscore,
-                "budget_plan": budget_plan,
-                "target_plan": target_plan,
-                "marginal": marginal,
+                "budget_plan": _plan_doc(m.budget_plan, currency),
+                "target_plan": _plan_doc(m.target_plan, currency),
+                "marginal": _plan_doc(m.marginal, currency),
             }
         )
 
@@ -442,8 +427,6 @@ class ChartSpec:
     include_ideal: bool = False
     width: int = 640
     height: int = 480
-    x_label: str = "% of candidates annotated"
-    y_label: str = "% of positives found"
 
     def __post_init__(self) -> None:
         if not self.series:
@@ -524,18 +507,19 @@ def render_chart(spec: ChartSpec) -> str:
         )
     out.append(
         f'<text class="xlabel" x="{(x0 + x1) / 2:.2f}" y="{height - 12:.2f}" '
-        f'text-anchor="middle" fill="#333333">{escape(spec.x_label)}</text>'
+        f'text-anchor="middle" fill="#333333">% of candidates annotated</text>'
     )
     out.append(
         f'<text class="ylabel" x="14" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 14 {(y0 + y1) / 2:.2f})" fill="#333333">'
-        f"{escape(spec.y_label)}</text>"
+        "% of positives found</text>"
     )
 
     def polyline_points(profile: GainProfile) -> str:
         points = [(0.0, 0.0)]
         points += [
-            ((q + 1) / quantile_count, c) for q, c in enumerate(profile.cumulative)
+            ((q + 1) / quantile_count, c / profile.positive_total)
+            for q, c in enumerate(profile.cumulative_positive_count)
         ]
         return " ".join(f"{px(fx):.2f},{py(fy):.2f}" for fx, fy in points)
 

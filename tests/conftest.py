@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from gainbudget import GainProfile, gain_profile, partition_quantiles, rank_instances, read_dataset_file
+from gainbudget import (
+    GainProfile,
+    RankedList,
+    gain_profile,
+    partition_quantiles,
+    rank_instances,
+    read_dataset_file,
+)
 
 from casestudy import DECILE_POSITIVES, case_study_csv
 
@@ -21,6 +28,23 @@ WORKED_ORDERS = {
 
 def worked_path(key: str) -> Path:
     return DATA_DIR / f"worked_{key}.csv"
+
+
+def accuracy_at_cutoff(r: RankedList, k: int) -> float:
+    """Fraction of correct predictions at cutoff k.
+
+    Computed by a direct scan of the ranked labels, independently of the
+    prefix sums that confusion_at_cutoff reads, so the two stay mutually
+    checkable.
+    """
+    n = r.size
+    if not 0 <= k <= n:
+        raise ValueError(f"cutoff must be in 0..{n}, got {k}")
+    labels = r.dataset.labels
+    correct = sum(
+        1 for rank, i in enumerate(r.indices) if labels[i] == (rank < k)
+    )
+    return correct / n
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from gainbudget import (
     LabeledDataset,
     LabeledInstance,
     TiePolicy,
-    accuracy_at_cutoff,
     confusion_at_cutoff,
     cost_to_target,
     fixed_budget_plan,
@@ -30,7 +29,7 @@ from gainbudget import (
 )
 from gainbudget.cli import run
 
-from conftest import WORKED_ORDERS, worked_path
+from conftest import WORKED_ORDERS, accuracy_at_cutoff, worked_path
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -65,8 +64,7 @@ def test_c2_true_positives_at_k2():
 
 def test_c3_full_recall_costs(case_study_profiles):
     cm = CostModel(unit_cost=Decimal("0.04"))
-    expected = {"m1": (2, Decimal("16.73")), "m2": (4, Decimal("33.46")),
-                "m3": (5, Decimal("41.82"))}
+    expected = {"m1": (2, 1673), "m2": (4, 3346), "m3": (5, 4182)}
     for model, (deciles, cost) in expected.items():
         plan = cost_to_target(case_study_profiles[model], cm, FULL_RECALL)
         assert plan.quantiles_needed == deciles
@@ -131,10 +129,11 @@ def test_c6_property_suite():
         q = rng.randint(1, n)
         profile = gain_profile(partition_quantiles(ranked, q))
 
-        assert abs(sum(profile.gain) - 1.0) <= 1e-12
-        cumulative = profile.cumulative
+        total = profile.positive_total
+        assert sum(Fraction(c, total) for c in profile.per_quantile_positive) == 1
+        cumulative = profile.cumulative_positive_count
         assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
-        assert cumulative[-1] == 1.0
+        assert Fraction(cumulative[-1], total) == 1
 
         ideal = ideal_profile(n, profile.positive_total, q)
         assert all(

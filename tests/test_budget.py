@@ -32,23 +32,23 @@ def m3(case_study_profiles):
 
 class TestQuantileCost:
     def test_whole_list(self):
-        assert quantile_cost(CM, 2091, 10, 10) == Decimal("83.64")
+        assert quantile_cost(CM, 2091, 10, 10) == 8364
 
     def test_two_deciles(self):
-        assert quantile_cost(CM, 2091, 2, 10) == Decimal("16.73")
+        assert quantile_cost(CM, 2091, 2, 10) == 1673
 
     def test_nothing(self):
-        assert quantile_cost(CM, 2091, 0, 10) == Decimal("0.00")
+        assert quantile_cost(CM, 2091, 0, 10) == 0
 
     def test_one_decile_rounds_half_up(self):
         # exact 8.364 rounds half-up to 8.36
-        assert quantile_cost(CM, 2091, 1, 10) == Decimal("8.36")
+        assert quantile_cost(CM, 2091, 1, 10) == 836
 
     def test_integer_rule_prices_actual_sizes(self):
         cm = CostModel(unit_cost=Decimal("0.04"), cost_rule=CostRule.INTEGER)
         # first two floor-rule deciles hold 418 instances
-        assert quantile_cost(cm, 2091, 2, 10) == Decimal("16.72")
-        assert quantile_cost(cm, 2091, 10, 10) == Decimal("83.64")
+        assert quantile_cost(cm, 2091, 2, 10) == 1672
+        assert quantile_cost(cm, 2091, 10, 10) == 8364
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestQuantileCost:
         costs = [quantile_cost(CM, 2091, q, 10) for q in range(11)]
         assert all(a < b for a, b in zip(costs, costs[1:]))
         for q in range(6):
-            assert abs(costs[2 * q] - 2 * costs[q]) <= Decimal("0.01")
+            assert abs(costs[2 * q] - 2 * costs[q]) <= 1
 
     def test_unit_cost_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -74,15 +74,15 @@ class TestFixedBudget:
             plan = fixed_budget_plan(case_study_profiles[model], CM, Decimal("16.73"))
             assert plan.affordable_quantiles == 2
             assert plan.expected_tp == tp
-            assert plan.spend == Decimal("16.73")
-            assert plan.leftover == Decimal("0.00")
+            assert plan.spend == 1673
+            assert plan.leftover == 0
 
     def test_budget_below_first_quantile(self, m1):
         plan = fixed_budget_plan(m1, CM, Decimal("5.00"))
         assert plan.affordable_quantiles == 0
         assert plan.expected_tp == 0
-        assert plan.spend == Decimal("0.00")
-        assert plan.leftover == Decimal("5.00")
+        assert plan.spend == 0
+        assert plan.leftover == 500
         assert plan.profit == 0.0
 
     def test_sixteen_dollars_affords_one_decile(self, m1):
@@ -111,9 +111,12 @@ class TestFixedBudget:
             if not any(counts):
                 counts[rng.randrange(q)] = 1
             profile = GainProfile("r", tuple(counts), sum(counts), q * 10)
+            costs = [quantile_cost(CM, profile.size, k, q) for k in range(1, q + 1)]
             last_tp = 0
             for budget_cents in range(0, q * 10 * 4 + 5, 3):
                 plan = fixed_budget_plan(profile, CM, Decimal(budget_cents).scaleb(-2))
+                assert plan.budget == budget_cents
+                assert plan.affordable_quantiles == sum(c <= budget_cents for c in costs)
                 assert plan.expected_tp >= last_tp
                 assert plan.spend <= plan.budget
                 assert plan.leftover == plan.budget - plan.spend
@@ -123,9 +126,9 @@ class TestFixedBudget:
 class TestCostToTarget:
     def test_case_study_full_recall(self, case_study_profiles):
         expected = {
-            "m1": (2, Decimal("16.73")),
-            "m2": (4, Decimal("33.46")),
-            "m3": (5, Decimal("41.82")),
+            "m1": (2, 1673),
+            "m2": (4, 3346),
+            "m3": (5, 4182),
         }
         for model, (quantiles, cost) in expected.items():
             plan = cost_to_target(case_study_profiles[model], CM, FULL_RECALL)
@@ -142,7 +145,7 @@ class TestCostToTarget:
         plan = cost_to_target(m1, CM, 415)
         assert not plan.achievable
         assert plan.quantiles_needed == 10
-        assert plan.cost == Decimal("83.64")
+        assert plan.cost == 8364
 
     def test_target_below_one_rejected(self, m1):
         with pytest.raises(ValueError):
@@ -177,7 +180,7 @@ class TestMarginal:
     def test_m3_third_decile(self, m3):
         report = marginal_analysis(m3, CM, 2)
         assert report.next_quantile_tp == 8
-        assert report.next_quantile_cost == Decimal("8.36")
+        assert report.next_quantile_cost == 836
         assert not report.exhausted
 
     def test_m3_fourth_decile(self, m3):
@@ -211,23 +214,23 @@ class TestMarginal:
         cm = CostModel(unit_cost=Decimal("0.04"), cost_rule=CostRule.INTEGER)
         profile = GainProfile("m", (205, 209) + (0,) * 8, 414, 2091)
         # final decile holds 210 instances under the floor rule
-        assert marginal_analysis(profile, cm, 9).next_quantile_cost == Decimal("8.40")
+        assert marginal_analysis(profile, cm, 9).next_quantile_cost == 840
 
 
 class TestProfitRatio:
     def test_case_study_ratios(self):
-        assert profit_ratio(414, Decimal("16.73")) == pytest.approx(24.75, abs=0.005)
-        assert profit_ratio(414, Decimal("41.82")) == pytest.approx(9.90, abs=0.005)
+        assert profit_ratio(414, 1673) == pytest.approx(24.75, abs=0.005)
+        assert profit_ratio(414, 4182) == pytest.approx(9.90, abs=0.005)
 
     def test_zero_tp(self):
-        assert profit_ratio(0, Decimal("8.36")) == 0.0
+        assert profit_ratio(0, 836) == 0.0
 
     def test_free_gain_is_infinite(self):
-        assert profit_ratio(5, Decimal("0")) == math.inf
+        assert profit_ratio(5, 0) == math.inf
 
     def test_zero_tp_takes_precedence(self):
-        assert profit_ratio(0, Decimal("0")) == 0.0
+        assert profit_ratio(0, 0) == 0.0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
-            profit_ratio(1, Decimal("-1"))
+            profit_ratio(1, -1)

@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import gainbudget
 from gainbudget.cli import run
 
 from conftest import worked_path
@@ -13,6 +18,16 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_child(*argv):
+    """Run the CLI in a child process, so a runaway computation is cut off."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gainbudget.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gainbudget.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestEval:
@@ -229,12 +244,16 @@ class TestErrorsAndHelp:
             ("--cutoff-frac", "2"),
             ("--cutoff-frac", "-0.1"),
             ("--cutoff-frac", "nan"),
+            # Exact arithmetic on these would run for minutes or overflow.
+            ("--unit-cost", "1e-999999999"),
+            ("--budget", "1e999999999"),
+            ("--budget", "-1e-101"),
         ],
     )
-    def test_bad_flag_value_is_usage_error(self, capsys, flag, value):
+    def test_bad_flag_value_is_usage_error(self, flag, value):
         # The input does not exist: a usage error must come before any read.
-        code, out, err = invoke(
-            capsys, "compare", "no-such-file.csv", "--unit-cost", "0.04",
+        code, out, err = invoke_child(
+            "compare", "no-such-file.csv", "--unit-cost", "0.04",
             "--full-recall", f"{flag}={value}",
         )
         assert code == 2
@@ -271,6 +290,51 @@ class TestErrorsAndHelp:
         assert code == 0
         for flag in flags:
             assert flag in out
+
+
+class TestLargeMoney:
+    """Money flags near the top of their range keep every digit."""
+
+    DOLLARS = 10**30  # the flag value 1e30
+
+    def run_case(self, capsys, case_study_dir, fmt, *argv):
+        code, out, err = invoke(
+            capsys, argv[0], str(case_study_dir / "m1.csv"), *argv[1:], "--format", fmt
+        )
+        assert code == 0, err
+        return json.loads(out)["models"][0] if fmt == "json" else out
+
+    @pytest.mark.parametrize("sub", ["budget", "compare"])
+    def test_huge_budget(self, capsys, case_study_dir, sub):
+        argv = (sub, "--unit-cost", "0.04", "--budget", "1e30", "--full-recall")
+        plan = self.run_case(capsys, case_study_dir, "json", *argv)["budget_plan"]
+        assert plan["budget"]["minor_units"] == self.DOLLARS * 100
+        assert plan["affordable_quantiles"] == 10
+        assert plan["spend"]["minor_units"] == 8364
+        assert plan["leftover"]["minor_units"] == self.DOLLARS * 100 - 8364
+        out = self.run_case(capsys, case_study_dir, "text", *argv)
+        assert f" {self.DOLLARS}.00 " in out
+        assert f" {self.DOLLARS - 84}.36 " in out
+
+    @pytest.mark.parametrize("sub", ["budget", "compare"])
+    def test_huge_unit_cost(self, capsys, case_study_dir, sub):
+        argv = (sub, "--unit-cost", "1e30", "--budget", "16.73", "--full-recall")
+        model = self.run_case(capsys, case_study_dir, "json", *argv)
+        # Two deciles are 418.2 candidates at 10^30 each.
+        assert model["target_plan"]["cost"]["minor_units"] == 41820 * self.DOLLARS
+        assert model["budget_plan"]["affordable_quantiles"] == 0
+        assert model["budget_plan"]["leftover"]["minor_units"] == 1673
+        out = self.run_case(capsys, case_study_dir, "text", *argv)
+        assert f" {418 * self.DOLLARS + 2 * self.DOLLARS // 10}.00 " in out
+
+    def test_huge_unit_cost_stop(self, capsys, case_study_dir):
+        argv = ("stop", "--unit-cost", "1e30", "--annotated-quantiles", "1")
+        marginal = self.run_case(capsys, case_study_dir, "json", *argv)["marginal"]
+        # The second decile is 209.1 candidates at 10^30 each.
+        assert marginal["next_quantile_cost"]["minor_units"] == 20910 * self.DOLLARS
+        assert marginal["next_quantile_tp"] == 209
+        out = self.run_case(capsys, case_study_dir, "text", *argv)
+        assert f" {209 * self.DOLLARS + self.DOLLARS // 10}.00 " in out
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 
@@ -11,8 +12,6 @@ from gainbudget import (
     LabeledInstance,
     parse_dataset,
     read_dataset_file,
-    render_dataset,
-    validate_dataset,
 )
 
 from conftest import worked_path
@@ -20,6 +19,16 @@ from conftest import worked_path
 
 def parse_text(text: str, schema: ColumnSchema = ColumnSchema(), name: str = "t"):
     return parse_dataset(io.StringIO(text), schema, name=name)
+
+
+def render_csv(d: LabeledDataset) -> str:
+    """Write the columns in the default format; repr keeps every score exact."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "score", "label"])
+    for uid, score, label in zip(d.ids, d.scores, d.labels):
+        writer.writerow([uid, repr(score), "1" if label else "0"])
+    return out.getvalue()
 
 
 class TestParse:
@@ -161,22 +170,44 @@ class TestReadFile:
             (rows_before + 2, f"undecodable byte 0xff at byte offset {offset}"),
         )
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("where", ["id", "score", "header"])
+    def test_nul_byte_reports_its_line(self, tmp_path, newline, where):
+        # Python 3.11's csv keeps a NUL inside a field, 3.10's raises; both
+        # must give the same error.
+        header = "id,sc\0ore,label" if where == "header" else "id,score,label"
+        bad = {"id": "a\0b,1,1", "score": "b,1\0,1", "header": "b,1,1"}[where]
+        raw = newline.join([header, "a,1,0", bad, ""]).encode()
+        (tmp_path / "nul.csv").write_bytes(raw)
+        with pytest.raises(DatasetError, match="NUL byte") as exc:
+            read_dataset_file(tmp_path / "nul.csv")
+        line = 1 if where == "header" else 3
+        assert exc.value.issues == ((line, f"NUL byte at byte offset {raw.index(0)}"),)
+
+    def test_oversized_field_reports_its_line(self, tmp_path):
+        raw = ("id,score,label\na,1,0\nb,1," + "x" * 140_000 + "\nc,2,1\n").encode()
+        (tmp_path / "wide.csv").write_bytes(raw)
+        with pytest.raises(DatasetError, match="malformed delimited text") as exc:
+            read_dataset_file(tmp_path / "wide.csv")
+        ((line, reason),) = exc.value.issues
+        assert line == 3
+        assert "field larger than field limit" in reason
+
 
 class TestValidate:
-    def test_worked_example_counts(self, worked_datasets):
-        report = validate_dataset(worked_datasets["s1m1"])
-        assert report.instance_count == 6
-        assert report.positive_count == 3
-        assert report.duplicate_ids == ()
-        assert report.bad_rows == ()
+    """The counts a dataset carries and the invariants the parser enforces."""
 
-    def test_case_study_counts(self, case_study_profiles, case_study_dir):
+    def test_worked_example_counts(self, worked_datasets):
+        d = worked_datasets["s1m1"]
+        assert (d.size, d.positive_total) == (6, 3)
+        assert len(set(d.ids)) == d.size
+
+    def test_case_study_counts(self, case_study_dir):
         dataset, _ = read_dataset_file(case_study_dir / "m1.csv")
-        report = validate_dataset(dataset)
-        assert report.instance_count == 2091
-        assert report.positive_count == 414
+        assert (dataset.size, dataset.positive_total) == (2091, 414)
 
     def test_constructed_duplicate(self):
+        # The class is permissive; writing it out and parsing it back is not.
         d = LabeledDataset.from_instances(
             name="dup",
             rows=(
@@ -184,12 +215,16 @@ class TestValidate:
                 LabeledInstance("x", 2.0, False),
             ),
         )
-        assert validate_dataset(d).duplicate_ids == ("x",)
+        assert d.size == 2
+        with pytest.raises(DatasetError) as exc:
+            parse_text(render_csv(d))
+        assert exc.value.issues == ((3, "duplicate id 'x'"),)
 
     def test_never_throws_on_degenerate_data(self):
-        report = validate_dataset(LabeledDataset.from_instances(name="empty", rows=()))
-        assert report.instance_count == 0
-        assert report.positive_count == 0
+        d = LabeledDataset.from_instances(name="empty", rows=())
+        assert (d.size, d.positive_total) == (0, 0)
+        with pytest.raises(DatasetError, match="zero instances"):
+            parse_text(render_csv(d))
 
 
 ids = st.lists(
@@ -217,14 +252,13 @@ def datasets(draw):
 @given(datasets())
 @settings(max_examples=100)
 def test_render_parse_round_trip(d):
-    parsed = parse_dataset(io.StringIO(render_dataset(d)), name="prop")
+    parsed = parse_dataset(io.StringIO(render_csv(d)), name="prop")
     assert parsed == d
 
 
 @given(datasets())
 @settings(max_examples=100)
 def test_parsed_count_matches_data_rows(d):
-    text = render_dataset(d)
+    text = render_csv(d)
     rows = text.count("\n") - 1
-    report = validate_dataset(parse_dataset(io.StringIO(text), name="prop"))
-    assert report.instance_count == rows
+    assert parse_dataset(io.StringIO(text), name="prop").size == rows

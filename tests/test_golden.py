@@ -66,6 +66,14 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
         ["budget", *CASE, "--unit-cost", "0.04", "--target", "410", "--cost-rule", "integer"])
     add("case-stop", "case",
         ["stop", *CASE, "--annotated-quantiles", "2", "--unit-cost", "0.04"])
+    # Sub-cent money: the 2-quantile cost 16.728 prints as 16.73 but is above
+    # the exact budget 16.725, so only one quantile is affordable.
+    add("case-budget-subcent", "case",
+        ["budget", *CASE, "--unit-cost", "0.04", "--budget", "16.725", "--full-recall"])
+    # The next-quantile cost is the exact difference rounded once (7.00), not
+    # the difference of two rounded prefix costs (14.01 - 7.00).
+    add("case-stop-subcent", "case",
+        ["stop", *CASE, "--unit-cost", "0.0335", "--annotated-quantiles", "1"])
     cases["case-chart.svg"] = ("case", ["chart", *CASE, "--baseline", "--ideal"])
 
     for policy in ("stable", "pessimistic", "optimistic"):

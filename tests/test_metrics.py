@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,15 +9,15 @@ from gainbudget import (
     GainProfile,
     LabeledDataset,
     LabeledInstance,
-    accuracy_at_cutoff,
     class_metrics,
     confusion_at_cutoff,
     gain_profile,
     ideal_profile,
     partition_quantiles,
-    random_baseline,
     rank_instances,
 )
+
+from conftest import accuracy_at_cutoff
 
 
 def ranked_fixture(worked_datasets, key):
@@ -33,22 +34,20 @@ def perfect_dataset(n=10, positives=5):
 class TestGainProfile:
     def test_worked_example(self, worked_datasets):
         g = gain_profile(partition_quantiles(ranked_fixture(worked_datasets, "s1m1"), 6))
-        third = 1 / 3
-        assert g.gain == (third, 0.0, 0.0, third, 0.0, third)
-        assert g.cumulative == (third, third, third, 2 * third, 2 * third, 1.0)
+        assert g.per_quantile_positive == (1, 0, 0, 1, 0, 1)
         assert g.cumulative_positive_count == (1, 1, 1, 2, 2, 3)
         assert g.positive_total == 3
         assert g.size == 6
 
     def test_single_quantile(self, worked_datasets):
         g = gain_profile(partition_quantiles(ranked_fixture(worked_datasets, "s2m1"), 1))
-        assert g.gain == (1.0,)
-        assert g.cumulative == (1.0,)
+        assert g.per_quantile_positive == g.cumulative_positive_count == (g.positive_total,)
 
     def test_perfect_ranking(self):
         ranked = rank_instances(perfect_dataset())
         g = gain_profile(partition_quantiles(ranked, 10))
-        assert g.gain == (0.2,) * 5 + (0.0,) * 5
+        assert g.per_quantile_positive == (1,) * 5 + (0,) * 5
+        assert g.positive_total == 5
 
     def test_zero_positives_rejected(self):
         d = LabeledDataset.from_instances(
@@ -65,38 +64,21 @@ class TestGainProfile:
 class TestIdealProfile:
     def test_all_positives_on_top(self):
         g = ideal_profile(6, 3, 6)
-        third = 1 / 3
-        assert g.gain == (third, third, third, 0.0, 0.0, 0.0)
+        assert g.per_quantile_positive == (1, 1, 1, 0, 0, 0)
 
     def test_case_study_scale(self):
         g = ideal_profile(2091, 414, 10)
         assert g.per_quantile_positive == (209, 205, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert g.cumulative[1] == 1.0
+        assert g.cumulative_positive_count[1] == g.positive_total
 
     def test_everything_positive(self):
         g = ideal_profile(10, 10, 5)
-        assert g.gain == (0.2,) * 5
+        assert g.per_quantile_positive == (2,) * 5
 
     @pytest.mark.parametrize("n,p,q", [(5, 0, 2), (5, 6, 2), (5, 3, 0), (5, 3, 6)])
     def test_parameter_bounds(self, n, p, q):
         with pytest.raises(ValueError):
             ideal_profile(n, p, q)
-
-
-class TestRandomBaseline:
-    def test_deciles(self):
-        g = random_baseline(10)
-        assert g.cumulative == tuple((q + 1) / 10 for q in range(10))
-
-    def test_single(self):
-        assert random_baseline(1).cumulative == (1.0,)
-
-    def test_quarters(self):
-        assert random_baseline(4).gain == (0.25,) * 4
-
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            random_baseline(0)
 
 
 class TestConfusion:
@@ -219,25 +201,28 @@ def profiles(draw):
 def test_gain_sums_to_one(built):
     g, _ = built
     assert sum(g.per_quantile_positive) == g.positive_total
-    assert abs(sum(g.gain) - 1.0) <= 1e-12
+    assert sum(Fraction(c, g.positive_total) for c in g.per_quantile_positive) == 1
 
 
 @given(profiles())
 @settings(max_examples=200)
 def test_cumulative_monotone_ending_at_one(built):
     g, _ = built
-    assert all(a <= b for a, b in zip(g.cumulative, g.cumulative[1:]))
-    assert g.cumulative[-1] == 1.0
-    assert g.cumulative_positive_count[-1] == g.positive_total
+    cumulative = g.cumulative_positive_count
+    assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
+    assert cumulative[-1] == g.positive_total
 
 
 @given(profiles())
 @settings(max_examples=200)
 def test_counts_recoverable_from_cumulative(built):
-    g, _ = built
-    assert g.cumulative_positive_count == tuple(
-        round(c * g.positive_total) for c in g.cumulative
-    )
+    # The stored cumulative counts are the ranking's prefix sums at each
+    # quantile's right edge, and their differences give back the counts.
+    g, ranked = built
+    n, q = ranked.size, g.quantile_count
+    cumulative = g.cumulative_positive_count
+    assert cumulative == tuple(ranked.cum[(i + 1) * n // q] for i in range(q))
+    assert tuple(b - a for a, b in zip((0,) + cumulative, cumulative)) == g.per_quantile_positive
 
 
 @given(profiles())
@@ -245,8 +230,9 @@ def test_counts_recoverable_from_cumulative(built):
 def test_ideal_dominates(built):
     g, _ = built
     ideal = ideal_profile(g.size, g.positive_total, g.quantile_count)
-    assert all(i >= c for i, c in zip(ideal.cumulative, g.cumulative))
-    assert ideal.cumulative[-1] == g.cumulative[-1] == 1.0
+    pairs = zip(ideal.cumulative_positive_count, g.cumulative_positive_count)
+    assert all(i >= c for i, c in pairs)
+    assert ideal.cumulative_positive_count[-1] == g.cumulative_positive_count[-1] == g.positive_total
 
 
 @given(profiles())

@@ -9,6 +9,7 @@ from gainbudget import (
     ChartSpec,
     CostModel,
     EvaluationReport,
+    GainProfile,
     InputDigest,
     ModelResult,
     TiePolicy,
@@ -17,8 +18,8 @@ from gainbudget import (
     cost_to_target,
     gain_profile,
     ideal_profile,
+    marginal_analysis,
     partition_quantiles,
-    random_baseline,
     rank_instances,
     render_chart,
     render_json,
@@ -32,6 +33,11 @@ SVG = "{http://www.w3.org/2000/svg}"
 def worked_profile(worked_datasets, key="s1m1", quantiles=6):
     ranked = rank_instances(worked_datasets[key])
     return ranked, gain_profile(partition_quantiles(ranked, quantiles))
+
+
+def uniform_profile(quantile_count):
+    """One positive per quantile: the random ranker's diagonal."""
+    return GainProfile("random", (1,) * quantile_count, quantile_count, quantile_count)
 
 
 def single_model_report(worked_datasets):
@@ -180,6 +186,24 @@ class TestJson:
         assert [c["minor_units"] for c in costs] == [1673, 3346, 4182]
         assert costs[0]["currency"] == "$"
 
+    def test_free_gain_is_inf(self, case_study_profiles):
+        # At $0.00002 a candidate the first decile (209.1 candidates) costs
+        # $0.004182, which rounds to 0 cents: its 205 positives come free.
+        cm = CostModel(unit_cost=Decimal("0.00002"))
+        profile = case_study_profiles["m1"]
+        report = EvaluationReport(
+            models=(ModelResult(profile=profile, marginal=marginal_analysis(profile, cm, 0)),),
+            quantile_count=10,
+            tie_policy=TiePolicy.STABLE,
+        )
+        marginal = json.loads(render_json(report))["models"][0]["marginal"]
+        assert marginal["next_quantile_cost"] == {"minor_units": 0, "currency": None}
+        assert marginal["tp_per_cost"] == "inf"
+        assert list(marginal) == [
+            "annotated_quantiles", "next_quantile_tp", "next_quantile_cost",
+            "tp_per_cost", "exhausted",
+        ]
+
     def test_run_metadata(self, case_study_profiles):
         doc = json.loads(render_json(case_study_report(case_study_profiles)))
         run = doc["run"]
@@ -229,14 +253,15 @@ class TestChart:
     def test_y_values_scale_cumulative(self, case_study_profiles):
         svg = self.chart(case_study_profiles)
         points = parse_series(svg)["m3"][1:]
-        cumulative = case_study_profiles["m3"].cumulative
+        profile = case_study_profiles["m3"]
+        cumulative = [c / profile.positive_total for c in profile.cumulative_positive_count]
         y0, y1 = min(y for _, y in points), max(p[1] for p in parse_series(svg)["m3"])
         for (x, y), c in zip(points, cumulative):
             expected = y1 - c * (y1 - y0)
             assert y == pytest.approx(expected, abs=0.011)
 
     def test_baseline_only_diagonal(self):
-        spec = ChartSpec(series=(random_baseline(10),), include_baseline=True)
+        spec = ChartSpec(series=(uniform_profile(10),), include_baseline=True)
         series = parse_series(render_chart(spec))
         baseline = series["random baseline"]
         assert len(baseline) == 2
@@ -263,7 +288,7 @@ class TestChart:
 
     def test_mismatched_quantiles_rejected(self, case_study_profiles):
         with pytest.raises(ValueError, match="mismatched"):
-            ChartSpec(series=(case_study_profiles["m1"], random_baseline(5)))
+            ChartSpec(series=(case_study_profiles["m1"], uniform_profile(5)))
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
