@@ -23,7 +23,6 @@ from .dataset import (
     ColumnSchema,
     DatasetError,
     LabeledDataset,
-    LabeledInstance,
     parse_dataset,
     read_dataset_file,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "GainProfile",
     "InputDigest",
     "LabeledDataset",
-    "LabeledInstance",
     "MarginalReport",
     "ModelResult",
     "QuantilePartition",

@@ -23,9 +23,12 @@ from .budget import (
     marginal_analysis,
 )
 from .dataset import ColumnSchema, LabeledDataset, read_dataset_file
-from .metrics import GainProfile, class_metrics, confusion_at_cutoff, gain_profile
+from .metrics import class_metrics, confusion_at_cutoff, gain_profile
 from .ranking import RankedList, TiePolicy, partition_quantiles, rank_instances
-from .report import ChartSpec, EvaluationReport, InputDigest, ModelResult, render_chart, render_json, render_table
+from .report import (
+    MIN_CHART_HEIGHT, MIN_CHART_WIDTH, ChartSpec, EvaluationReport, InputDigest, ModelResult,
+    render_chart, render_json, render_table,
+)
 
 
 #: Largest decimal exponent a nonzero money flag may have, either sign.
@@ -33,27 +36,40 @@ from .report import ChartSpec, EvaluationReport, InputDigest, ModelResult, rende
 MAX_MONEY_EXPONENT = 100
 
 
-def _decimal(text: str) -> Decimal:
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
-    if not value.is_finite():
-        raise argparse.ArgumentTypeError(f"not a finite decimal number: {text!r}")
-    if value and not -MAX_MONEY_EXPONENT <= value.adjusted() <= MAX_MONEY_EXPONENT:
-        bounds = f"1e-{MAX_MONEY_EXPONENT} and 1e{MAX_MONEY_EXPONENT + 1}"
-        raise argparse.ArgumentTypeError(f"magnitude not between {bounds}: {text!r}")
-    return value
+def _money(positive: bool):
+    """An argparse type: a finite decimal amount, positive or else not negative."""
+
+    def parse(text: str) -> Decimal:
+        try:
+            value = Decimal(text)
+        except InvalidOperation:
+            raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+        if not value.is_finite():
+            raise argparse.ArgumentTypeError(f"not a finite decimal number: {text!r}")
+        if value < 0 or (positive and not value):
+            sign = "positive" if positive else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be {sign}, got {text!r}")
+        if value and not -MAX_MONEY_EXPONENT <= value.adjusted() <= MAX_MONEY_EXPONENT:
+            bounds = f"1e-{MAX_MONEY_EXPONENT} and 1e{MAX_MONEY_EXPONENT + 1}"
+            raise argparse.ArgumentTypeError(f"magnitude not between {bounds}: {text!r}")
+        return value
+
+    return parse
 
 
-def _quantile_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _fraction(text: str) -> float:
@@ -71,7 +87,7 @@ def _add_io_flags(p: argparse.ArgumentParser, many: bool) -> None:
                    help="delimited prediction file(s) with a header row")
     p.add_argument("--name", action="append", default=None, metavar="NAME",
                    help="model name for the matching input (repeatable; default: file stem)")
-    p.add_argument("--quantiles", type=_quantile_count, default=10, metavar="Q",
+    p.add_argument("--quantiles", type=_int_at_least(1), default=10, metavar="Q",
                    help="number of quantiles (default: 10, i.e. deciles)")
     p.add_argument("--tie-policy", choices=[t.value for t in TiePolicy],
                    default=TiePolicy.STABLE.value,
@@ -96,14 +112,14 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--cutoff-k", type=int, default=None, metavar="K",
+    group.add_argument("--cutoff-k", type=_int_at_least(0), default=None, metavar="K",
                        help="treat the top K ranked instances as positive predictions")
     group.add_argument("--cutoff-frac", type=_fraction, default=None, metavar="F",
                        help="cutoff as a fraction of the dataset (k = round(F*N))")
 
 
 def _add_cost_flags(p: argparse.ArgumentParser, with_plans: bool, required: bool) -> None:
-    p.add_argument("--unit-cost", type=_decimal, default=None, metavar="MONEY",
+    p.add_argument("--unit-cost", type=_money(positive=True), default=None, metavar="MONEY",
                    required=required, help="annotation cost per candidate")
     p.add_argument("--currency", default="$", metavar="LABEL",
                    help="currency label for display (default: $)")
@@ -111,10 +127,10 @@ def _add_cost_flags(p: argparse.ArgumentParser, with_plans: bool, required: bool
                    default=CostRule.FRACTIONAL.value,
                    help="price quantiles by N*q/Q (fractional) or actual sizes (integer)")
     if with_plans:
-        p.add_argument("--budget", type=_decimal, default=None, metavar="MONEY",
+        p.add_argument("--budget", type=_money(positive=False), default=None, metavar="MONEY",
                        help="fixed budget to plan annotation around")
         target = p.add_mutually_exclusive_group()
-        target.add_argument("--target", type=int, default=None, metavar="TP",
+        target.add_argument("--target", type=_int_at_least(1), default=None, metavar="TP",
                             help="positive-instance target to price")
         target.add_argument("--full-recall", action="store_true",
                             help="target every positive instance")
@@ -150,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stop = sub.add_parser("stop", help="is one more quantile of annotation worth it?")
     _add_io_flags(p_stop, many=True)
     _add_cost_flags(p_stop, with_plans=False, required=True)
-    p_stop.add_argument("--annotated-quantiles", type=int, required=True, metavar="Q",
+    p_stop.add_argument("--annotated-quantiles", type=_int_at_least(0), required=True, metavar="Q",
                         help="quantiles already annotated")
     _add_format_flags(p_stop)
 
@@ -158,8 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_chart, many=True)
     p_chart.add_argument("--svg-out", default=None, metavar="PATH",
                          help="write the SVG to PATH instead of standard output")
-    p_chart.add_argument("--width", type=int, default=640, help="chart width in pixels")
-    p_chart.add_argument("--height", type=int, default=480, help="chart height in pixels")
+    p_chart.add_argument("--width", type=_int_at_least(MIN_CHART_WIDTH), default=640,
+                         help="chart width in pixels")
+    p_chart.add_argument("--height", type=_int_at_least(MIN_CHART_HEIGHT), default=480,
+                         help="chart height in pixels")
     p_chart.add_argument("--baseline", action="store_true",
                          help="draw the diagonal random baseline")
     p_chart.add_argument("--ideal", action="store_true",
@@ -203,17 +221,6 @@ def _load(
     return datasets, tuple(digests)
 
 
-def _evaluate(
-    datasets: list[LabeledDataset], quantiles: int, policy: TiePolicy
-) -> list[tuple[RankedList, GainProfile]]:
-    results = []
-    for d in datasets:
-        ranked = rank_instances(d, policy)
-        profile = gain_profile(partition_quantiles(ranked, quantiles))
-        results.append((ranked, profile))
-    return results
-
-
 def _cutoff_for(args: argparse.Namespace, ranked: RankedList) -> int | None:
     if getattr(args, "cutoff_k", None) is not None:
         return args.cutoff_k
@@ -236,6 +243,8 @@ def _parse_fscores(
             scores[name] = float(value)
         except ValueError:
             parser.error(f"--fscore value for {name!r} is not a number: {value!r}")
+        if not math.isfinite(scores[name]):
+            parser.error(f"--fscore value for {name!r} is not finite: {value!r}")
     return scores
 
 
@@ -262,19 +271,6 @@ def run(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = TiePolicy(args.tie_policy)
 
-    if args.command == "chart":
-        datasets, _ = _load(args, parser)
-        evaluated = _evaluate(datasets, args.quantiles, policy)
-        spec = ChartSpec(
-            series=tuple(profile for _, profile in evaluated),
-            include_baseline=args.baseline,
-            include_ideal=args.ideal,
-            width=args.width,
-            height=args.height,
-        )
-        _emit(render_chart(spec), args.svg_out)
-        return 0
-
     # A section is computed only when its flag exists on the subcommand and
     # was given; argparse itself enforces the flags a subcommand requires.
     unit_cost = getattr(args, "unit_cost", None)
@@ -286,44 +282,43 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             parser.error(f"{args.command} requires --budget, --target, or --full-recall")
     elif unit_cost is None:
         parser.error("--budget/--target/--full-recall require --unit-cost")
+    if annotated is not None and annotated >= args.quantiles:
+        parser.error(
+            f"argument --annotated-quantiles: must be below --quantiles ({args.quantiles}), "
+            f"got {annotated}"
+        )
 
     datasets, digests = _load(args, parser)
-    evaluated = _evaluate(datasets, args.quantiles, policy)
-
-    cost_model = None
-    if unit_cost is not None:
-        cost_model = CostModel(
-            unit_cost=unit_cost,
-            currency_label=args.currency,
-            cost_rule=CostRule(args.cost_rule),
+    evaluated = []
+    for d in datasets:
+        ranked = rank_instances(d, policy)
+        evaluated.append((ranked, gain_profile(partition_quantiles(ranked, args.quantiles))))
+    if args.command == "chart":
+        spec = ChartSpec(
+            series=tuple(profile for _, profile in evaluated),
+            include_baseline=args.baseline,
+            include_ideal=args.ideal,
+            width=args.width,
+            height=args.height,
         )
+        _emit(render_chart(spec), args.svg_out)
+        return 0
+
+    cm = None
+    if unit_cost is not None:
+        cm = CostModel(unit_cost, args.currency, CostRule(args.cost_rule))
     fscores = _parse_fscores(args, parser, [d.name for d in datasets])
 
     results = []
     for ranked, profile in evaluated:
-        confusion = None
-        metrics = None
         k = _cutoff_for(args, ranked)
-        if k is not None:
-            confusion = confusion_at_cutoff(ranked, k)
-            metrics = class_metrics(
-                confusion, confusion.positive_support, confusion.negative_support
-            )
-        budget_plan = target_plan = marginal = None
-        if budget is not None:
-            budget_plan = fixed_budget_plan(profile, cost_model, budget)
-        if target is not None:
-            target_plan = cost_to_target(profile, cost_model, target)
-        if annotated is not None:
-            marginal = marginal_analysis(profile, cost_model, annotated)
         results.append(
             ModelResult(
                 profile=profile,
-                confusion=confusion,
-                class_metrics=metrics,
-                budget_plan=budget_plan,
-                target_plan=target_plan,
-                marginal=marginal,
+                class_metrics=None if k is None else class_metrics(confusion_at_cutoff(ranked, k)),
+                budget_plan=None if budget is None else fixed_budget_plan(profile, cm, budget),
+                target_plan=None if target is None else cost_to_target(profile, cm, target),
+                marginal=None if annotated is None else marginal_analysis(profile, cm, annotated),
                 supplied_fscore=fscores.get(profile.model_name),
             )
         )
@@ -332,8 +327,8 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         models=tuple(results),
         quantile_count=args.quantiles,
         tie_policy=policy,
-        cost_rule=cost_model.cost_rule if cost_model else None,
-        currency_label=cost_model.currency_label if cost_model else None,
+        cost_rule=cm.cost_rule if cm else None,
+        currency_label=cm.currency_label if cm else None,
         inputs=digests,
     )
     if args.format == "json":

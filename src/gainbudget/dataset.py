@@ -1,15 +1,13 @@
-"""Parsing, validation, and serialization of labeled prediction files.
+"""Parsing and validation of labeled prediction files.
 
 The input format is delimited text (comma by default, tab supported) with a
 header row.  Each data row carries an opaque identifier, a finite confidence
 score, and a binary gold label.  Parsing is strict: every malformed row is
 reported with its 1-based line number, and nothing is silently coerced.
 
-A parsed dataset is held as three parallel columns (ids, scores, labels)
-rather than one object per row, so a million-row file costs three
-containers, not a million objects for the allocator and the garbage
-collector to track.  `LabeledInstance` remains the row type for callers
-that build or inspect datasets row by row.
+A parsed dataset is held as three parallel columns (ids, scores, labels):
+however many rows a file has, the garbage collector tracks three
+containers.
 """
 
 from __future__ import annotations
@@ -44,15 +42,6 @@ class ColumnSchema:
 
 
 @dataclass(frozen=True)
-class LabeledInstance:
-    """One prediction: identifier, model confidence, and gold class."""
-
-    id: str
-    score: float
-    positive: bool
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
     """One model's output file as columns, in input-file order.
 
@@ -71,25 +60,9 @@ class LabeledDataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "positive_total", self.labels.count(1))
 
-    @classmethod
-    def from_instances(cls, name: str, rows: Iterable[LabeledInstance]) -> LabeledDataset:
-        """Build the columns from row objects, keeping their order."""
-        rows = tuple(rows)
-        return cls(
-            name=name,
-            ids=[row.id for row in rows],
-            scores=array("d", [row.score for row in rows]),
-            labels=bytearray(row.positive for row in rows),
-        )
-
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    @property
-    def instances(self) -> tuple[LabeledInstance, ...]:
-        """The rows as objects, built anew on each access."""
-        return tuple(map(LabeledInstance, self.ids, self.scores, map(bool, self.labels)))
 
 
 #: Issues spelled out in a DatasetError message; the rest are only counted.

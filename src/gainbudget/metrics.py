@@ -76,10 +76,12 @@ class ConfusionMatrix:
 class ClassMetrics:
     """Per-class and support-weighted precision/recall/F1 plus accuracy.
 
-    `conventions` names the fields where a zero-denominator convention was
-    applied (value forced to 0); renderers surface it as a footnote.
+    `confusion` is the matrix the metrics were computed from.  `conventions`
+    names the fields where a zero-denominator convention was applied (value
+    forced to 0); renderers surface it as a footnote.
     """
 
+    confusion: ConfusionMatrix
     positive_precision: float
     positive_recall: float
     positive_f1: float
@@ -141,20 +143,13 @@ def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn, cutoff_k=k)
 
 
-def class_metrics(
-    c: ConfusionMatrix, positive_support: int, negative_support: int
-) -> ClassMetrics:
+def class_metrics(c: ConfusionMatrix) -> ClassMetrics:
     """Per-class P/R/F1 (negative class by role swap) plus weighted means.
 
-    A class with zero predicted or zero gold instances scores 0 on the
-    affected metric; every such convention is recorded in `conventions`.
+    Each class is weighted by its gold support in `c`.  A class with zero
+    predicted or zero gold instances scores 0 on the affected metric; every
+    such convention is recorded in `conventions`.
     """
-    if positive_support != c.positive_support or negative_support != c.negative_support:
-        raise ValueError(
-            f"supports ({positive_support}, {negative_support}) do not match the "
-            f"confusion matrix ({c.positive_support}, {c.negative_support})"
-        )
-
     conventions: list[str] = []
 
     def ratio(num: int, den: int, field: str) -> float:
@@ -176,12 +171,11 @@ def class_metrics(
     neg_r = ratio(c.tn, c.tn + c.fp, "negative_recall")
     neg_f = f1(neg_p, neg_r, "negative_f1")
 
-    total = positive_support + negative_support
-
     def weighted(pos: float, neg: float) -> float:
-        return (positive_support * pos + negative_support * neg) / total
+        return (c.positive_support * pos + c.negative_support * neg) / c.size
 
     return ClassMetrics(
+        confusion=c,
         positive_precision=pos_p,
         positive_recall=pos_r,
         positive_f1=pos_f,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress
 
-from .dataset import LabeledDataset, LabeledInstance
+from .dataset import LabeledDataset
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -59,12 +59,6 @@ class RankedList:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def order(self) -> tuple[LabeledInstance, ...]:
-        """The ranked rows as objects, built anew on each access."""
-        rows = self.dataset.instances
-        return tuple(rows[i] for i in self.indices)
 
 
 @dataclass(frozen=True)

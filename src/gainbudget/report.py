@@ -15,7 +15,7 @@ from typing import Any, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from .budget import BudgetPlan, CostRule, MarginalReport, TargetPlan
-from .metrics import ClassMetrics, ConfusionMatrix, GainProfile, ideal_profile
+from .metrics import ClassMetrics, GainProfile, ideal_profile
 from .ranking import TiePolicy
 
 _SERIES_COLORS = (
@@ -28,6 +28,33 @@ _SERIES_COLORS = (
     "#e377c2",
     "#7f7f7f",
 )
+
+#: Smallest chart, in pixels, that leaves room for the axes and the legend.
+MIN_CHART_WIDTH = 160
+MIN_CHART_HEIGHT = 120
+
+#: The plan tables: (title, ModelResult field, ((column header, plan field), ...)).
+#: A plan's JSON keeps its field order; these columns need not follow it.
+_PLAN_TABLES = (
+    ("Fixed budget plan", "budget_plan", (
+        ("Budget", "budget"), ("Quantiles", "affordable_quantiles"),
+        ("ExpectedTP", "expected_tp"), ("Spend", "spend"), ("Leftover", "leftover"),
+        ("TPPerUnit", "profit"),
+    )),
+    ("Cost to target", "target_plan", (
+        ("TargetTP", "target_tp"), ("Quantiles", "quantiles_needed"), ("Cost", "cost"),
+        ("Achievable", "achievable"),
+    )),
+    ("Marginal analysis", "marginal", (
+        ("Annotated", "annotated_quantiles"), ("NextTP", "next_quantile_tp"),
+        ("NextCost", "next_quantile_cost"), ("TPPerUnit", "tp_per_cost"),
+        ("Exhausted", "exhausted"),
+    )),
+)
+
+#: Per-class metric groups and measures; ClassMetrics names them `{group}_{measure}`.
+_CLASS_GROUPS = ("positive", "negative", "weighted")
+_CLASS_MEASURES = ("precision", "recall", "f1")
 
 
 @dataclass(frozen=True)
@@ -42,7 +69,6 @@ class ModelResult:
     """Everything computed for one model; optional sections stay None."""
 
     profile: GainProfile
-    confusion: ConfusionMatrix | None = None
     class_metrics: ClassMetrics | None = None
     budget_plan: BudgetPlan | None = None
     target_plan: TargetPlan | None = None
@@ -69,45 +95,38 @@ class EvaluationReport:
         if not self.models:
             raise ValueError("report needs at least one model")
 
-    def cost_ordering(self) -> tuple[str, ...] | None:
-        """Model names cheapest-first by cost to target; ties keep run order."""
-        ranked = [
+    def rankings(self) -> tuple[tuple[str, ...] | None, tuple[str, ...] | None, str | None]:
+        """Model names by cost to target and by F-score: (by_cost, by_fscore, source).
+
+        Cost order is cheapest first.  F-score order is highest first, by the
+        supplied F-score if any model has one (source "supplied"), else by
+        weighted F1 ("weighted_f1").  Ties keep run order.  An order is None
+        when fewer than two models have its value, and so is the source when
+        the F-score order is.
+        """
+        costed = [
             (m.target_plan.cost, i, m.name)
             for i, m in enumerate(self.models)
             if m.target_plan is not None
         ]
-        if len(ranked) < 2:
-            return None
-        return tuple(name for _, _, name in sorted(ranked))
-
-    def fscore_source(self) -> str | None:
+        by_cost = tuple(name for *_, name in sorted(costed)) if len(costed) > 1 else None
         if any(m.supplied_fscore is not None for m in self.models):
-            return "supplied"
-        if any(m.class_metrics is not None for m in self.models):
-            return "weighted_f1"
-        return None
-
-    def fscore_ordering(self) -> tuple[str, ...] | None:
-        """Model names best-first by supplied F-score, else by weighted F1."""
-        source = self.fscore_source()
-        if source == "supplied":
+            source = "supplied"
             scored = [
-                (m.supplied_fscore, m.name)
-                for m in self.models
+                (-m.supplied_fscore, i, m.name)
+                for i, m in enumerate(self.models)
                 if m.supplied_fscore is not None
             ]
-        elif source == "weighted_f1":
+        else:
+            source = "weighted_f1"
             scored = [
-                (m.class_metrics.weighted_f1, m.name)
-                for m in self.models
+                (-m.class_metrics.weighted_f1, i, m.name)
+                for i, m in enumerate(self.models)
                 if m.class_metrics is not None
             ]
-        else:
-            return None
         if len(scored) < 2:
-            return None
-        indexed = [(score, i, name) for i, (score, name) in enumerate(scored)]
-        return tuple(name for _, _, name in sorted(indexed, key=lambda t: (-t[0], t[1])))
+            return by_cost, None, None
+        return by_cost, tuple(name for *_, name in sorted(scored)), source
 
 
 def _fmt_money(units: int) -> str:
@@ -117,6 +136,27 @@ def _fmt_money(units: int) -> str:
 
 def _fmt_ratio(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.2f}"
+
+
+def _plan_cell(plan: BudgetPlan | TargetPlan | MarginalReport, name: str) -> str:
+    """One plan field as table text: money, yes/no, a ratio, or an integer."""
+    f = next(f for f in fields(plan) if f.name == name)
+    value = getattr(plan, name)
+    if f.metadata.get("money"):
+        return _fmt_money(value)
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return _fmt_ratio(value)
+    return str(value)
+
+
+def _gain_cells(counts: Sequence[int], total: int) -> list[str]:
+    return [f"{c / total:.2f}" for c in counts]
+
+
+def _count_cells(counts: Sequence[int], total: int) -> list[str]:
+    return [str(c) for c in counts]
 
 
 def _sig12(counts: Sequence[int], total: int) -> list[str]:
@@ -167,11 +207,11 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
     else:
         lines.append("gainbudget report | " + " | ".join(meta))
 
+    def heading(title: str) -> None:
+        lines.extend(["", f"## {title}", ""] if md else ["", title])
+
     def section(title: str, headers: Sequence[str], rows: list[Sequence[str]]) -> None:
-        lines.append("")
-        lines.append(f"## {title}" if md else title)
-        if md:
-            lines.append("")
+        heading(title)
         lines.extend(table(headers, rows))
 
     qcols = [f"Q{q + 1}" for q in range(r.quantile_count)]
@@ -181,60 +221,29 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
         ["Model", "Instances", "Positives"],
         [[m.name, str(m.profile.size), str(m.profile.positive_total)] for m in r.models],
     )
-    section(
-        "Gain",
-        ["Model"] + qcols,
-        [
-            [m.name] + [f"{c / p.positive_total:.2f}" for c in p.per_quantile_positive]
-            for m in r.models
-            for p in [m.profile]
-        ],
-    )
-    section(
-        "Cumulative gain",
-        ["Model"] + qcols,
-        [
-            [m.name] + [f"{c / p.positive_total:.2f}" for c in p.cumulative_positive_count]
-            for m in r.models
-            for p in [m.profile]
-        ],
-    )
-    section(
-        "Cumulative positives",
-        ["Model"] + qcols,
-        [
-            [m.name] + [str(c) for c in m.profile.cumulative_positive_count]
-            for m in r.models
-        ],
-    )
+    profiles = [m.profile for m in r.models]
+    for title, attr, cells in (
+        ("Gain", "per_quantile_positive", _gain_cells),
+        ("Cumulative gain", "cumulative_positive_count", _gain_cells),
+        ("Cumulative positives", "cumulative_positive_count", _count_cells),
+    ):
+        section(
+            title,
+            ["Model"] + qcols,
+            [[p.model_name] + cells(getattr(p, attr), p.positive_total) for p in profiles],
+        )
 
     classified = [m for m in r.models if m.class_metrics is not None]
     if classified:
-        rows = []
-        for m in classified:
-            cm = m.class_metrics
-            rows.append(
-                [m.name, str(m.confusion.cutoff_k if m.confusion else "")]
-                + [
-                    f"{v:.2f}"
-                    for v in (
-                        cm.accuracy,
-                        cm.positive_precision,
-                        cm.positive_recall,
-                        cm.positive_f1,
-                        cm.negative_precision,
-                        cm.negative_recall,
-                        cm.negative_f1,
-                        cm.weighted_precision,
-                        cm.weighted_recall,
-                        cm.weighted_f1,
-                    )
-                ]
-            )
+        names = ["accuracy"] + [f"{g}_{x}" for g in _CLASS_GROUPS for x in _CLASS_MEASURES]
         section(
             "Classification at cutoff",
             ["Model", "k", "Acc", "P+", "R+", "F1+", "P-", "R-", "F1-", "wP", "wR", "wF1"],
-            rows,
+            [
+                [m.name, str(m.class_metrics.confusion.cutoff_k)]
+                + [f"{getattr(m.class_metrics, name):.2f}" for name in names]
+                for m in classified
+            ],
         )
         flagged = [
             f"{m.name}: {', '.join(m.class_metrics.conventions)}"
@@ -252,75 +261,26 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
             [[m.name, f"{m.supplied_fscore:.2f}"] for m in supplied],
         )
 
-    budgeted = [m for m in r.models if m.budget_plan is not None]
-    if budgeted:
-        section(
-            "Fixed budget plan",
-            ["Model", "Budget", "Quantiles", "ExpectedTP", "Spend", "Leftover", "TPPerUnit"],
-            [
+    for title, attr, columns in _PLAN_TABLES:
+        plans = [(m.name, getattr(m, attr)) for m in r.models if getattr(m, attr) is not None]
+        if plans:
+            section(
+                title,
+                ["Model"] + [header for header, _ in columns],
                 [
-                    m.name,
-                    _fmt_money(p.budget),
-                    str(p.affordable_quantiles),
-                    str(p.expected_tp),
-                    _fmt_money(p.spend),
-                    _fmt_money(p.leftover),
-                    _fmt_ratio(p.profit),
-                ]
-                for m in budgeted
-                for p in [m.budget_plan]
-            ],
-        )
+                    [name] + [_plan_cell(plan, field_name) for _, field_name in columns]
+                    for name, plan in plans
+                ],
+            )
 
-    targeted = [m for m in r.models if m.target_plan is not None]
-    if targeted:
-        section(
-            "Cost to target",
-            ["Model", "TargetTP", "Quantiles", "Cost", "Achievable"],
-            [
-                [
-                    m.name,
-                    str(p.target_tp),
-                    str(p.quantiles_needed),
-                    _fmt_money(p.cost),
-                    "yes" if p.achievable else "no",
-                ]
-                for m in targeted
-                for p in [m.target_plan]
-            ],
-        )
-
-    marginal = [m for m in r.models if m.marginal is not None]
-    if marginal:
-        section(
-            "Marginal analysis",
-            ["Model", "Annotated", "NextTP", "NextCost", "TPPerUnit", "Exhausted"],
-            [
-                [
-                    m.name,
-                    str(p.annotated_quantiles),
-                    str(p.next_quantile_tp),
-                    _fmt_money(p.next_quantile_cost),
-                    _fmt_ratio(p.tp_per_cost),
-                    "yes" if p.exhausted else "no",
-                ]
-                for m in marginal
-                for p in [m.marginal]
-            ],
-        )
-
-    by_cost = r.cost_ordering()
-    by_fscore = r.fscore_ordering()
+    by_cost, by_fscore, source = r.rankings()
     if by_cost or by_fscore:
-        lines.append("")
-        lines.append("## Rankings" if md else "Rankings")
-        if md:
-            lines.append("")
+        heading("Rankings")
         if by_cost:
             lines.append("by cost to target (cheapest first): " + " < ".join(by_cost))
         if by_fscore:
-            source = "supplied F-score" if r.fscore_source() == "supplied" else "weighted F1"
-            lines.append(f"by {source} (highest first): " + " > ".join(by_fscore))
+            label = "supplied F-score" if source == "supplied" else "weighted F1"
+            lines.append(f"by {label} (highest first): " + " > ".join(by_fscore))
 
     return "\n".join(lines) + "\n"
 
@@ -350,6 +310,7 @@ def render_json(r: EvaluationReport) -> str:
     sections are always present, null when not requested.
     """
     currency = r.currency_label
+    by_cost, by_fscore, source = r.rankings()
     models: list[dict[str, Any]] = []
     for m in r.models:
         profile = m.profile
@@ -357,26 +318,15 @@ def render_json(r: EvaluationReport) -> str:
         if m.class_metrics is not None:
             cm = m.class_metrics
             classification = {
-                "cutoff_k": m.confusion.cutoff_k if m.confusion else None,
-                "tp": m.confusion.tp if m.confusion else None,
-                "fp": m.confusion.fp if m.confusion else None,
-                "tn": m.confusion.tn if m.confusion else None,
-                "fn": m.confusion.fn if m.confusion else None,
+                "cutoff_k": cm.confusion.cutoff_k,
+                "tp": cm.confusion.tp,
+                "fp": cm.confusion.fp,
+                "tn": cm.confusion.tn,
+                "fn": cm.confusion.fn,
                 "accuracy": cm.accuracy,
-                "positive": {
-                    "precision": cm.positive_precision,
-                    "recall": cm.positive_recall,
-                    "f1": cm.positive_f1,
-                },
-                "negative": {
-                    "precision": cm.negative_precision,
-                    "recall": cm.negative_recall,
-                    "f1": cm.negative_f1,
-                },
-                "weighted": {
-                    "precision": cm.weighted_precision,
-                    "recall": cm.weighted_recall,
-                    "f1": cm.weighted_f1,
+                **{
+                    group: {name: getattr(cm, f"{group}_{name}") for name in _CLASS_MEASURES}
+                    for group in _CLASS_GROUPS
                 },
                 "conventions": list(cm.conventions),
             }
@@ -410,9 +360,9 @@ def render_json(r: EvaluationReport) -> str:
         },
         "models": models,
         "rankings": {
-            "by_cost_to_target": list(r.cost_ordering()) if r.cost_ordering() else None,
-            "by_fscore": list(r.fscore_ordering()) if r.fscore_ordering() else None,
-            "fscore_source": r.fscore_source() if r.fscore_ordering() else None,
+            "by_cost_to_target": list(by_cost) if by_cost else None,
+            "by_fscore": list(by_fscore) if by_fscore else None,
+            "fscore_source": source,
         },
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -434,7 +384,7 @@ class ChartSpec:
         counts = {p.quantile_count for p in self.series}
         if len(counts) > 1:
             raise ValueError(f"mismatched quantile counts across series: {sorted(counts)}")
-        if self.width < 160 or self.height < 120:
+        if self.width < MIN_CHART_WIDTH or self.height < MIN_CHART_HEIGHT:
             raise ValueError("chart dimensions too small")
 
 
@@ -515,54 +465,41 @@ def render_chart(spec: ChartSpec) -> str:
         "% of positives found</text>"
     )
 
-    def polyline_points(profile: GainProfile) -> str:
-        points = [(0.0, 0.0)]
-        points += [
+    def cumulative_points(profile: GainProfile) -> list[tuple[float, float]]:
+        return [(0.0, 0.0)] + [
             ((q + 1) / quantile_count, c / profile.positive_total)
             for q, c in enumerate(profile.cumulative_positive_count)
         ]
-        return " ".join(f"{px(fx):.2f},{py(fy):.2f}" for fx, fy in points)
 
-    legend: list[tuple[str, str, str]] = []  # (name, color, dasharray or "")
-
+    # (name, color, stroke width, dasharray or "", points as fractions)
+    curves: list[tuple[str, str, str, str, list[tuple[float, float]]]] = []
     if spec.include_baseline:
-        out.append(
-            f'<polyline class="series" data-name="random baseline" fill="none" '
-            f'stroke="#999999" stroke-width="1.5" stroke-dasharray="6 4" '
-            f'points="{px(0):.2f},{py(0):.2f} {px(1):.2f},{py(1):.2f}"/>'
-        )
-        legend.append(("random baseline", "#999999", "6 4"))
-
+        curves.append(("random baseline", "#999999", "1.5", "6 4", [(0, 0), (1, 1)]))
     if spec.include_ideal:
         first = spec.series[0]
         ideal = ideal_profile(first.size, first.positive_total, quantile_count)
-        out.append(
-            f'<polyline class="series" data-name="ideal" fill="none" '
-            f'stroke="#333333" stroke-width="1.5" stroke-dasharray="2 3" '
-            f'points="{polyline_points(ideal)}"/>'
-        )
-        legend.append(("ideal", "#333333", "2 3"))
-
+        curves.append(("ideal", "#333333", "1.5", "2 3", cumulative_points(ideal)))
     for i, profile in enumerate(spec.series):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
-        out.append(
-            f'<polyline class="series" data-name={quoteattr(profile.model_name)} '
-            f'fill="none" stroke="{color}" stroke-width="2" '
-            f'points="{polyline_points(profile)}"/>'
-        )
-        legend.append((profile.model_name, color, ""))
+        curves.append((profile.model_name, color, "2", "", cumulative_points(profile)))
 
-    for i, (name, color, dash) in enumerate(legend):
-        y = y0 + 14 + i * 16
+    legend: list[str] = []  # drawn after every curve, so it stays on top
+    for i, (name, color, stroke_width, dash, points) in enumerate(curves):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        coords = " ".join(f"{px(fx):.2f},{py(fy):.2f}" for fx, fy in points)
         out.append(
+            f'<polyline class="series" data-name={quoteattr(name)} fill="none" '
+            f'stroke="{color}" stroke-width="{stroke_width}"{dash_attr} points="{coords}"/>'
+        )
+        y = y0 + 14 + i * 16
+        legend.append(
             f'<line x1="{x0 + 12:.2f}" y1="{y - 4:.2f}" x2="{x0 + 34:.2f}" '
             f'y2="{y - 4:.2f}" stroke="{color}" stroke-width="2"{dash_attr}/>'
         )
-        out.append(
+        legend.append(
             f'<text class="legend" x="{x0 + 40:.2f}" y="{y:.2f}" '
             f'fill="#333333">{escape(name)}</text>'
         )
-
+    out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 import pytest
 
 from gainbudget import (
     GainProfile,
+    LabeledDataset,
     RankedList,
     gain_profile,
     partition_quantiles,
@@ -28,6 +30,13 @@ WORKED_ORDERS = {
 
 def worked_path(key: str) -> Path:
     return DATA_DIR / f"worked_{key}.csv"
+
+
+def make_dataset(name: str, ids, scores, labels) -> LabeledDataset:
+    """A dataset built straight from its three columns, in the given order."""
+    return LabeledDataset(
+        name=name, ids=list(ids), scores=array("d", scores), labels=bytearray(map(bool, labels))
+    )
 
 
 def accuracy_at_cutoff(r: RankedList, k: int) -> float:

@@ -15,7 +15,6 @@ from gainbudget import (
     FULL_RECALL,
     CostModel,
     LabeledDataset,
-    LabeledInstance,
     TiePolicy,
     confusion_at_cutoff,
     cost_to_target,
@@ -29,7 +28,7 @@ from gainbudget import (
 )
 from gainbudget.cli import run
 
-from conftest import WORKED_ORDERS, accuracy_at_cutoff, worked_path
+from conftest import WORKED_ORDERS, accuracy_at_cutoff, make_dataset, worked_path
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -45,7 +44,7 @@ def test_c1_worked_example_accuracies():
     for key, order in WORKED_ORDERS.items():
         dataset, _ = read_dataset_file(worked_path(key))
         ranked = rank_instances(dataset)
-        assert [inst.id for inst in ranked.order] == order
+        assert [dataset.ids[i] for i in ranked.indices] == order
         assert accuracy_at_cutoff(ranked, 4) == float(expected[key])
     sixth = accuracy_at_cutoff(rank_instances(read_dataset_file(worked_path("s2m1"))[0]), 4)
     assert f"{sixth:.2f}" == "0.17"
@@ -109,14 +108,13 @@ def test_c5_ranking_inversion(case_study_dir, capsys):
 def _random_dataset(rng: random.Random, max_size: int) -> LabeledDataset:
     n = rng.randint(1, max_size)
     tied = rng.random() < 0.5
-    instances = []
-    for i in range(n):
-        score = float(rng.randint(-4, 4)) if tied else rng.uniform(-100.0, 100.0)
-        instances.append(LabeledInstance(str(i), score, rng.random() < 0.4))
-    if not any(inst.positive for inst in instances):
-        pick = rng.randrange(n)
-        instances[pick] = LabeledInstance(str(pick), instances[pick].score, True)
-    return LabeledDataset.from_instances(name="r", rows=tuple(instances))
+    scores, labels = [], []
+    for _ in range(n):
+        scores.append(float(rng.randint(-4, 4)) if tied else rng.uniform(-100.0, 100.0))
+        labels.append(rng.random() < 0.4)
+    if not any(labels):
+        labels[rng.randrange(n)] = True
+    return make_dataset("r", [str(i) for i in range(n)], scores, labels)
 
 
 def test_c6_property_suite():
@@ -141,14 +139,9 @@ def test_c6_property_suite():
             for i, c in zip(ideal.cumulative_positive_count, profile.cumulative_positive_count)
         )
 
-        doubled = LabeledDataset.from_instances(
-            name=d.name,
-            rows=tuple(
-                LabeledInstance(i.id, i.score * 2, i.positive) for i in d.instances
-            ),
-        )
+        doubled = make_dataset(d.name, d.ids, [s * 2 for s in d.scores], d.labels)
         ranked2 = rank_instances(doubled)
-        assert [i.id for i in ranked2.order] == [i.id for i in ranked.order]
+        assert [doubled.ids[i] for i in ranked2.indices] == [d.ids[i] for i in ranked.indices]
         assert (
             gain_profile(partition_quantiles(ranked2, q)).per_quantile_positive
             == profile.per_quantile_positive
@@ -157,8 +150,8 @@ def test_c6_property_suite():
         prefix = {}
         for policy in (TiePolicy.PESSIMISTIC, TiePolicy.STABLE, TiePolicy.OPTIMISTIC):
             total, sums = 0, []
-            for inst in rank_instances(d, policy).order:
-                total += inst.positive
+            for i in rank_instances(d, policy).indices:
+                total += d.labels[i]
                 sums.append(total)
             prefix[policy] = sums
         assert all(
@@ -190,8 +183,8 @@ def test_c7_brute_force_oracle():
         for q in range(1, n + 1):
             # independent recount: rank i lives in quantile ceil((i+1)q/n) - 1
             expected = [0] * q
-            for i, inst in enumerate(ranked.order):
-                expected[-(-(i + 1) * q // n) - 1] += inst.positive
+            for i, row in enumerate(ranked.indices):
+                expected[-(-(i + 1) * q // n) - 1] += d.labels[row]
             part = partition_quantiles(ranked, q)
             assert part.per_quantile_positive == tuple(expected)
             checked += 1

@@ -127,6 +127,16 @@ class TestCompare:
         assert code == 2
         assert "unknown model" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_fscore_is_usage_error(self, capsys, value):
+        code, out, err = invoke(
+            capsys, "compare", str(worked_path("s1m1")), str(worked_path("s1m2")),
+            "--quantiles", "3", "--fscore", f"worked_s1m1={value}", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
 
 class TestBudget:
     def test_fixed_budget_plan(self, capsys, case_study_dir):
@@ -209,6 +219,42 @@ class TestChart:
         assert out.startswith("<svg")
 
 
+#: Flags each subcommand needs to get past argparse; the flag under test comes after.
+REQUIRED_FLAGS = {
+    "eval": [],
+    "compare": ["--unit-cost", "0.04", "--full-recall"],
+    "budget": ["--unit-cost", "0.04", "--budget", "1"],
+    "stop": ["--unit-cost", "0.04", "--annotated-quantiles", "1"],
+    "chart": [],
+}
+
+#: (subcommand, flag, value) that no input file can make valid.
+BAD_FLAG_VALUES = [
+    ("compare", "--budget", "NaN"),
+    ("compare", "--budget", "sNaN"),
+    ("compare", "--unit-cost", "Infinity"),
+    ("compare", "--unit-cost", "-Infinity"),
+    ("compare", "--quantiles", "0"),
+    ("compare", "--quantiles", "-2"),
+    ("compare", "--cutoff-frac", "2"),
+    ("compare", "--cutoff-frac", "-0.1"),
+    ("compare", "--cutoff-frac", "nan"),
+    # Exact arithmetic on these would run for minutes or overflow.
+    ("compare", "--unit-cost", "1e-999999999"),
+    ("compare", "--budget", "1e999999999"),
+    ("compare", "--budget", "-1e-101"),
+    ("eval", "--cutoff-k", "-1"),
+    ("stop", "--annotated-quantiles", "-1"),
+    ("stop", "--annotated-quantiles", "10"),  # not below the default --quantiles 10
+    ("budget", "--target", "0"),
+    ("budget", "--budget", "-0.01"),
+    ("budget", "--unit-cost", "0"),
+    ("stop", "--unit-cost", "-1"),
+    ("chart", "--width", "159"),
+    ("chart", "--height", "119"),
+]
+
+
 class TestErrorsAndHelp:
     def test_missing_file(self, capsys):
         code, out, err = invoke(capsys, "eval", "no-such-file.csv")
@@ -228,33 +274,40 @@ class TestErrorsAndHelp:
         assert code == 1  # default Q=10 exceeds the 6-row fixture
         assert "quantile count" in err
 
+    def test_cutoff_beyond_n_is_input_error(self, capsys):
+        # Whether K fits depends on the file, so it stays an input error.
+        code, out, err = invoke(
+            capsys, "eval", str(worked_path("s1m1")), "--quantiles", "3", "--cutoff-k", "7"
+        )
+        assert code == 1
+        assert out == ""
+        assert "cutoff must be in 0..6" in err
+
+    def test_negative_zero_budget_accepted(self, capsys):
+        code, out, err = invoke(
+            capsys, "budget", str(worked_path("s1m1")), "--quantiles", "3",
+            "--unit-cost", "0.04", "--budget", "-0",
+        )
+        assert code == 0, err
+        assert "Fixed budget plan" in out
+
     def test_unknown_flag(self, capsys):
         code, _, err = invoke(capsys, "eval", str(worked_path("s1m1")), "--nope")
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag,value",
-        [
-            ("--budget", "NaN"),
-            ("--budget", "sNaN"),
-            ("--unit-cost", "Infinity"),
-            ("--unit-cost", "-Infinity"),
-            ("--quantiles", "0"),
-            ("--quantiles", "-2"),
-            ("--cutoff-frac", "2"),
-            ("--cutoff-frac", "-0.1"),
-            ("--cutoff-frac", "nan"),
-            # Exact arithmetic on these would run for minutes or overflow.
-            ("--unit-cost", "1e-999999999"),
-            ("--budget", "1e999999999"),
-            ("--budget", "-1e-101"),
+        "command,flag,value",
+        BAD_FLAG_VALUES,
+        # compare's cases keep the ids they had before other subcommands joined.
+        ids=[
+            f"{flag}-{value}" if command == "compare" else f"{command}-{flag}-{value}"
+            for command, flag, value in BAD_FLAG_VALUES
         ],
     )
-    def test_bad_flag_value_is_usage_error(self, flag, value):
+    def test_bad_flag_value_is_usage_error(self, command, flag, value):
         # The input does not exist: a usage error must come before any read.
         code, out, err = invoke_child(
-            "compare", "no-such-file.csv", "--unit-cost", "0.04",
-            "--full-recall", f"{flag}={value}",
+            command, "no-such-file.csv", *REQUIRED_FLAGS[command], f"{flag}={value}"
         )
         assert code == 2
         assert out == ""

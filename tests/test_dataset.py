@@ -9,12 +9,11 @@ from gainbudget import (
     ColumnSchema,
     DatasetError,
     LabeledDataset,
-    LabeledInstance,
     parse_dataset,
     read_dataset_file,
 )
 
-from conftest import worked_path
+from conftest import make_dataset, worked_path
 
 
 def parse_text(text: str, schema: ColumnSchema = ColumnSchema(), name: str = "t"):
@@ -40,7 +39,7 @@ class TestParse:
 
     def test_row_order_preserved(self):
         d = parse_text("id,score,label\nb,1,0\na,2,1\n")
-        assert [inst.id for inst in d.instances] == ["b", "a"]
+        assert d.ids == ["b", "a"]
 
     def test_header_only_is_empty_dataset(self):
         with pytest.raises(DatasetError, match="zero instances"):
@@ -67,7 +66,7 @@ class TestParse:
 
     def test_default_tokens_accept_true_false(self):
         d = parse_text("id,score,label\na,1,True\nb,2,FALSE\n")
-        assert [inst.positive for inst in d.instances] == [True, False]
+        assert [bool(label) for label in d.labels] == [True, False]
 
     def test_custom_tokens_replace_defaults(self):
         schema = ColumnSchema(
@@ -92,7 +91,7 @@ class TestParse:
     def test_column_remapping(self):
         schema = ColumnSchema(id_col="phrase", score_col="fixedness", label_col="idiom")
         d = parse_text("phrase,fixedness,idiom\nkick the bucket,0.9,1\n", schema)
-        assert d.instances[0].id == "kick the bucket"
+        assert d.ids[0] == "kick the bucket"
 
     def test_tab_delimiter(self):
         schema = ColumnSchema(delimiter="\t")
@@ -208,20 +207,14 @@ class TestValidate:
 
     def test_constructed_duplicate(self):
         # The class is permissive; writing it out and parsing it back is not.
-        d = LabeledDataset.from_instances(
-            name="dup",
-            rows=(
-                LabeledInstance("x", 1.0, True),
-                LabeledInstance("x", 2.0, False),
-            ),
-        )
+        d = make_dataset("dup", ["x", "x"], [1.0, 2.0], [True, False])
         assert d.size == 2
         with pytest.raises(DatasetError) as exc:
             parse_text(render_csv(d))
         assert exc.value.issues == ((3, "duplicate id 'x'"),)
 
     def test_never_throws_on_degenerate_data(self):
-        d = LabeledDataset.from_instances(name="empty", rows=())
+        d = make_dataset("empty", [], [], [])
         assert (d.size, d.positive_total) == (0, 0)
         with pytest.raises(DatasetError, match="zero instances"):
             parse_text(render_csv(d))
@@ -243,10 +236,8 @@ scores = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinit
 @st.composite
 def datasets(draw):
     uids = draw(ids)
-    instances = tuple(
-        LabeledInstance(uid, draw(scores), draw(st.booleans())) for uid in uids
-    )
-    return LabeledDataset.from_instances(name="prop", rows=instances)
+    rows = [(draw(scores), draw(st.booleans())) for _ in uids]
+    return make_dataset("prop", uids, [s for s, _ in rows], [p for _, p in rows])
 
 
 @given(datasets())

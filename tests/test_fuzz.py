@@ -1,0 +1,181 @@
+"""The exit-code contract under random argv and random input bytes.
+
+Every run of `cli.run` must return 0, 1 or 2 without letting an exception
+escape, and every JSON report from a successful run must be strict JSON
+(no NaN or Infinity tokens).  Runs are in process and write no files:
+no `--out` or `--svg-out` is generated, and free tokens never start with
+"-", so they cannot become flags.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gainbudget import cli
+
+#: flag -> (values some input makes valid, values no input makes valid).
+FLAG_VALUES = {
+    "--quantiles": (["1", "2", "3", "10"], ["0", "-2", "1.5", "x", ""]),
+    "--cutoff-k": (["0", "1", "2", "7"], ["-1", "nan", "x"]),
+    "--cutoff-frac": (["0", "0.5", "1"], ["2", "-0.1", "nan"]),
+    "--unit-cost": (["0.04", "16.73", "0.001", "1e30", "1e-100"], ["0", "-1", "nan", "inf", "1e-101"]),
+    "--budget": (["0", "-0", "0.04", "16.73", "1e30"], ["-0.01", "sNaN", "1e999999999", "x"]),
+    "--target": (["1", "2", "7", "1000"], ["0", "-1", "x"]),
+    "--annotated-quantiles": (["0", "1"], ["-1", "10", "x"]),
+    # Non-finite F-scores are here so that a JSON run which accepts one is caught.
+    "--fscore": (
+        [f"{name}={value}" for name in ("m0", "m1", "m2") for value in ("0.7", "1", "nan", "inf", "-inf")],
+        ["zz=0.5", "m0", "m0=x", "=1"],
+    ),
+    "--cost-rule": (["fractional", "integer"], ["x"]),
+    "--currency": (["$", "EUR", "", "<&>", '"'], []),
+    "--tie-policy": (["stable", "pessimistic", "optimistic"], ["random"]),
+    "--width": (["160", "640"], ["159", "-5", "x"]),
+    "--height": (["120", "480"], ["119", "0"]),
+    "--format": (["text", "md", "json"], ["xml"]),
+    "--delimiter": ([",", "tab", "\\t"], [";;", ""]),
+    "--positive-token": (["1", "true"], ["yes", ""]),
+    "--negative-token": (["0", "false"], ["no", ""]),
+    "--id-col": (["id"], ["x"]),
+    "--score-col": (["score"], ["label"]),
+    "--label-col": (["label"], ["id"]),
+    "--name": (["m0", "m1", "m2", "zz", ""], []),
+}
+SWITCHES = ("--full-recall", "--baseline", "--ideal")
+
+_IO = ["--quantiles", "--tie-policy", "--id-col", "--score-col", "--label-col",
+       "--positive-token", "--negative-token", "--delimiter", "--name"]
+_COST = ["--unit-cost", "--currency", "--cost-rule"]
+_PLANS = ["--budget", "--target", "--full-recall"]
+_CUTOFF = ["--cutoff-k", "--cutoff-frac"]
+#: The flags each subcommand accepts (no --out or --svg-out: runs write no files).
+ACCEPTED = {
+    "eval": _IO + _CUTOFF + ["--format"],
+    "compare": _IO + _CUTOFF + _COST + _PLANS + ["--fscore", "--format"],
+    "budget": _IO + _COST + _PLANS + ["--format"],
+    "stop": _IO + _COST + ["--annotated-quantiles", "--format"],
+    "chart": _IO + ["--width", "--height", "--baseline", "--ideal"],
+}
+#: Flags that change how a file is read; the JSON test keeps them at their defaults.
+_READING = {"--quantiles", "--format", "--delimiter", "--id-col", "--score-col", "--label-col",
+            "--positive-token", "--negative-token"}
+#: Flags each subcommand requires, with values that some input makes valid.
+REQUIRED = {
+    "eval": [],
+    "compare": [],
+    "budget": ["--unit-cost", "0.04", "--full-recall"],
+    "stop": ["--unit-cost", "0.04", "--annotated-quantiles", "1"],
+    "chart": [],
+}
+
+
+def flag_tokens(names, valid_only: bool) -> st.SearchStrategy[list[str]]:
+    def tokens(flag: str) -> st.SearchStrategy[list[str]]:
+        if flag in SWITCHES:
+            return st.just([flag])
+        valid, invalid = FLAG_VALUES[flag]
+        return st.sampled_from(valid if valid_only else valid + invalid).map(lambda v: [flag, v])
+
+    return st.sampled_from(sorted(names)).flatmap(tokens)
+
+
+def any_tokens(command: str) -> st.SearchStrategy[list[str]]:
+    """Mostly the subcommand's own flags; sometimes another's, or a stray positional."""
+    own = flag_tokens(ACCEPTED[command], valid_only=False)
+    return st.one_of(
+        own, own, own,
+        flag_tokens([*FLAG_VALUES, *SWITCHES], valid_only=False),
+        st.text(alphabet="ab01.=, ", min_size=1, max_size=5).map(lambda text: [text]),
+    )
+
+GOOD_SCORES = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+GOOD_LABELS = st.sampled_from(["1", "0", "true", "FALSE"])
+COLUMN_ORDERS = st.sampled_from([("id", "score", "label"), ("label", "score", "id")])
+
+
+@st.composite
+def csv_bytes(draw, well_formed: bool):
+    """A delimited file; unless well formed, any row or the header may be bad."""
+    scores, labels, order = GOOD_SCORES, GOOD_LABELS, draw(COLUMN_ORDERS)
+    header = draw(st.sampled_from(["", "\ufeff"])) + ",".join(order)
+    if not well_formed:
+        scores = st.one_of(scores, scores, st.sampled_from(["-0", "1_0", "abc", "", "1e400", "nan"]))
+        labels = st.one_of(labels, labels, labels, st.sampled_from(["yes", "", "2"]))
+        header = draw(st.sampled_from([header] * 3 + ["id,score", "id,id,score,label"]))
+    rows = draw(st.lists(st.tuples(scores, labels), min_size=2, max_size=12))
+    lines = [header] + [
+        ",".join({"id": str(i), "score": score, "label": label}[col] for col in order)
+        for i, (score, label) in enumerate(rows)
+    ]
+    if not well_formed and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["0,1,1", ",1,1", "a b,1", '"q,1,1'])))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode("utf-8")
+
+
+any_bytes = st.one_of(csv_bytes(True), csv_bytes(False), st.binary(max_size=48))
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+def report_format(argv: list[str]) -> str | None:
+    """The --format a successful run used, by parsing its argv again."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return getattr(cli.build_parser().parse_args(argv), "format", None)
+
+
+def reject_constant(token: str):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def check_run(argv: list[str]) -> None:
+    code, out = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0 and report_format(argv) == "json":
+        json.loads(out, parse_constant=reject_constant)
+
+
+def argv_for(command: str, tmp: str, contents: list[bytes], flags: list[list[str]]) -> list[str]:
+    """The subcommand, one file per content (m0.csv, ...), then the flag tokens."""
+    paths = []
+    for i, data in enumerate(contents):
+        path = Path(tmp) / f"m{i}.csv"
+        path.write_bytes(data)
+        paths.append(str(path))
+    return [command, *paths, *(token for tokens in flags for token in tokens)]
+
+
+@given(st.sampled_from(sorted(ACCEPTED)), st.lists(any_bytes, min_size=1, max_size=3), st.data())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_argv_and_bytes_keep_the_exit_code_contract(command, contents, data):
+    flags = data.draw(st.lists(any_tokens(command), max_size=6))
+    if data.draw(st.booleans()):  # a start that the files alone can make valid
+        flags.insert(0, REQUIRED[command] + ["--quantiles", "2"])
+    with tempfile.TemporaryDirectory() as tmp:
+        check_run(argv_for(command, tmp, contents, flags))
+
+
+@given(st.sampled_from(["eval", "compare", "budget", "stop"]), st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_json_reports_are_strict_json(command, data):
+    many = 1 if command == "eval" else 3
+    contents = data.draw(st.lists(csv_bytes(True), min_size=1, max_size=many))
+    own = [flag for flag in ACCEPTED[command] if flag not in _READING]
+    flags = data.draw(st.lists(flag_tokens(own, valid_only=True), max_size=5))
+    if command == "compare":  # supplied F-scores are printed as given, so draw them apart
+        flags += data.draw(st.lists(flag_tokens(["--fscore"], valid_only=True), max_size=3))
+    fixed = [REQUIRED[command], ["--quantiles", "2", "--format", "json"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        check_run(argv_for(command, tmp, contents, fixed + flags))

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gainbudget import (
     ConfusionMatrix,
     GainProfile,
-    LabeledDataset,
-    LabeledInstance,
     class_metrics,
     confusion_at_cutoff,
     gain_profile,
@@ -17,7 +15,7 @@ from gainbudget import (
     rank_instances,
 )
 
-from conftest import accuracy_at_cutoff
+from conftest import accuracy_at_cutoff, make_dataset
 
 
 def ranked_fixture(worked_datasets, key):
@@ -25,10 +23,10 @@ def ranked_fixture(worked_datasets, key):
 
 
 def perfect_dataset(n=10, positives=5):
-    instances = tuple(
-        LabeledInstance(str(i), float(n - i), i < positives) for i in range(n)
+    return make_dataset(
+        "perfect", [str(i) for i in range(n)], [float(n - i) for i in range(n)],
+        [i < positives for i in range(n)],
     )
-    return LabeledDataset.from_instances(name="perfect", rows=instances)
 
 
 class TestGainProfile:
@@ -50,9 +48,7 @@ class TestGainProfile:
         assert g.positive_total == 5
 
     def test_zero_positives_rejected(self):
-        d = LabeledDataset.from_instances(
-            name="nopos", rows=(LabeledInstance("a", 1.0, False),)
-        )
+        d = make_dataset("nopos", ["a"], [1.0], [False])
         with pytest.raises(ValueError, match="no positive"):
             gain_profile(partition_quantiles(rank_instances(d), 1))
 
@@ -113,7 +109,8 @@ class TestAccuracy:
 class TestClassMetrics:
     def test_worked_example(self, worked_datasets):
         c = confusion_at_cutoff(ranked_fixture(worked_datasets, "s1m1"), 4)
-        m = class_metrics(c, 3, 3)
+        m = class_metrics(c)
+        assert m.confusion == c
         assert m.positive_precision == 0.5
         assert m.positive_recall == pytest.approx(2 / 3)
         assert m.positive_f1 == pytest.approx(4 / 7)
@@ -126,7 +123,7 @@ class TestClassMetrics:
 
     def test_perfect_classifier(self):
         c = ConfusionMatrix(tp=5, fp=0, tn=5, fn=0, cutoff_k=5)
-        m = class_metrics(c, 5, 5)
+        m = class_metrics(c)
         for value in (
             m.positive_precision, m.positive_recall, m.positive_f1,
             m.negative_precision, m.negative_recall, m.negative_f1,
@@ -136,21 +133,16 @@ class TestClassMetrics:
 
     def test_balanced_supports_average_evenly(self, worked_datasets):
         c = confusion_at_cutoff(ranked_fixture(worked_datasets, "s1m2"), 4)
-        m = class_metrics(c, 3, 3)
+        m = class_metrics(c)
         assert m.weighted_f1 == pytest.approx((m.positive_f1 + m.negative_f1) / 2)
 
     def test_zero_predicted_class_flagged(self):
         # k=0: nothing predicted positive
         c = ConfusionMatrix(tp=0, fp=0, tn=2, fn=2, cutoff_k=0)
-        m = class_metrics(c, 2, 2)
+        m = class_metrics(c)
         assert m.positive_precision == 0.0
         assert "positive_precision" in m.conventions
         assert "positive_f1" in m.conventions
-
-    def test_support_mismatch_rejected(self):
-        c = ConfusionMatrix(tp=1, fp=1, tn=1, fn=1, cutoff_k=2)
-        with pytest.raises(ValueError, match="supports"):
-            class_metrics(c, 3, 1)
 
     @given(
         tp=st.integers(0, 20), fp=st.integers(0, 20),
@@ -161,7 +153,7 @@ class TestClassMetrics:
         if tp + fp + tn + fn == 0:
             return
         c = ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn, cutoff_k=tp + fp)
-        m = class_metrics(c, tp + fn, tn + fp)
+        m = class_metrics(c)
         triples = [
             (m.positive_precision, m.negative_precision, m.weighted_precision),
             (m.positive_recall, m.negative_recall, m.weighted_recall),
@@ -187,10 +179,7 @@ def profiles(draw):
             max_size=len(lab),
         )
     )
-    instances = tuple(
-        LabeledInstance(str(i), float(s), l) for i, (l, s) in enumerate(zip(lab, scores))
-    )
-    d = LabeledDataset.from_instances(name="prop", rows=instances)
+    d = make_dataset("prop", [str(i) for i in range(len(lab))], map(float, scores), lab)
     ranked = rank_instances(d)
     q = draw(st.integers(min_value=1, max_value=ranked.size))
     return gain_profile(partition_quantiles(ranked, q)), ranked

@@ -1,23 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gainbudget import (
-    LabeledDataset,
-    LabeledInstance,
-    TiePolicy,
-    partition_quantiles,
-    rank_instances,
-)
+from gainbudget import TiePolicy, partition_quantiles, rank_instances
 
-from conftest import WORKED_ORDERS
+from conftest import WORKED_ORDERS, make_dataset
 
 
-def make_dataset(labels, scores, name="t"):
-    instances = tuple(
-        LabeledInstance(str(i + 1), float(s), bool(l))
-        for i, (l, s) in enumerate(zip(labels, scores))
-    )
-    return LabeledDataset.from_instances(name=name, rows=instances)
+def numbered_dataset(labels, scores):
+    """Rows "1", "2", ... from paired labels and scores."""
+    pairs = list(zip(labels, scores))
+    ids = [str(i + 1) for i in range(len(pairs))]
+    return make_dataset("t", ids, [float(s) for _, s in pairs], [l for l, _ in pairs])
 
 
 def quantile_sizes(part):
@@ -27,33 +20,35 @@ def quantile_sizes(part):
 class TestRankInstances:
     @pytest.mark.parametrize("key", sorted(WORKED_ORDERS))
     def test_worked_orders(self, worked_datasets, key):
-        ranked = rank_instances(worked_datasets[key])
-        assert [inst.id for inst in ranked.order] == WORKED_ORDERS[key]
+        d = worked_datasets[key]
+        ranked = rank_instances(d)
+        assert [d.ids[i] for i in ranked.indices] == WORKED_ORDERS[key]
         assert ranked.positive_total == 3
 
     def test_scores_non_increasing(self, worked_datasets):
-        ranked = rank_instances(worked_datasets["s2m2"])
-        scores = [inst.score for inst in ranked.order]
+        d = worked_datasets["s2m2"]
+        ranked = rank_instances(d)
+        scores = [d.scores[i] for i in ranked.indices]
         assert scores == sorted(scores, reverse=True)
 
     def test_optimistic_ties_put_positives_first(self):
-        d = make_dataset([False, True, False, True], [1, 1, 1, 1])
+        d = numbered_dataset([False, True, False, True], [1, 1, 1, 1])
         ranked = rank_instances(d, TiePolicy.OPTIMISTIC)
-        assert [inst.positive for inst in ranked.order] == [True, True, False, False]
+        assert [bool(d.labels[i]) for i in ranked.indices] == [True, True, False, False]
 
     def test_pessimistic_ties_put_positives_last(self):
-        d = make_dataset([False, True, False, True], [1, 1, 1, 1])
+        d = numbered_dataset([False, True, False, True], [1, 1, 1, 1])
         ranked = rank_instances(d, TiePolicy.PESSIMISTIC)
-        assert [inst.positive for inst in ranked.order] == [False, False, True, True]
+        assert [bool(d.labels[i]) for i in ranked.indices] == [False, False, True, True]
 
     def test_stable_ties_keep_input_order(self):
-        d = make_dataset([False, True, False, True], [1, 1, 1, 1])
+        d = numbered_dataset([False, True, False, True], [1, 1, 1, 1])
         ranked = rank_instances(d, TiePolicy.STABLE)
-        assert [inst.id for inst in ranked.order] == ["1", "2", "3", "4"]
+        assert [d.ids[i] for i in ranked.indices] == ["1", "2", "3", "4"]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            rank_instances(LabeledDataset.from_instances(name="e", rows=()))
+            rank_instances(make_dataset("e", [], [], []))
 
 
 class TestPartition:
@@ -82,7 +77,7 @@ class TestPartition:
         assert sum(sizes) == 2091
 
     def test_boundaries_structure(self):
-        d = make_dataset([True] * 7, range(7))
+        d = numbered_dataset([True] * 7, range(7))
         part = partition_quantiles(rank_instances(d), 3)
         assert part.boundaries == (0, 2, 4, 7)
         assert sum(quantile_sizes(part)) == 7
@@ -90,13 +85,13 @@ class TestPartition:
 
     @pytest.mark.parametrize("bad_q", [0, -1, 7])
     def test_quantile_count_bounds(self, bad_q):
-        d = make_dataset([True] * 6, range(6))
+        d = numbered_dataset([True] * 6, range(6))
         with pytest.raises(ValueError, match="quantile count"):
             partition_quantiles(rank_instances(d), bad_q)
 
 
 small_datasets = st.builds(
-    make_dataset,
+    numbered_dataset,
     st.lists(st.booleans(), min_size=1, max_size=12),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=12, max_size=12),
 )
@@ -110,18 +105,16 @@ def test_partition_reconstructs_order(d, data):
     part = partition_quantiles(ranked, q)
     rebuilt = []
     for i in range(q):
-        rebuilt.extend(ranked.order[part.boundaries[i] : part.boundaries[i + 1]])
-    assert tuple(rebuilt) == ranked.order
+        rebuilt.extend(ranked.indices[part.boundaries[i] : part.boundaries[i + 1]])
+    assert rebuilt == ranked.indices
 
 
 @given(small_datasets)
 @settings(max_examples=200)
 def test_order_is_permutation(d):
     ranked = rank_instances(d)
-    assert sorted(inst.id for inst in ranked.order) == sorted(
-        inst.id for inst in d.instances
-    )
-    scores = [inst.score for inst in ranked.order]
+    assert sorted(d.ids[i] for i in ranked.indices) == sorted(d.ids)
+    scores = [d.scores[i] for i in ranked.indices]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
@@ -129,36 +122,20 @@ def test_order_is_permutation(d):
 @settings(max_examples=200)
 def test_doubling_scores_keeps_stable_order(d):
     # doubling is exact in binary floating point, so relative order is intact
-    doubled = LabeledDataset.from_instances(
-        name=d.name,
-        rows=tuple(
-            LabeledInstance(i.id, i.score * 2, i.positive) for i in d.instances
-        ),
-    )
-    before = [i.id for i in rank_instances(d).order]
-    after = [i.id for i in rank_instances(doubled).order]
+    doubled = make_dataset(d.name, d.ids, [s * 2 for s in d.scores], d.labels)
+    before = [d.ids[i] for i in rank_instances(d).indices]
+    after = [doubled.ids[i] for i in rank_instances(doubled).indices]
     assert before == after
 
 
 @given(small_datasets)
 @settings(max_examples=200)
 def test_tie_policy_prefix_bounds(d):
-    orders = {
-        policy: rank_instances(d, policy).order
+    # cum[k] is the positives in the top k; test_columns checks it against recounts.
+    pes, sta, opt = (
+        rank_instances(d, policy).cum
         for policy in (TiePolicy.PESSIMISTIC, TiePolicy.STABLE, TiePolicy.OPTIMISTIC)
-    }
-
-    def prefix_positives(order):
-        total = 0
-        out = []
-        for inst in order:
-            total += inst.positive
-            out.append(total)
-        return out
-
-    pes = prefix_positives(orders[TiePolicy.PESSIMISTIC])
-    sta = prefix_positives(orders[TiePolicy.STABLE])
-    opt = prefix_positives(orders[TiePolicy.OPTIMISTIC])
+    )
     assert all(p <= s <= o for p, s, o in zip(pes, sta, opt))
 
 
@@ -170,8 +147,8 @@ def test_counts_match_brute_force(d, data):
     n = ranked.size
     q = data.draw(st.integers(min_value=1, max_value=n))
     expected = [0] * q
-    for i, inst in enumerate(ranked.order):
+    for i, row in enumerate(ranked.indices):
         bucket = -(-(i + 1) * q // n) - 1
-        expected[bucket] += inst.positive
+        expected[bucket] += d.labels[row]
     part = partition_quantiles(ranked, q)
     assert part.per_quantile_positive == tuple(expected)

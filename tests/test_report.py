@@ -144,9 +144,9 @@ class TestTable:
     def test_classification_section(self, worked_datasets):
         ranked, profile = worked_profile(worked_datasets, "s2m1")
         confusion = confusion_at_cutoff(ranked, 4)
-        metrics = class_metrics(confusion, 3, 3)
+        metrics = class_metrics(confusion)
         report = EvaluationReport(
-            models=(ModelResult(profile=profile, confusion=confusion, class_metrics=metrics),),
+            models=(ModelResult(profile=profile, class_metrics=metrics),),
             quantile_count=6,
             tie_policy=TiePolicy.STABLE,
         )
