@@ -43,7 +43,6 @@ from .ranking import (
     rank_instances,
 )
 from .report import (
-    ChartSpec,
     EvaluationReport,
     InputDigest,
     ModelResult,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FULL_RECALL",
     "BudgetPlan",
-    "ChartSpec",
     "ClassMetrics",
     "ColumnSchema",
     "ConfusionMatrix",

@@ -4,6 +4,9 @@ Subcommands: eval (one model), compare (many models side by side), budget
 (fixed-budget and cost-to-target plans), stop (marginal next-quantile
 analysis), chart (cumulative-gain SVG).  Exit codes: 0 success, 1 input or
 validation error, 2 usage error.
+
+Usage errors, a repeated model name or a bad --fscore among them, come before
+any input is opened; the inputs are then evaluated one at a time, in argv order.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from .budget import (
     fixed_budget_plan,
     marginal_analysis,
 )
-from .dataset import ColumnSchema, LabeledDataset, read_dataset_file
+from .dataset import ColumnSchema, read_dataset_file
 from .metrics import class_metrics, confusion_at_cutoff, gain_profile
 from .ranking import RankedList, TiePolicy, partition_quantiles, rank_instances
 from .report import (
-    MIN_CHART_HEIGHT, MIN_CHART_WIDTH, ChartSpec, EvaluationReport, InputDigest, ModelResult,
+    MIN_CHART_HEIGHT, MIN_CHART_WIDTH, EvaluationReport, InputDigest, ModelResult,
     render_chart, render_json, render_table,
 )
 
@@ -204,21 +207,17 @@ def _schema(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Column
     return ColumnSchema(**kwargs)
 
 
-def _load(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[list[LabeledDataset], tuple[InputDigest, ...]]:
-    names = args.name or []
-    if len(names) > len(args.inputs):
-        parser.error(f"{len(names)} --name values for {len(args.inputs)} input file(s)")
-    schema = _schema(args, parser)
-    datasets = []
-    digests = []
-    for i, path in enumerate(args.inputs):
-        name = names[i] if i < len(names) else None
-        dataset, sha = read_dataset_file(path, schema, name=name)
-        datasets.append(dataset)
-        digests.append(InputDigest(name=dataset.name, path=str(path), sha256=sha))
-    return datasets, tuple(digests)
+def _model_names(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
+    """Each input's model name: its --name, else its file stem; no two alike."""
+    given = args.name or []
+    if len(given) > len(args.inputs):
+        parser.error(f"{len(given)} --name values for {len(args.inputs)} input file(s)")
+    names = given + [Path(path).stem for path in args.inputs[len(given):]]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        parser.error(f"argument --name: repeated model name(s) {', '.join(map(repr, repeated))}"
+                     "; give each input a distinct --name")
+    return names
 
 
 def _cutoff_for(args: argparse.Namespace, ranked: RankedList) -> int | None:
@@ -234,17 +233,18 @@ def _parse_fscores(
 ) -> dict[str, float]:
     scores: dict[str, float] = {}
     for entry in getattr(args, "fscore", None) or []:
-        name, sep, value = entry.partition("=")
+        # The last "=" splits, so a model named from a stem such as "a=b" can be scored.
+        name, sep, value = entry.rpartition("=")
         if not sep:
-            parser.error(f"--fscore expects NAME=VALUE, got {entry!r}")
+            parser.error(f"argument --fscore: expects NAME=VALUE, got {entry!r}")
         if name not in names:
-            parser.error(f"--fscore for unknown model {name!r} (models: {', '.join(names)})")
+            parser.error(f"argument --fscore: unknown model {name!r} (models: {', '.join(names)})")
         try:
             scores[name] = float(value)
         except ValueError:
-            parser.error(f"--fscore value for {name!r} is not a number: {value!r}")
+            parser.error(f"argument --fscore: value for {name!r} is not a number: {value!r}")
         if not math.isfinite(scores[name]):
-            parser.error(f"--fscore value for {name!r} is not finite: {value!r}")
+            parser.error(f"argument --fscore: value for {name!r} is not finite: {value!r}")
     return scores
 
 
@@ -288,29 +288,20 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             f"got {annotated}"
         )
 
-    datasets, digests = _load(args, parser)
-    evaluated = []
-    for d in datasets:
-        ranked = rank_instances(d, policy)
-        evaluated.append((ranked, gain_profile(partition_quantiles(ranked, args.quantiles))))
-    if args.command == "chart":
-        spec = ChartSpec(
-            series=tuple(profile for _, profile in evaluated),
-            include_baseline=args.baseline,
-            include_ideal=args.ideal,
-            width=args.width,
-            height=args.height,
-        )
-        _emit(render_chart(spec), args.svg_out)
-        return 0
-
+    names = _model_names(args, parser)
+    schema = _schema(args, parser)
+    fscores = _parse_fscores(args, parser, names)
     cm = None
     if unit_cost is not None:
         cm = CostModel(unit_cost, args.currency, CostRule(args.cost_rule))
-    fscores = _parse_fscores(args, parser, [d.name for d in datasets])
 
+    # One input at a time: its dataset and ranking are freed before the next read.
     results = []
-    for ranked, profile in evaluated:
+    digests = []
+    for path, name in zip(args.inputs, names):
+        dataset, sha = read_dataset_file(path, schema, name=name)
+        ranked = rank_instances(dataset, policy)
+        profile = gain_profile(partition_quantiles(ranked, args.quantiles))
         k = _cutoff_for(args, ranked)
         results.append(
             ModelResult(
@@ -319,9 +310,16 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 budget_plan=None if budget is None else fixed_budget_plan(profile, cm, budget),
                 target_plan=None if target is None else cost_to_target(profile, cm, target),
                 marginal=None if annotated is None else marginal_analysis(profile, cm, annotated),
-                supplied_fscore=fscores.get(profile.model_name),
+                supplied_fscore=fscores.get(name),
             )
         )
+        digests.append(InputDigest(name=name, path=str(path), sha256=sha))
+        del dataset, ranked
+
+    if args.command == "chart":
+        _emit(render_chart([m.profile for m in results], args.baseline, args.ideal,
+                           args.width, args.height), args.svg_out)
+        return 0
 
     report = EvaluationReport(
         models=tuple(results),
@@ -329,7 +327,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         tie_policy=policy,
         cost_rule=cm.cost_rule if cm else None,
         currency_label=cm.currency_label if cm else None,
-        inputs=digests,
+        inputs=tuple(digests),
     )
     if args.format == "json":
         _emit(render_json(report), args.out)

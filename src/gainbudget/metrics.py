@@ -32,7 +32,9 @@ class GainProfile:
 
     def __post_init__(self) -> None:
         if self.positive_total < 1:
-            raise ValueError("gain is undefined without at least one positive instance")
+            raise ValueError(
+                f"{self.model_name}: gain undefined, dataset has no positive instances"
+            )
         if min(self.per_quantile_positive, default=0) < 0:
             raise ValueError("negative per-quantile count")
         if sum(self.per_quantile_positive) != self.positive_total:
@@ -100,12 +102,8 @@ def gain_profile(p: QuantilePartition) -> GainProfile:
 
     Raises ValueError when the ranking holds no positives (division by zero).
     """
-    if p.ranked.positive_total < 1:
-        raise ValueError(
-            f"{p.ranked.dataset_name}: gain undefined, dataset has no positive instances"
-        )
     return GainProfile(
-        model_name=p.ranked.dataset_name,
+        model_name=p.ranked.dataset.name,
         per_quantile_positive=p.per_quantile_positive,
         positive_total=p.ranked.positive_total,
         size=p.ranked.size,

@@ -45,12 +45,7 @@ class RankedList:
 
     dataset: LabeledDataset
     indices: list[int]
-    policy: TiePolicy
     cum: array  # array('q'), length size + 1
-
-    @property
-    def dataset_name(self) -> str:
-        return self.dataset.name
 
     @property
     def positive_total(self) -> int:
@@ -73,10 +68,6 @@ class QuantilePartition:
     boundaries: tuple[int, ...]
     per_quantile_positive: tuple[int, ...]
 
-    @property
-    def quantile_count(self) -> int:
-        return len(self.boundaries) - 1
-
 
 def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> RankedList:
     """Sort descending by score; ties resolved per policy, then input order."""
@@ -92,7 +83,7 @@ def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> R
     # Python's sort is stable under reverse=True, so ties keep `pre` order.
     indices = sorted(pre, key=d.scores.__getitem__, reverse=True)
     cum = array("q", accumulate(map(d.labels.__getitem__, indices), initial=0))
-    return RankedList(dataset=d, indices=indices, policy=policy, cum=cum)
+    return RankedList(dataset=d, indices=indices, cum=cum)
 
 
 def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition:

@@ -184,7 +184,8 @@ def _text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[s
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
     lines = ["| " + " | ".join(headers) + " |"]
     lines.append("|" + "|".join(" --- " for _ in headers) + "|")
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    # A bare "|" in a cell (a model name) would end the cell early.
+    lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
     return lines
 
 
@@ -368,34 +369,24 @@ def render_json(r: EvaluationReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    """A cumulative-gain chart: one curve per profile, optional references."""
-
-    series: tuple[GainProfile, ...]
-    include_baseline: bool = False
-    include_ideal: bool = False
-    width: int = 640
-    height: int = 480
-
-    def __post_init__(self) -> None:
-        if not self.series:
-            raise ValueError("chart needs at least one series")
-        counts = {p.quantile_count for p in self.series}
-        if len(counts) > 1:
-            raise ValueError(f"mismatched quantile counts across series: {sorted(counts)}")
-        if self.width < MIN_CHART_WIDTH or self.height < MIN_CHART_HEIGHT:
-            raise ValueError("chart dimensions too small")
-
-
-def render_chart(spec: ChartSpec) -> str:
+def render_chart(
+    series: Sequence[GainProfile], include_baseline: bool = False, include_ideal: bool = False,
+    width: int = 640, height: int = 480,
+) -> str:
     """Render the cumulative-gain chart as a standalone SVG document.
 
-    Curves plot cumulative gain at quantile right edges with a (0, 0) origin
-    point prepended; the x axis is the fraction of the ranked list reviewed.
+    One curve per profile in `series`, plus the optional references.  Curves
+    plot cumulative gain at quantile right edges with a (0, 0) origin point
+    prepended; the x axis is the fraction of the ranked list reviewed.
     """
-    quantile_count = spec.series[0].quantile_count
-    width, height = spec.width, spec.height
+    if not series:
+        raise ValueError("chart needs at least one series")
+    counts = {p.quantile_count for p in series}
+    if len(counts) > 1:
+        raise ValueError(f"mismatched quantile counts across series: {sorted(counts)}")
+    if width < MIN_CHART_WIDTH or height < MIN_CHART_HEIGHT:
+        raise ValueError("chart dimensions too small")
+    quantile_count = series[0].quantile_count
     left, right, top, bottom = 62, 18, 18, 50
     x0, y0 = left, top
     x1, y1 = width - right, height - bottom
@@ -473,13 +464,13 @@ def render_chart(spec: ChartSpec) -> str:
 
     # (name, color, stroke width, dasharray or "", points as fractions)
     curves: list[tuple[str, str, str, str, list[tuple[float, float]]]] = []
-    if spec.include_baseline:
+    if include_baseline:
         curves.append(("random baseline", "#999999", "1.5", "6 4", [(0, 0), (1, 1)]))
-    if spec.include_ideal:
-        first = spec.series[0]
+    if include_ideal:
+        first = series[0]
         ideal = ideal_profile(first.size, first.positive_total, quantile_count)
         curves.append(("ideal", "#333333", "1.5", "2 3", cumulative_points(ideal)))
-    for i, profile in enumerate(spec.series):
+    for i, profile in enumerate(series):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
         curves.append((profile.model_name, color, "2", "", cumulative_points(profile)))
 

@@ -6,10 +6,12 @@ lines; a failed assertion marks the criterion FAIL via pytest itself.
 
 import json
 import random
+import re
 import time
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 from gainbudget import (
     FULL_RECALL,
@@ -28,6 +30,7 @@ from gainbudget import (
 )
 from gainbudget.cli import run
 
+from casestudy import case_study_csv
 from conftest import WORKED_ORDERS, accuracy_at_cutoff, make_dataset, worked_path
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -239,3 +242,14 @@ def test_c9_chart_anchors(case_study_dir, tmp_path):
         x_full = next(x for x, y in series[model] if abs(y - top) < 0.005)
         assert abs(x_full - gridlines[gridline]) < 0.011, (model, x_full)
     _pass(9, "curves reach 100% gain at the 20%/40%/50% gridlines")
+
+
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    (tmp_path / "m1.csv").write_text(case_study_csv("m1"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "cost=1673" in capsys.readouterr().out
+    _pass(3, "the README library example prints cost=1673, the case study's $16.73")

@@ -3,12 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 import gainbudget
+from gainbudget import cli
 from gainbudget.cli import run
 
 from conftest import worked_path
@@ -137,6 +139,43 @@ class TestCompare:
         assert out == ""
         assert "not finite" in err
 
+    def test_fscore_splits_at_the_last_equals_sign(self, capsys, tmp_path):
+        shutil.copy(worked_path("s1m1"), tmp_path / "a=b.csv")
+        code, out, err = invoke(
+            capsys, "compare", str(tmp_path / "a=b.csv"), "--quantiles", "3",
+            "--fscore", "a=b=0.5", "--format", "json",
+        )
+        assert code == 0, err
+        assert json.loads(out)["models"][0]["supplied_fscore"] == 0.5
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("command", ["compare", "chart"])
+    def test_one_input_held_at_a_time(self, capsys, monkeypatch, case_study_dir, command):
+        """No earlier input's dataset or ranking is alive when the next file is read."""
+        refs = []
+        alive_at_read = []
+        read, rank = cli.read_dataset_file, cli.rank_instances
+
+        def traced_read(*args, **kwargs):
+            alive_at_read.append(sum(ref() is not None for ref in refs))
+            dataset, sha = read(*args, **kwargs)
+            refs.append(weakref.ref(dataset))
+            return dataset, sha
+
+        def traced_rank(*args, **kwargs):
+            ranked = rank(*args, **kwargs)
+            refs.append(weakref.ref(ranked))
+            return ranked
+
+        monkeypatch.setattr(cli, "read_dataset_file", traced_read)
+        monkeypatch.setattr(cli, "rank_instances", traced_rank)
+        paths = [str(case_study_dir / f"{m}.csv") for m in ("m1", "m2", "m3")]
+        code, _, err = invoke(capsys, command, *paths)
+        assert code == 0, err
+        assert len(refs) == 6
+        assert alive_at_read == [0, 0, 0]
+
 
 class TestBudget:
     def test_fixed_budget_plan(self, capsys, case_study_dir):
@@ -252,6 +291,15 @@ BAD_FLAG_VALUES = [
     ("stop", "--unit-cost", "-1"),
     ("chart", "--width", "159"),
     ("chart", "--height", "119"),
+    # The models are named before any read: no-such-file and other.
+    ("compare", "--fscore", "other"),
+    ("compare", "--fscore", "zz=0.5"),
+    ("compare", "--fscore", "other=x"),
+    ("compare", "--fscore", "other=nan"),
+    ("compare", "--name", "other"),
+    ("budget", "--name", "other"),
+    ("stop", "--name", "other"),
+    ("chart", "--name", "other"),
 ]
 
 
@@ -305,9 +353,10 @@ class TestErrorsAndHelp:
         ],
     )
     def test_bad_flag_value_is_usage_error(self, command, flag, value):
-        # The input does not exist: a usage error must come before any read.
+        # The inputs do not exist: a usage error must come before any read.
+        inputs = ["no-such-file.csv"] + ([] if command == "eval" else ["other.csv"])
         code, out, err = invoke_child(
-            command, "no-such-file.csv", *REQUIRED_FLAGS[command], f"{flag}={value}"
+            command, *inputs, *REQUIRED_FLAGS[command], f"{flag}={value}"
         )
         assert code == 2
         assert out == ""

@@ -101,7 +101,7 @@ COLUMN_ORDERS = st.sampled_from([("id", "score", "label"), ("label", "score", "i
 
 
 @st.composite
-def csv_bytes(draw, well_formed: bool):
+def csv_bytes(draw, well_formed: bool, with_positive: bool = False):
     """A delimited file; unless well formed, any row or the header may be bad."""
     scores, labels, order = GOOD_SCORES, GOOD_LABELS, draw(COLUMN_ORDERS)
     header = draw(st.sampled_from(["", "\ufeff"])) + ",".join(order)
@@ -110,6 +110,9 @@ def csv_bytes(draw, well_formed: bool):
         labels = st.one_of(labels, labels, labels, st.sampled_from(["yes", "", "2"]))
         header = draw(st.sampled_from([header] * 3 + ["id,score", "id,id,score,label"]))
     rows = draw(st.lists(st.tuples(scores, labels), min_size=2, max_size=12))
+    if with_positive:
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = (rows[at][0], "1")
     lines = [header] + [
         ",".join({"id": str(i), "score": score, "label": label}[col] for col in order)
         for i, (score, label) in enumerate(rows)
@@ -179,3 +182,51 @@ def test_json_reports_are_strict_json(command, data):
     fixed = [REQUIRED[command], ["--quantiles", "2", "--format", "json"]]
     with tempfile.TemporaryDirectory() as tmp:
         check_run(argv_for(command, tmp, contents, fixed + flags))
+
+
+def at_most_one(*flags: str) -> st.SearchStrategy[list[str]]:
+    """No flag, or one of `flags` with a value valid on any file of two or more rows."""
+    one = flag_tokens(flags, valid_only=True).filter(lambda tokens: tokens != ["--cutoff-k", "7"])
+    return st.one_of(st.just([]), one)
+
+
+#: Per subcommand: flags that make a run valid, then groups of flags of which
+#: a run takes at most one, so that no two drawn flags exclude each other.
+LAW_FLAGS = {
+    "compare": (["--unit-cost", "0.04"], [
+        ("--cutoff-k", "--cutoff-frac"), ("--target", "--full-recall"), ("--budget",),
+        ("--unit-cost",),
+    ]),
+    "budget": (["--unit-cost", "0.04", "--budget", "1"], [
+        ("--target", "--full-recall"), ("--budget",), ("--unit-cost",),
+    ]),
+    "stop": (REQUIRED["stop"], [("--annotated-quantiles",), ("--unit-cost",)]),
+}
+_SHARED = [("--cost-rule",), ("--currency",), ("--tie-policy",)]
+
+
+@given(st.sampled_from(sorted(LAW_FLAGS)), st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_each_model_of_a_report_matches_its_one_input_run(command, data):
+    """models[i] of a many-input report is models[0] of a run on input i alone."""
+    contents = data.draw(st.lists(csv_bytes(True, with_positive=True), min_size=2, max_size=3))
+    names = [f"m{i}" for i in range(len(contents))]
+    base, groups = LAW_FLAGS[command]
+    flags = [base, ["--quantiles", "2", "--format", "json"]]
+    flags += [data.draw(at_most_one(*group)) for group in groups + _SHARED]
+    fscores = {}
+    if command == "compare":  # a one-input run takes only its own model's F-score
+        fscores = data.draw(st.dictionaries(st.sampled_from(names), st.sampled_from(["0.7", "1"])))
+    own = {name: ["--fscore", f"{name}={value}"] for name, value in fscores.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = argv_for(command, tmp, contents, flags + list(own.values()))
+        code, out = run_cli(argv)
+        assert code == 0, argv
+        models = json.loads(out)["models"]
+        assert [m["name"] for m in models] == names
+        options = [token for tokens in flags for token in tokens]
+        for i, name in enumerate(names):
+            single = [command, argv[1 + i], *options, *own.get(name, []), "--name", name]
+            code, out = run_cli(single)
+            assert code == 0, single
+            assert json.loads(out)["models"] == [models[i]], single

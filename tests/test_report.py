@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 
@@ -6,7 +7,6 @@ import pytest
 
 from gainbudget import (
     FULL_RECALL,
-    ChartSpec,
     CostModel,
     EvaluationReport,
     GainProfile,
@@ -16,6 +16,7 @@ from gainbudget import (
     class_metrics,
     confusion_at_cutoff,
     cost_to_target,
+    fixed_budget_plan,
     gain_profile,
     ideal_profile,
     marginal_analysis,
@@ -129,6 +130,26 @@ class TestTable:
         assert "| Model |" in md
         assert "| 16.73 |" in md
 
+    def test_markdown_pipe_in_name_is_escaped(self, worked_datasets):
+        ranked, profile = worked_profile(worked_datasets, quantiles=3)
+        piped = GainProfile("a|b", profile.per_quantile_positive, profile.positive_total, 6)
+        model = ModelResult(
+            profile=piped,
+            class_metrics=class_metrics(confusion_at_cutoff(ranked, 2)),
+            budget_plan=fixed_budget_plan(piped, CM, Decimal("0.1")),
+            target_plan=cost_to_target(piped, CM, FULL_RECALL),
+            marginal=marginal_analysis(piped, CM, 1),
+            supplied_fscore=0.5,
+        )
+        report = EvaluationReport(models=(model,), quantile_count=3, tie_policy=TiePolicy.STABLE)
+        tables = re.findall(r"(?m)(?:^\|.*\n)+", render_table(report, style="md"))
+        assert len(tables) == 9  # every table has a row for the model
+        for table in tables:
+            header, *rows = table.splitlines()
+            assert "a\\|b" in rows[-1]
+            for row in rows:
+                assert len(re.findall(r"(?<!\\)\|", row)) == header.count("|"), row
+
     def test_unknown_style_rejected(self, worked_datasets):
         with pytest.raises(ValueError):
             render_table(single_model_report(worked_datasets), style="html")
@@ -228,10 +249,7 @@ class TestJson:
 
 class TestChart:
     def chart(self, case_study_profiles, **kwargs):
-        spec = ChartSpec(
-            series=tuple(case_study_profiles[m] for m in ("m1", "m2", "m3")), **kwargs
-        )
-        return render_chart(spec)
+        return render_chart([case_study_profiles[m] for m in ("m1", "m2", "m3")], **kwargs)
 
     def test_full_recall_gridline_anchors(self, case_study_profiles):
         svg = self.chart(case_study_profiles)
@@ -261,8 +279,7 @@ class TestChart:
             assert y == pytest.approx(expected, abs=0.011)
 
     def test_baseline_only_diagonal(self):
-        spec = ChartSpec(series=(uniform_profile(10),), include_baseline=True)
-        series = parse_series(render_chart(spec))
+        series = parse_series(render_chart([uniform_profile(10)], include_baseline=True))
         baseline = series["random baseline"]
         assert len(baseline) == 2
         (x0, y0), (x1, y1) = baseline
@@ -288,11 +305,16 @@ class TestChart:
 
     def test_mismatched_quantiles_rejected(self, case_study_profiles):
         with pytest.raises(ValueError, match="mismatched"):
-            ChartSpec(series=(case_study_profiles["m1"], uniform_profile(5)))
+            render_chart([case_study_profiles["m1"], uniform_profile(5)])
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ChartSpec(series=())
+            render_chart([])
+
+    @pytest.mark.parametrize("width,height", [(159, 480), (640, 119)])
+    def test_too_small_rejected(self, width, height):
+        with pytest.raises(ValueError, match="too small"):
+            render_chart([uniform_profile(10)], width=width, height=height)
 
     def test_deterministic(self, case_study_profiles):
         assert self.chart(case_study_profiles) == self.chart(case_study_profiles)
@@ -303,6 +325,6 @@ class TestChart:
             model_name="a<b&c", per_quantile_positive=profile.per_quantile_positive,
             positive_total=profile.positive_total, size=profile.size,
         )
-        svg = render_chart(ChartSpec(series=(renamed,)))
+        svg = render_chart([renamed])
         assert "a<b&c" not in svg
         assert "a&lt;b&amp;c" in svg
