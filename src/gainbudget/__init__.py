@@ -44,7 +44,6 @@ from .ranking import (
 )
 from .report import (
     EvaluationReport,
-    InputDigest,
     ModelResult,
     render_chart,
     render_json,
@@ -64,7 +63,6 @@ __all__ = [
     "DatasetError",
     "EvaluationReport",
     "GainProfile",
-    "InputDigest",
     "LabeledDataset",
     "MarginalReport",
     "ModelResult",

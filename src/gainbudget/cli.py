@@ -5,8 +5,9 @@ Subcommands: eval (one model), compare (many models side by side), budget
 analysis), chart (cumulative-gain SVG).  Exit codes: 0 success, 1 input or
 validation error, 2 usage error.
 
-Usage errors, a repeated model name or a bad --fscore among them, come before
-any input is opened; the inputs are then evaluated one at a time, in argv order.
+Usage errors come before any input is opened; the inputs are then evaluated
+one at a time, in argv order.  A check that spans flags or inputs calls
+`args.usage_error`, the subcommand parser's `error`, as argparse's checks do.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .budget import (
     fixed_budget_plan,
     marginal_analysis,
 )
-from .dataset import ColumnSchema, read_dataset_file
+from .dataset import (DEFAULT_NEGATIVE_TOKENS, DEFAULT_POSITIVE_TOKENS, ColumnSchema,
+                      read_dataset_file)
 from .metrics import class_metrics, confusion_at_cutoff, gain_profile
 from .ranking import RankedList, TiePolicy, partition_quantiles, rank_instances
 from .report import (
-    MIN_CHART_HEIGHT, MIN_CHART_WIDTH, EvaluationReport, InputDigest, ModelResult,
+    MIN_CHART_HEIGHT, MIN_CHART_WIDTH, EvaluationReport, ModelResult,
     render_chart, render_json, render_table,
 )
 
@@ -85,6 +87,28 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _delimiter(text: str) -> str:
+    delimiter = "\t" if text in ("tab", "\\t") else text
+    if len(delimiter) != 1:
+        raise argparse.ArgumentTypeError(f"must be a single character, got {text!r}")
+    return delimiter
+
+
+def _fscore(entry: str) -> tuple[str, float]:
+    """An argparse type: NAME=VALUE with a finite VALUE, as (name, value)."""
+    # The last "=" splits, so a model named from a stem such as "a=b" can be scored.
+    name, sep, text = entry.rpartition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got {entry!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"value for {name!r} is not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value for {name!r} is not finite: {text!r}")
+    return name, value
+
+
 def _add_io_flags(p: argparse.ArgumentParser, many: bool) -> None:
     p.add_argument("inputs", nargs="+" if many else 1, metavar="FILE",
                    help="delimited prediction file(s) with a header row")
@@ -98,11 +122,13 @@ def _add_io_flags(p: argparse.ArgumentParser, many: bool) -> None:
     p.add_argument("--id-col", default="id", help="id column name (default: id)")
     p.add_argument("--score-col", default="score", help="score column name (default: score)")
     p.add_argument("--label-col", default="label", help="label column name (default: label)")
-    p.add_argument("--positive-token", default=None, metavar="TOKEN",
+    p.add_argument("--positive-token", type=lambda token: frozenset({token}),
+                   default=DEFAULT_POSITIVE_TOKENS, metavar="TOKEN",
                    help="label token for the positive class (default: 1 or true)")
-    p.add_argument("--negative-token", default=None, metavar="TOKEN",
+    p.add_argument("--negative-token", type=lambda token: frozenset({token}),
+                   default=DEFAULT_NEGATIVE_TOKENS, metavar="TOKEN",
                    help="label token for the negative class (default: 0 or false)")
-    p.add_argument("--delimiter", default=",", metavar="CHAR",
+    p.add_argument("--delimiter", type=_delimiter, default=",", metavar="CHAR",
                    help="field delimiter; use 'tab' or '\\t' for tabs (default: ,)")
 
 
@@ -156,14 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_cmp, many=True)
     _add_cutoff_flags(p_cmp)
     _add_cost_flags(p_cmp, with_plans=True, required=False)
-    p_cmp.add_argument("--fscore", action="append", default=None, metavar="NAME=VALUE",
+    p_cmp.add_argument("--fscore", action="append", type=_fscore, default=[], metavar="NAME=VALUE",
                        help="externally supplied F-score for a model (repeatable)")
     _add_format_flags(p_cmp)
 
     p_budget = sub.add_parser("budget", help="fixed-budget and cost-to-target plans")
     _add_io_flags(p_budget, many=True)
     _add_cost_flags(p_budget, with_plans=True, required=True)
-    p_budget.set_defaults(plan_required=True)
     _add_format_flags(p_budget)
 
     p_stop = sub.add_parser("stop", help="is one more quantile of annotation worth it?")
@@ -185,38 +210,31 @@ def build_parser() -> argparse.ArgumentParser:
                          help="draw the diagonal random baseline")
     p_chart.add_argument("--ideal", action="store_true",
                          help="draw the ideal (perfect ranker) curve")
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
-def _schema(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ColumnSchema:
-    delimiter = args.delimiter
-    if delimiter in ("tab", "\\t"):
-        delimiter = "\t"
-    if len(delimiter) != 1:
-        parser.error(f"--delimiter must be a single character, got {args.delimiter!r}")
-    kwargs = dict(
-        id_col=args.id_col,
-        score_col=args.score_col,
-        label_col=args.label_col,
-        delimiter=delimiter,
-    )
-    if args.positive_token is not None:
-        kwargs["positive_tokens"] = frozenset({args.positive_token})
-    if args.negative_token is not None:
-        kwargs["negative_tokens"] = frozenset({args.negative_token})
-    return ColumnSchema(**kwargs)
-
-
-def _model_names(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
-    """Each input's model name: its --name, else its file stem; no two alike."""
+def _model_names(args: argparse.Namespace) -> list[str]:
+    """Each input's model name: its --name, else its file stem; checked with every --fscore."""
     given = args.name or []
     if len(given) > len(args.inputs):
-        parser.error(f"{len(given)} --name values for {len(args.inputs)} input file(s)")
+        args.usage_error(f"{len(given)} --name values for {len(args.inputs)} input file(s)")
     names = given + [Path(path).stem for path in args.inputs[len(given):]]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
-        parser.error(f"argument --name: repeated model name(s) {', '.join(map(repr, repeated))}"
-                     "; give each input a distinct --name")
+        args.usage_error(f"argument --name: repeated model name(s) "
+                         f"{', '.join(map(repr, repeated))}; give each input a distinct --name")
+    # A control character (Unicode category Cc: U+0000-U+001F and U+007F-U+009F),
+    # such as a newline, would split a table row or break the SVG.
+    controlled = [n for n in names if any(ord(c) < 0x20 or 0x7F <= ord(c) <= 0x9F for c in n)]
+    if controlled:
+        args.usage_error(f"argument --name: control character in model name(s) "
+                         f"{', '.join(map(repr, controlled))}; give each a --name without one")
+    for name, _ in getattr(args, "fscore", ()):
+        if name not in names:
+            args.usage_error(
+                f"argument --fscore: unknown model {name!r} (models: {', '.join(names)})")
     return names
 
 
@@ -228,26 +246,6 @@ def _cutoff_for(args: argparse.Namespace, ranked: RankedList) -> int | None:
     return None
 
 
-def _parse_fscores(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, names: list[str]
-) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    for entry in getattr(args, "fscore", None) or []:
-        # The last "=" splits, so a model named from a stem such as "a=b" can be scored.
-        name, sep, value = entry.rpartition("=")
-        if not sep:
-            parser.error(f"argument --fscore: expects NAME=VALUE, got {entry!r}")
-        if name not in names:
-            parser.error(f"argument --fscore: unknown model {name!r} (models: {', '.join(names)})")
-        try:
-            scores[name] = float(value)
-        except ValueError:
-            parser.error(f"argument --fscore: value for {name!r} is not a number: {value!r}")
-        if not math.isfinite(scores[name]):
-            parser.error(f"argument --fscore: value for {name!r} is not finite: {value!r}")
-    return scores
-
-
 def _emit(content: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(content)
@@ -256,9 +254,11 @@ def _emit(content: str, out: str | None) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        return _dispatch(parser.parse_args(argv), parser)
+        args, unrecognized = build_parser().parse_known_args(argv)
+        if unrecognized:  # parse_args would report these under the top-level usage
+            args.usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+        return _dispatch(args)
     except SystemExit as exc:  # --help, or a usage error from argparse or _dispatch
         if exc.code is None:
             return 0
@@ -268,7 +268,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
     policy = TiePolicy(args.tie_policy)
 
     # A section is computed only when its flag exists on the subcommand and
@@ -278,26 +278,24 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     target = FULL_RECALL if getattr(args, "full_recall", False) else getattr(args, "target", None)
     annotated = getattr(args, "annotated_quantiles", None)
     if budget is None and target is None:
-        if getattr(args, "plan_required", False):
-            parser.error(f"{args.command} requires --budget, --target, or --full-recall")
+        if args.command == "budget":
+            args.usage_error("budget requires --budget, --target, or --full-recall")
     elif unit_cost is None:
-        parser.error("--budget/--target/--full-recall require --unit-cost")
+        args.usage_error("--budget/--target/--full-recall require --unit-cost")
     if annotated is not None and annotated >= args.quantiles:
-        parser.error(
-            f"argument --annotated-quantiles: must be below --quantiles ({args.quantiles}), "
-            f"got {annotated}"
-        )
+        args.usage_error(f"argument --annotated-quantiles: must be below --quantiles "
+                         f"({args.quantiles}), got {annotated}")
 
-    names = _model_names(args, parser)
-    schema = _schema(args, parser)
-    fscores = _parse_fscores(args, parser, names)
+    names = _model_names(args)
+    fscores = dict(getattr(args, "fscore", ()))
+    schema = ColumnSchema(args.id_col, args.score_col, args.label_col,
+                          args.positive_token, args.negative_token, args.delimiter)
     cm = None
     if unit_cost is not None:
         cm = CostModel(unit_cost, args.currency, CostRule(args.cost_rule))
 
     # One input at a time: its dataset and ranking are freed before the next read.
     results = []
-    digests = []
     for path, name in zip(args.inputs, names):
         dataset, sha = read_dataset_file(path, schema, name=name)
         ranked = rank_instances(dataset, policy)
@@ -311,9 +309,10 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 target_plan=None if target is None else cost_to_target(profile, cm, target),
                 marginal=None if annotated is None else marginal_analysis(profile, cm, annotated),
                 supplied_fscore=fscores.get(name),
+                path=str(path),
+                sha256=sha,
             )
         )
-        digests.append(InputDigest(name=name, path=str(path), sha256=sha))
         del dataset, ranked
 
     if args.command == "chart":
@@ -321,14 +320,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                            args.width, args.height), args.svg_out)
         return 0
 
-    report = EvaluationReport(
-        models=tuple(results),
-        quantile_count=args.quantiles,
-        tie_policy=policy,
-        cost_rule=cm.cost_rule if cm else None,
-        currency_label=cm.currency_label if cm else None,
-        inputs=tuple(digests),
-    )
+    report = EvaluationReport(models=tuple(results), tie_policy=policy, cost_model=cm)
     if args.format == "json":
         _emit(render_json(report), args.out)
     else:
@@ -336,9 +328,5 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def main() -> int:
-    return run()
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

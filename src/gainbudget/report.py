@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 from typing import Any, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .budget import BudgetPlan, CostRule, MarginalReport, TargetPlan
+from .budget import BudgetPlan, CostModel, MarginalReport, TargetPlan
 from .metrics import ClassMetrics, GainProfile, ideal_profile
 from .ranking import TiePolicy
 
@@ -57,16 +57,16 @@ _CLASS_GROUPS = ("positive", "negative", "weighted")
 _CLASS_MEASURES = ("precision", "recall", "f1")
 
 
-@dataclass(frozen=True)
-class InputDigest:
-    name: str
-    path: str
-    sha256: str
+def _shared_quantile_count(profiles: Sequence[GainProfile], across: str) -> int:
+    counts = {p.quantile_count for p in profiles}
+    if len(counts) > 1:
+        raise ValueError(f"mismatched quantile counts across {across}: {sorted(counts)}")
+    return profiles[0].quantile_count
 
 
 @dataclass(frozen=True)
 class ModelResult:
-    """Everything computed for one model; optional sections stay None."""
+    """Everything computed for one model, and its input file; optional parts stay None."""
 
     profile: GainProfile
     class_metrics: ClassMetrics | None = None
@@ -74,6 +74,8 @@ class ModelResult:
     target_plan: TargetPlan | None = None
     marginal: MarginalReport | None = None
     supplied_fscore: float | None = None
+    path: str | None = None
+    sha256: str | None = None
 
     @property
     def name(self) -> str:
@@ -82,18 +84,20 @@ class ModelResult:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-model results plus the run metadata that produced them."""
+    """Per-model results plus the run settings they share; the quantile count is theirs."""
 
     models: tuple[ModelResult, ...]
-    quantile_count: int
     tie_policy: TiePolicy
-    cost_rule: CostRule | None = None
-    currency_label: str | None = None
-    inputs: tuple[InputDigest, ...] = ()
+    cost_model: CostModel | None = None
 
     def __post_init__(self) -> None:
         if not self.models:
             raise ValueError("report needs at least one model")
+        _shared_quantile_count([m.profile for m in self.models], "models")
+
+    @property
+    def quantile_count(self) -> int:
+        return self.models[0].profile.quantile_count
 
     def rankings(self) -> tuple[tuple[str, ...] | None, tuple[str, ...] | None, str | None]:
         """Model names by cost to target and by F-score: (by_cost, by_fscore, source).
@@ -197,10 +201,9 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
     table = _md_table if md else _text_table
 
     meta = [f"quantiles={r.quantile_count}", f"tie-policy={r.tie_policy.value}"]
-    if r.cost_rule is not None:
-        meta.append(f"cost-rule={r.cost_rule.value}")
-    if r.currency_label is not None:
-        meta.append(f"currency={r.currency_label}")
+    if r.cost_model is not None:
+        meta += [f"cost-rule={r.cost_model.cost_rule.value}",
+                 f"currency={r.cost_model.currency_label}"]
 
     lines: list[str] = []
     if md:
@@ -310,7 +313,7 @@ def render_json(r: EvaluationReport) -> str:
     digits, money is minor-unit integers with the currency label.  Optional
     sections are always present, null when not requested.
     """
-    currency = r.currency_label
+    currency = r.cost_model.currency_label if r.cost_model is not None else None
     by_cost, by_fscore, source = r.rankings()
     models: list[dict[str, Any]] = []
     for m in r.models:
@@ -353,11 +356,10 @@ def render_json(r: EvaluationReport) -> str:
         "run": {
             "quantiles": r.quantile_count,
             "tie_policy": r.tie_policy.value,
-            "cost_rule": r.cost_rule.value if r.cost_rule is not None else None,
+            "cost_rule": r.cost_model.cost_rule.value if r.cost_model is not None else None,
             "currency": currency,
-            "inputs": [
-                {"name": d.name, "path": d.path, "sha256": d.sha256} for d in r.inputs
-            ],
+            "inputs": [{"name": m.name, "path": m.path, "sha256": m.sha256}
+                       for m in r.models if m.path is not None],
         },
         "models": models,
         "rankings": {
@@ -381,12 +383,9 @@ def render_chart(
     """
     if not series:
         raise ValueError("chart needs at least one series")
-    counts = {p.quantile_count for p in series}
-    if len(counts) > 1:
-        raise ValueError(f"mismatched quantile counts across series: {sorted(counts)}")
+    quantile_count = _shared_quantile_count(series, "series")
     if width < MIN_CHART_WIDTH or height < MIN_CHART_HEIGHT:
         raise ValueError("chart dimensions too small")
-    quantile_count = series[0].quantile_count
     left, right, top, bottom = 62, 18, 18, 50
     x0, y0 = left, top
     x1, y1 = width - right, height - bottom

@@ -11,10 +11,13 @@ from gainbudget import (
     GainProfile,
     cost_to_target,
     fixed_budget_plan,
+    gain_profile,
     ideal_profile,
     marginal_analysis,
+    partition_quantiles,
     profit_ratio,
     quantile_cost,
+    rank_instances,
 )
 
 CM = CostModel(unit_cost=Decimal("0.04"))
@@ -94,6 +97,16 @@ class TestFixedBudget:
     def test_exact_boundary_is_affordable(self, m1):
         plan = fixed_budget_plan(m1, CM, Decimal("8.36"))
         assert plan.affordable_quantiles == 1
+
+    def test_prefix_rounding_to_zero_cents_is_free(self, worked_datasets):
+        # Payment is in whole cents: two quantiles of two candidates at $0.001
+        # cost $0.004 exactly, which rounds to 0.00, so a zero budget buys them.
+        ranked = rank_instances(worked_datasets["s1m1"])
+        profile = gain_profile(partition_quantiles(ranked, 3))
+        plan = fixed_budget_plan(profile, CostModel(unit_cost=Decimal("0.001")), Decimal("0"))
+        assert plan.affordable_quantiles == 2
+        assert plan.spend == 0
+        assert plan.profit == math.inf
 
     def test_profit_is_tp_per_unit(self, m1):
         plan = fixed_budget_plan(m1, CM, Decimal("16.73"))

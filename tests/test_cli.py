@@ -22,6 +22,12 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(err, command):
+    """The error names the subcommand, as argparse's own usage errors do."""
+    assert err.startswith(f"usage: gainbudget {command} ")
+    assert f"gainbudget {command}: error:" in err
+
+
 def invoke_child(*argv):
     """Run the CLI in a child process, so a runaway computation is cut off."""
     env = dict(os.environ, PYTHONPATH=str(Path(gainbudget.__file__).parents[1]))
@@ -121,6 +127,7 @@ class TestCompare:
         )
         assert code == 2
         assert "--unit-cost" in err
+        assert_usage_error(err, "compare")
 
     def test_unknown_fscore_model(self, capsys, case_study_dir):
         code, _, err = invoke(
@@ -128,6 +135,7 @@ class TestCompare:
         )
         assert code == 2
         assert "unknown model" in err
+        assert_usage_error(err, "compare")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_fscore_is_usage_error(self, capsys, value):
@@ -300,6 +308,10 @@ BAD_FLAG_VALUES = [
     ("budget", "--name", "other"),
     ("stop", "--name", "other"),
     ("chart", "--name", "other"),
+    # A control character would split a table row or break the SVG.
+    ("chart", "--name", "a\x01b"),
+    ("eval", "--name", "a\nb"),
+    ("stop", "--name", "a\x85b"),  # NEL, from the C1 range U+0080-U+009F
 ]
 
 
@@ -342,6 +354,8 @@ class TestErrorsAndHelp:
     def test_unknown_flag(self, capsys):
         code, _, err = invoke(capsys, "eval", str(worked_path("s1m1")), "--nope")
         assert code == 2
+        assert "unrecognized arguments: --nope" in err
+        assert_usage_error(err, "eval")
 
     @pytest.mark.parametrize(
         "command,flag,value",
@@ -362,6 +376,7 @@ class TestErrorsAndHelp:
         assert out == ""
         assert f"argument {flag}" in err
         assert "Traceback" not in err
+        assert_usage_error(err, command)
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")

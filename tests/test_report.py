@@ -10,7 +10,6 @@ from gainbudget import (
     CostModel,
     EvaluationReport,
     GainProfile,
-    InputDigest,
     ModelResult,
     TiePolicy,
     class_metrics,
@@ -45,7 +44,6 @@ def single_model_report(worked_datasets):
     _, profile = worked_profile(worked_datasets)
     return EvaluationReport(
         models=(ModelResult(profile=profile),),
-        quantile_count=6,
         tie_policy=TiePolicy.STABLE,
     )
 
@@ -59,16 +57,12 @@ def case_study_report(case_study_profiles, fscores=None):
                 profile=profile,
                 target_plan=cost_to_target(profile, CM, FULL_RECALL),
                 supplied_fscore=(fscores or {}).get(name),
+                # Only m1 names its input file, so run.inputs lists m1 alone.
+                path="m1.csv" if name == "m1" else None,
+                sha256="0" * 64 if name == "m1" else None,
             )
         )
-    return EvaluationReport(
-        models=tuple(models),
-        quantile_count=10,
-        tie_policy=TiePolicy.STABLE,
-        cost_rule=CM.cost_rule,
-        currency_label="$",
-        inputs=(InputDigest("m1", "m1.csv", "0" * 64),),
-    )
+    return EvaluationReport(models=tuple(models), tie_policy=TiePolicy.STABLE, cost_model=CM)
 
 
 def parse_series(svg: str) -> dict[str, list[tuple[float, float]]]:
@@ -111,7 +105,6 @@ class TestTable:
         _, profile = worked_profile(worked_datasets)
         report = EvaluationReport(
             models=(ModelResult(profile=profile), ModelResult(profile=profile)),
-            quantile_count=6,
             tie_policy=TiePolicy.STABLE,
         )
         lines = render_table(report).splitlines()
@@ -141,7 +134,7 @@ class TestTable:
             marginal=marginal_analysis(piped, CM, 1),
             supplied_fscore=0.5,
         )
-        report = EvaluationReport(models=(model,), quantile_count=3, tie_policy=TiePolicy.STABLE)
+        report = EvaluationReport(models=(model,), tie_policy=TiePolicy.STABLE)
         tables = re.findall(r"(?m)(?:^\|.*\n)+", render_table(report, style="md"))
         assert len(tables) == 9  # every table has a row for the model
         for table in tables:
@@ -149,6 +142,15 @@ class TestTable:
             assert "a\\|b" in rows[-1]
             for row in rows:
                 assert len(re.findall(r"(?<!\\)\|", row)) == header.count("|"), row
+
+    def test_mismatched_quantile_counts_rejected(self, worked_datasets):
+        # The quantile count is read from the models, so they must agree on it.
+        models = tuple(
+            ModelResult(profile=gain_profile(partition_quantiles(rank_instances(d), q)))
+            for d, q in ((worked_datasets["s1m1"], 3), (worked_datasets["s1m2"], 2))
+        )
+        with pytest.raises(ValueError, match="mismatched quantile counts across models"):
+            EvaluationReport(models=models, tie_policy=TiePolicy.STABLE)
 
     def test_unknown_style_rejected(self, worked_datasets):
         with pytest.raises(ValueError):
@@ -168,7 +170,6 @@ class TestTable:
         metrics = class_metrics(confusion)
         report = EvaluationReport(
             models=(ModelResult(profile=profile, class_metrics=metrics),),
-            quantile_count=6,
             tie_policy=TiePolicy.STABLE,
         )
         text = render_table(report)
@@ -214,7 +215,6 @@ class TestJson:
         profile = case_study_profiles["m1"]
         report = EvaluationReport(
             models=(ModelResult(profile=profile, marginal=marginal_analysis(profile, cm, 0)),),
-            quantile_count=10,
             tie_policy=TiePolicy.STABLE,
         )
         marginal = json.loads(render_json(report))["models"][0]["marginal"]
@@ -231,7 +231,7 @@ class TestJson:
         assert run["quantiles"] == 10
         assert run["tie_policy"] == "stable"
         assert run["cost_rule"] == "fractional"
-        assert run["inputs"][0]["sha256"] == "0" * 64
+        assert run["inputs"] == [{"name": "m1", "path": "m1.csv", "sha256": "0" * 64}]
 
     def test_round_trip_counts_exact(self, case_study_profiles):
         report = case_study_report(case_study_profiles)
