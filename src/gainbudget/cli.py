@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -35,6 +36,10 @@ from .report import (
     render_chart, render_json, render_table,
 )
 
+
+#: A control character (Unicode category Cc), such as a newline, in a model name
+#: or currency label would split a table row or the metadata line, or break the SVG.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 #: Largest decimal exponent a nonzero money flag may have, either sign.
 #: Exact arithmetic on 1e-999999999 would build a 10^999999999 denominator.
@@ -225,12 +230,11 @@ def _model_names(args: argparse.Namespace) -> list[str]:
     if repeated:
         args.usage_error(f"argument --name: repeated model name(s) "
                          f"{', '.join(map(repr, repeated))}; give each input a distinct --name")
-    # A control character (Unicode category Cc: U+0000-U+001F and U+007F-U+009F),
-    # such as a newline, would split a table row or break the SVG.
-    controlled = [n for n in names if any(ord(c) < 0x20 or 0x7F <= ord(c) <= 0x9F for c in n)]
-    if controlled:
-        args.usage_error(f"argument --name: control character in model name(s) "
-                         f"{', '.join(map(repr, controlled))}; give each a --name without one")
+    for problem, bad in (("blank", [n for n in names if not n.strip()]),
+                         ("control character in", list(filter(_CONTROL.search, names)))):
+        if bad:
+            args.usage_error(f"argument --name: {problem} model name(s) "
+                             f"{', '.join(map(repr, bad))}; give each a printable --name")
     for name, _ in getattr(args, "fscore", ()):
         if name not in names:
             args.usage_error(
@@ -286,6 +290,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         args.usage_error(f"argument --annotated-quantiles: must be below --quantiles "
                          f"({args.quantiles}), got {annotated}")
 
+    if _CONTROL.search(getattr(args, "currency", "")):
+        args.usage_error(f"argument --currency: control character in {args.currency!r}")
     names = _model_names(args)
     fscores = dict(getattr(args, "fscore", ()))
     schema = ColumnSchema(args.id_col, args.score_col, args.label_col,

@@ -12,12 +12,14 @@ containers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -86,6 +88,12 @@ class DatasetError(ValueError):
         super().__init__("\n".join(lines))
 
 
+def _label_of(schema: ColumnSchema) -> dict[str, int]:
+    """Case-folded label token -> label byte; a token in both sets counts as positive."""
+    return {**dict.fromkeys(map(str.lower, schema.negative_tokens), 0),
+            **dict.fromkeys(map(str.lower, schema.positive_tokens), 1)}
+
+
 def parse_dataset(
     source: Iterable[str],
     schema: ColumnSchema = ColumnSchema(),
@@ -98,8 +106,18 @@ def parse_dataset(
     a header that lacks a configured column or repeats one.  Blank lines
     are skipped.  Text the csv module cannot split (a field longer than
     csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
-    with the line the reader stopped on.
+    with the line the reader stopped on.  A seekable source is first checked
+    a column at a time; on any doubt it is read again by the strict loop,
+    the only one that writes error text.
     """
+    start = None
+    if getattr(source, "seekable", bool)():  # not a list or generator
+        with contextlib.suppress(OSError, ValueError, KeyError, csv.Error):
+            start = source.tell()  # OSError on a text file that next() has started
+            if dataset := _parse_columns(source, schema, name):
+                return dataset
+    if start is not None:
+        source.seek(start)
     reader = csv.reader(source, delimiter=schema.delimiter)
     try:
         return _parse_rows(reader, schema, name)
@@ -134,9 +152,7 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
     label_idx = columns[schema.label_col]
     width = max(id_idx, score_idx, label_idx) + 1
 
-    # A token in both sets counts as positive.
-    label_of = {tok.lower(): 0 for tok in schema.negative_tokens}
-    label_of.update({tok.lower(): 1 for tok in schema.positive_tokens})
+    label_of = _label_of(schema)
 
     ids: list[str] = []
     scores = array("d")
@@ -185,6 +201,41 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
     if not ids:
         raise DatasetError(f"{name}: dataset has zero instances")
     return LabeledDataset(name=name, ids=ids, scores=scores, labels=labels)
+
+
+#: Rows the column-at-a-time path holds as raw text between checks.  Larger chunks
+#: leave more heap behind: 2^12 rows gave a 10^6-row eval 3 to 9 MiB more peak RSS.
+CHUNK_ROWS = 1 << 10
+
+
+def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDataset | None:
+    """The dataset if the header is just the configured columns and no row is bad.
+    On a doubt it returns None or raises ValueError, KeyError or csv.Error."""
+    reader = csv.reader(source, delimiter=schema.delimiter)
+    names = [col.strip() for col in next(reader, ())]
+    order = [names.index(col) for col in (schema.id_col, schema.score_col, schema.label_col)]
+    if len(names) != 3 or len(set(order)) < 3:
+        return None
+    ids, scores, labels, seen, label_of = [], array("d"), bytearray(), set(), _label_of(schema)
+    while True:
+        columns: tuple[list[str], ...] = ([], [], [])
+        first, second, third = (column.append for column in columns)
+        for a, b, c in islice(filter(None, reader), CHUNK_ROWS):  # skip blank lines
+            first(a)
+            second(b)
+            third(c)
+        uids, texts, tokens = (columns[i] for i in order)
+        uids = list(map(str.strip, uids))
+        chunk = array("d", map(float, texts))
+        seen.update(uids)
+        if ("_" in "".join(texts) or not all(uids) or not all(map(math.isfinite, chunk))
+                or len(seen) != len(ids) + len(uids)):
+            return None
+        ids += uids
+        scores += chunk
+        labels += bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
+        if len(uids) < CHUNK_ROWS:
+            return LabeledDataset(name, ids, scores, labels) if ids else None
 
 
 def read_dataset_file(

@@ -312,6 +312,14 @@ BAD_FLAG_VALUES = [
     ("chart", "--name", "a\x01b"),
     ("eval", "--name", "a\nb"),
     ("stop", "--name", "a\x85b"),  # NEL, from the C1 range U+0080-U+009F
+    # The currency label is printed in the metadata line, so the same holds.
+    ("compare", "--currency", "E\nUR"),
+    ("budget", "--currency", "\x1b[31m$"),
+    ("stop", "--currency", "\x9f"),
+    # A blank name would print an empty Model cell.
+    ("compare", "--name", ""),
+    ("eval", "--name", "   "),
+    ("chart", "--name", "\u3000"),  # ideographic space, which str.strip removes
 ]
 
 

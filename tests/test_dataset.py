@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +12,13 @@ from gainbudget import (
     ColumnSchema,
     DatasetError,
     LabeledDataset,
+    dataset,
     parse_dataset,
     read_dataset_file,
 )
 
 from conftest import make_dataset, worked_path
+from test_fuzz import csv_bytes
 
 
 def parse_text(text: str, schema: ColumnSchema = ColumnSchema(), name: str = "t"):
@@ -253,3 +258,124 @@ def test_parsed_count_matches_data_rows(d):
     text = render_csv(d)
     rows = text.count("\n") - 1
     assert parse_dataset(io.StringIO(text), name="prop").size == rows
+
+
+def outcome(parse) -> tuple:
+    """The columns a parse gives, or the text and issues of its DatasetError."""
+    try:
+        d = parse()
+    except DatasetError as exc:
+        return str(exc), exc.issues
+    return d.ids, d.scores, d.labels
+
+
+def strict_loop_only():
+    """Make the strict row-by-row loop fail, so a test shows it was never run."""
+    return mock.patch.object(dataset, "_parse_rows", side_effect=AssertionError("strict loop"))
+
+
+@given(
+    st.one_of(csv_bytes(True), csv_bytes(False), st.binary(max_size=48)),
+    st.sampled_from([2, 3, dataset.CHUNK_ROWS]),
+)
+@settings(max_examples=1000, deadline=None)
+def test_column_path_matches_the_strict_loop(raw, chunk_rows):
+    """A file (read column at a time, chunks of 2 and 3 rows included) parses
+    as its text does in the strict loop, which a list source always takes."""
+    with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(raw)
+        got = outcome(lambda: read_dataset_file(path)[0])
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        text = None
+    if text is None or "\0" in text:  # rejected by read_dataset_file before csv sees it
+        assert "NUL byte" in got[0] or "not valid UTF-8" in got[0]
+        return
+    assert got == outcome(lambda: parse_dataset(list(io.StringIO(text, newline="")), name="m"))
+
+
+@given(csv_bytes(True))
+@settings(max_examples=200, deadline=None)
+def test_well_formed_files_never_reach_the_strict_loop(raw):
+    with tempfile.TemporaryDirectory() as tmp, strict_loop_only():
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(raw)
+        assert read_dataset_file(path)[0].size >= 2
+
+
+#: Rows that each raise a doubt, or sit next to one, after a good header and row.
+DOUBTS = [
+    ",1,1", " ,1,1", " , , ", "", "\t", "b,1", "b,1,1,x", "a,2,0", "b,nan,1", "b,-inf,0",
+    "b,1e400,1", "b,1_0,1", "b, 1 ,1", "b,0x1,1", "b,1,yes", "b,1, TRUE ", '"b\nc",1,0',
+    '"b,1,1', " b ,1,0", "b,1,1\n a,2,0",
+]
+
+
+class TestColumnPath:
+    """The column-at-a-time path, and the rewind to the strict loop on doubt."""
+
+    @pytest.mark.parametrize("header", [
+        "id,score,label", "label,id,score", "id,score", "id,score,label,x", "id,id,score,label",
+        " id , score,label",
+    ])
+    @pytest.mark.parametrize("row", DOUBTS)
+    def test_doubts_match_the_strict_loop(self, header, row):
+        text = f"{header}\na,1,1\n{row}\n"
+        strict = outcome(lambda: parse_dataset(list(io.StringIO(text, newline=""))))
+        assert outcome(lambda: parse_dataset(io.StringIO(text, newline=""))) == strict
+
+    def test_underscore_in_ids_stays_on_the_column_path(self, tmp_path):
+        # `_` is legal in an id; only a score holding one is a doubt.  Padding
+        # and case are folded, and blank lines skipped, on this path too.
+        path = tmp_path / "idioms.csv"
+        path.write_text("id,score,label\nkick_the_bucket,0.97, True\n\n read_the_paper ,0.40,0\n\n")
+        with strict_loop_only():
+            d, _ = read_dataset_file(path)
+        assert d.ids == ["kick_the_bucket", "read_the_paper"]
+        assert d.labels == bytearray([1, 0])
+
+    def test_bad_last_row_after_a_byte_order_mark(self, tmp_path):
+        # The rewind must skip the mark again, or the header would not match.
+        rows = "".join(f"r{i},0.5,{i % 2}\n" for i in range(5000))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeffid,score,label\n" + rows + "zz,abc,1\n").encode())
+        with pytest.raises(DatasetError) as exc:
+            read_dataset_file(path)
+        assert exc.value.issues == ((5002, "non-numeric score 'abc'"),)
+
+    def test_generator_source(self):
+        lines = (line for line in ["id,score,label\n", "a,1,1\n", "b,2,0\n"])
+        assert parse_dataset(lines).ids == ["a", "b"]
+
+    def test_duplicate_in_a_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", 2)
+        with pytest.raises(DatasetError) as exc:
+            parse_text("id,score,label\na,1,1\nb,2,0\nc,3,1\na,4,0\n")
+        assert exc.value.issues == ((5, "duplicate id 'a'"),)
+
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    def test_rows_around_a_chunk_edge(self, monkeypatch, rows):
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", 2)
+        text = "score,label,id\n" + "".join(f"{i},1,r{i}\n" for i in range(rows))
+        with strict_loop_only():
+            d = parse_text(text)
+        assert d.ids == [f"r{i}" for i in range(rows)]
+        assert list(d.scores) == list(range(rows))
+
+    def test_stream_read_from_where_it_stands(self):
+        # A rewind returns to where parsing began, not to the start of the stream.
+        stream = io.StringIO("# scores of run 7\nid,score,label\na,1,1\nb,x,0\n")
+        stream.readline()
+        with pytest.raises(DatasetError) as exc:
+            parse_dataset(stream)
+        assert exc.value.issues == ((3, "non-numeric score 'x'"),)
+
+    def test_text_file_that_next_has_started(self, tmp_path):
+        # tell() fails on such a file, so only the strict loop reads it.
+        path = tmp_path / "m.csv"
+        path.write_text("# scores of run 7\nid,score,label\na,1,1\n")
+        with open(path, newline="") as stream:
+            next(stream)
+            assert parse_dataset(stream).ids == ["a"]

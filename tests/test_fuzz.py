@@ -32,7 +32,7 @@ FLAG_VALUES = {
         ["zz=0.5", "m0", "m0=x", "=1"],
     ),
     "--cost-rule": (["fractional", "integer"], ["x"]),
-    "--currency": (["$", "EUR", "", "<&>", '"'], []),
+    "--currency": (["$", "EUR", "", "<&>", '"'], ["E\nUR"]),
     "--tie-policy": (["stable", "pessimistic", "optimistic"], ["random"]),
     "--width": (["160", "640"], ["159", "-5", "x"]),
     "--height": (["120", "480"], ["119", "0"]),
@@ -43,7 +43,7 @@ FLAG_VALUES = {
     "--id-col": (["id"], ["x"]),
     "--score-col": (["score"], ["label"]),
     "--label-col": (["label"], ["id"]),
-    "--name": (["m0", "m1", "m2", "zz", ""], []),
+    "--name": (["m0", "m1", "m2", "zz"], ["", " ", "a\tb"]),
 }
 SWITCHES = ("--full-recall", "--baseline", "--ideal")
 
