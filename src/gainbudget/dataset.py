@@ -247,7 +247,7 @@ def read_dataset_file(
 
     The digest feeds report metadata so runs are traceable to exact inputs.
     A leading UTF-8 byte-order mark is skipped; a NUL or undecodable byte
-    is reported with the line that holds it.
+    is reported, ahead of any other fault, with the line that holds it.
     """
     path = Path(path)
     if name is None:
@@ -268,9 +268,12 @@ def read_dataset_file(
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:
         try:
             dataset = parse_dataset(stream, schema, name=name)
-        except UnicodeDecodeError:
+        except (UnicodeDecodeError, DatasetError):
             # The stream's error counts bytes from the start of one chunk;
-            # decoding the whole file again gives the offset in the file.
+            # decoding the whole file again gives the offset in the file.  A
+            # bad header or row can be met first (the stream holds back a cut
+            # multibyte sequence until end of input), so any DatasetError is
+            # checked the same way: a bad byte is always the fault reported.
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -174,6 +174,21 @@ class TestReadFile:
             (rows_before + 2, f"undecodable byte 0xff at byte offset {offset}"),
         )
 
+    @pytest.mark.parametrize("raw", [
+        # A cut multibyte sequence is only decoded at end of input.
+        pytest.param(b"\n\xc2", id="cut-sequence"),
+        # A bad header is met before the chunk that holds the bad byte.
+        pytest.param(b"id,score\n" + b"a,1\n" * 5000 + b"\xff", id="past-bad-header"),
+    ])
+    def test_undecodable_byte_reported_before_other_faults(self, tmp_path, raw):
+        (tmp_path / "bad.csv").write_bytes(raw)
+        with pytest.raises(DatasetError, match="not valid UTF-8") as exc:
+            read_dataset_file(tmp_path / "bad.csv")
+        offset = len(raw) - 1
+        assert exc.value.issues == (
+            (raw.count(b"\n") + 1, f"undecodable byte 0x{raw[-1]:02x} at byte offset {offset}"),
+        )
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("where", ["id", "score", "header"])
     def test_nul_byte_reports_its_line(self, tmp_path, newline, where):
