@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,56 @@ class TestClassMetrics:
             for value in (pos, neg, weighted):
                 assert 0.0 <= value <= 1.0
         assert 0.0 <= m.accuracy <= 1.0
+
+
+def reference_class_metrics(tp, fp, tn, fn):
+    """The per-class formulas written out for each class, as a fixed reference."""
+    conventions = []
+
+    def ratio(num, den, field):
+        if den == 0:
+            conventions.append(field)
+            return 0.0
+        return num / den
+
+    def f1(p, r, field):
+        if p + r == 0:
+            conventions.append(field)
+            return 0.0
+        return 2 * p * r / (p + r)
+
+    pos_p = ratio(tp, tp + fp, "positive_precision")
+    pos_r = ratio(tp, tp + fn, "positive_recall")
+    pos_f = f1(pos_p, pos_r, "positive_f1")
+    neg_p = ratio(tn, tn + fn, "negative_precision")
+    neg_r = ratio(tn, tn + fp, "negative_recall")
+    neg_f = f1(neg_p, neg_r, "negative_f1")
+    size = tp + fp + tn + fn
+
+    def weighted(pos, neg):
+        return ((tp + fn) * pos + (tn + fp) * neg) / size
+
+    return {
+        "positive_precision": pos_p, "positive_recall": pos_r, "positive_f1": pos_f,
+        "negative_precision": neg_p, "negative_recall": neg_r, "negative_f1": neg_f,
+        "weighted_precision": weighted(pos_p, neg_p),
+        "weighted_recall": weighted(pos_r, neg_r),
+        "weighted_f1": weighted(pos_f, neg_f),
+        "accuracy": (tp + tn) / size,
+        "conventions": tuple(conventions),
+    }
+
+
+def test_class_metrics_match_the_reference_on_every_small_matrix():
+    """Every matrix with counts in 0..3 and at least one instance, field by field."""
+    matrices = [counts for counts in product(range(4), repeat=4) if any(counts)]
+    assert len(matrices) == 255
+    for tp, fp, tn, fn in matrices:
+        c = ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn, cutoff_k=tp + fp)
+        m = class_metrics(c)
+        assert m.confusion == c
+        got = {name: getattr(m, name) for name in reference_class_metrics(tp, fp, tn, fn)}
+        assert got == reference_class_metrics(tp, fp, tn, fn), (tp, fp, tn, fn)
 
 
 labels = st.lists(st.booleans(), min_size=1, max_size=40).filter(any)

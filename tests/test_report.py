@@ -4,13 +4,16 @@ import xml.etree.ElementTree as ET
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gainbudget import (
     FULL_RECALL,
+    ConfusionMatrix,
     CostModel,
     EvaluationReport,
     GainProfile,
     ModelResult,
+    TargetPlan,
     TiePolicy,
     class_metrics,
     confusion_at_cutoff,
@@ -328,3 +331,42 @@ class TestChart:
         svg = render_chart([renamed])
         assert "a<b&c" not in svg
         assert "a&lt;b&amp;c" in svg
+
+
+@st.composite
+def ranked_reports(draw):
+    """Reports whose models repeat names and tie on cost and F-score, some with no value."""
+    supplied = draw(st.booleans())
+    models = []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from("abc"))
+        cost = draw(st.none() | st.integers(0, 3))
+        fscore = draw(st.none() | st.sampled_from([0.0, 0.5, 0.75])) if supplied else None
+        counts = draw(st.none() | st.tuples(*[st.integers(0, 2)] * 4).filter(any))
+        models.append(ModelResult(
+            profile=GainProfile(name, (1,), 1, 1),
+            class_metrics=None if counts is None else class_metrics(
+                ConfusionMatrix(*counts, cutoff_k=counts[0] + counts[1])),
+            target_plan=None if cost is None else TargetPlan(1, True, 1, cost),
+            supplied_fscore=fscore,
+        ))
+    return EvaluationReport(models=tuple(models), tie_policy=TiePolicy.STABLE)
+
+
+@given(ranked_reports())
+@settings(max_examples=300)
+def test_rankings_sort_names_by_key_then_run_index(report):
+    def order(keys):
+        ranked = sorted((key, i) for i, key in enumerate(keys) if key is not None)
+        return tuple(report.models[i].name for _, i in ranked) if len(ranked) > 1 else None
+
+    models = report.models
+    by_cost = order([m.target_plan and m.target_plan.cost for m in models])
+    if any(m.supplied_fscore is not None for m in models):
+        source = "supplied"
+        keys = [None if m.supplied_fscore is None else -m.supplied_fscore for m in models]
+    else:
+        source = "weighted_f1"
+        keys = [m.class_metrics and -m.class_metrics.weighted_f1 for m in models]
+    by_fscore = order(keys)
+    assert report.rankings() == (by_cost, by_fscore, source if by_fscore else None)
