@@ -18,7 +18,7 @@ import hashlib
 import io
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -48,19 +48,14 @@ class LabeledDataset:
     """One model's output file as columns, in input-file order.
 
     Row i is (ids[i], scores[i], labels[i]); a label byte is 1 for a
-    positive and 0 for a negative.  `positive_total` is counted once, when
-    the dataset is built.  The class itself is permissive; `parse_dataset`
-    enforces unique ids and at least one row.
+    positive and 0 for a negative.  The class itself is permissive;
+    `parse_dataset` enforces unique ids and at least one row.
     """
 
     name: str
     ids: list[str]
     scores: array  # array('d')
     labels: bytearray
-    positive_total: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positive_total", self.labels.count(1))
 
     @property
     def size(self) -> int:

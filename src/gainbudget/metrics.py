@@ -61,18 +61,6 @@ class ConfusionMatrix:
     fn: int
     cutoff_k: int
 
-    @property
-    def size(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def positive_support(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def negative_support(self) -> int:
-        return self.tn + self.fp
-
 
 @dataclass(frozen=True)
 class ClassMetrics:
@@ -141,6 +129,21 @@ def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn, cutoff_k=k)
 
 
+def _class_scores(
+    role: str, hit: int, false_alarm: int, miss: int, conventions: list[str]
+) -> tuple[float, float, float]:
+    """One class's (precision, recall, F1) from its hits, false alarms and misses.
+
+    A zero denominator scores 0, and the field is appended to `conventions`.
+    """
+    precision = hit / (hit + false_alarm) if hit + false_alarm else 0.0
+    recall = hit / (hit + miss) if hit + miss else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    dens = (("precision", hit + false_alarm), ("recall", hit + miss), ("f1", precision + recall))
+    conventions += [f"{role}_{measure}" for measure, den in dens if not den]
+    return precision, recall, f1
+
+
 def class_metrics(c: ConfusionMatrix) -> ClassMetrics:
     """Per-class P/R/F1 (negative class by role swap) plus weighted means.
 
@@ -149,40 +152,11 @@ def class_metrics(c: ConfusionMatrix) -> ClassMetrics:
     such convention is recorded in `conventions`.
     """
     conventions: list[str] = []
-
-    def ratio(num: int, den: int, field: str) -> float:
-        if den == 0:
-            conventions.append(field)
-            return 0.0
-        return num / den
-
-    def f1(p: float, r: float, field: str) -> float:
-        if p + r == 0:
-            conventions.append(field)
-            return 0.0
-        return 2 * p * r / (p + r)
-
-    pos_p = ratio(c.tp, c.tp + c.fp, "positive_precision")
-    pos_r = ratio(c.tp, c.tp + c.fn, "positive_recall")
-    pos_f = f1(pos_p, pos_r, "positive_f1")
-    neg_p = ratio(c.tn, c.tn + c.fn, "negative_precision")
-    neg_r = ratio(c.tn, c.tn + c.fp, "negative_recall")
-    neg_f = f1(neg_p, neg_r, "negative_f1")
-
-    def weighted(pos: float, neg: float) -> float:
-        return (c.positive_support * pos + c.negative_support * neg) / c.size
-
-    return ClassMetrics(
-        confusion=c,
-        positive_precision=pos_p,
-        positive_recall=pos_r,
-        positive_f1=pos_f,
-        negative_precision=neg_p,
-        negative_recall=neg_r,
-        negative_f1=neg_f,
-        weighted_precision=weighted(pos_p, neg_p),
-        weighted_recall=weighted(pos_r, neg_r),
-        weighted_f1=weighted(pos_f, neg_f),
-        accuracy=(c.tp + c.tn) / c.size,
-        conventions=tuple(conventions),
-    )
+    positive = _class_scores("positive", c.tp, c.fp, c.fn, conventions)
+    negative = _class_scores("negative", c.tn, c.fn, c.fp, conventions)
+    positive_support, negative_support = c.tp + c.fn, c.tn + c.fp
+    size = positive_support + negative_support
+    weighted = [(positive_support * pos + negative_support * neg) / size
+                for pos, neg in zip(positive, negative)]
+    return ClassMetrics(c, *positive, *negative, *weighted, (c.tp + c.tn) / size,
+                        tuple(conventions))

@@ -108,29 +108,24 @@ class EvaluationReport:
         when fewer than two models have its value, and so is the source when
         the F-score order is.
         """
-        costed = [
-            (m.target_plan.cost, i, m.name)
-            for i, m in enumerate(self.models)
-            if m.target_plan is not None
-        ]
-        by_cost = tuple(name for *_, name in sorted(costed)) if len(costed) > 1 else None
+        costs = [None if m.target_plan is None else m.target_plan.cost for m in self.models]
         if any(m.supplied_fscore is not None for m in self.models):
-            source = "supplied"
-            scored = [
-                (-m.supplied_fscore, i, m.name)
-                for i, m in enumerate(self.models)
-                if m.supplied_fscore is not None
-            ]
+            source, fscores = "supplied", [m.supplied_fscore for m in self.models]
         else:
             source = "weighted_f1"
-            scored = [
-                (-m.class_metrics.weighted_f1, i, m.name)
-                for i, m in enumerate(self.models)
-                if m.class_metrics is not None
-            ]
-        if len(scored) < 2:
-            return by_cost, None, None
-        return by_cost, tuple(name for *_, name in sorted(scored)), source
+            fscores = [None if m.class_metrics is None else m.class_metrics.weighted_f1
+                       for m in self.models]
+        by_fscore = self._order(fscores, highest_first=True)
+        return self._order(costs, highest_first=False), by_fscore, source if by_fscore else None
+
+    def _order(self, keys: list[Any], highest_first: bool) -> tuple[str, ...] | None:
+        """Names of the models with a key, sorted on it with equal keys in run order
+        (a stable sort keeps them so, reversed too); None when under two have one."""
+        held = [i for i, key in enumerate(keys) if key is not None]
+        if len(held) < 2:
+            return None
+        held.sort(key=keys.__getitem__, reverse=highest_first)
+        return tuple(self.models[i].name for i in held)
 
 
 def _fmt_money(units: int) -> str:
@@ -138,20 +133,14 @@ def _fmt_money(units: int) -> str:
     return f"{units // 100}.{units % 100:02d}"
 
 
-def _fmt_ratio(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.2f}"
-
-
-def _plan_cell(plan: BudgetPlan | TargetPlan | MarginalReport, name: str) -> str:
-    """One plan field as table text: money, yes/no, a ratio, or an integer."""
-    f = next(f for f in fields(plan) if f.name == name)
-    value = getattr(plan, name)
-    if f.metadata.get("money"):
-        return _fmt_money(value)
+def _plan_cell(value: Any) -> str:
+    """One `_plan_doc` value as table text: money, yes/no, a ratio, "inf" or an integer."""
+    if isinstance(value, dict):
+        return _fmt_money(value["minor_units"])
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return _fmt_ratio(value)
+        return f"{value:.2f}"
     return str(value)
 
 
@@ -266,16 +255,10 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
         )
 
     for title, attr, columns in _PLAN_TABLES:
-        plans = [(m.name, getattr(m, attr)) for m in r.models if getattr(m, attr) is not None]
-        if plans:
-            section(
-                title,
-                ["Model"] + [header for header, _ in columns],
-                [
-                    [name] + [_plan_cell(plan, field_name) for _, field_name in columns]
-                    for name, plan in plans
-                ],
-            )
+        docs = [(m.name, _plan_doc(getattr(m, attr), None)) for m in r.models]
+        rows = [[name] + [_plan_cell(doc[key]) for _, key in columns] for name, doc in docs if doc]
+        if rows:
+            section(title, ["Model"] + [header for header, _ in columns], rows)
 
     by_cost, by_fscore, source = r.rankings()
     if by_cost or by_fscore:

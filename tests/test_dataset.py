@@ -39,7 +39,7 @@ class TestParse:
     def test_worked_fixture(self):
         dataset, digest = read_dataset_file(worked_path("s1m1"))
         assert dataset.size == 6
-        assert dataset.positive_total == 3
+        assert dataset.labels.count(1) == 3
         assert len(digest) == 64
 
     def test_row_order_preserved(self):
@@ -78,7 +78,7 @@ class TestParse:
             positive_tokens=frozenset({"yes"}), negative_tokens=frozenset({"no"})
         )
         d = parse_text("id,score,label\na,1,yes\nb,2,no\n", schema)
-        assert d.positive_total == 1
+        assert d.labels.count(1) == 1
         with pytest.raises(DatasetError, match="unrecognized label"):
             parse_text("id,score,label\na,1,1\n", schema)
 
@@ -218,12 +218,12 @@ class TestValidate:
 
     def test_worked_example_counts(self, worked_datasets):
         d = worked_datasets["s1m1"]
-        assert (d.size, d.positive_total) == (6, 3)
+        assert (d.size, d.labels.count(1)) == (6, 3)
         assert len(set(d.ids)) == d.size
 
     def test_case_study_counts(self, case_study_dir):
         dataset, _ = read_dataset_file(case_study_dir / "m1.csv")
-        assert (dataset.size, dataset.positive_total) == (2091, 414)
+        assert (dataset.size, dataset.labels.count(1)) == (2091, 414)
 
     def test_constructed_duplicate(self):
         # The class is permissive; writing it out and parsing it back is not.
@@ -235,7 +235,7 @@ class TestValidate:
 
     def test_never_throws_on_degenerate_data(self):
         d = make_dataset("empty", [], [], [])
-        assert (d.size, d.positive_total) == (0, 0)
+        assert (d.size, d.labels.count(1)) == (0, 0)
         with pytest.raises(DatasetError, match="zero instances"):
             parse_text(render_csv(d))
 

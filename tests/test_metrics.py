@@ -83,7 +83,7 @@ class TestConfusion:
         c = confusion_at_cutoff(ranked_fixture(worked_datasets, "s1m1"), 4)
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 2, 1, 1)
         assert c.tp + c.fp == c.cutoff_k == 4
-        assert c.size == 6
+        assert c.tp + c.fp + c.tn + c.fn == 6
 
     def test_worked_example_k2(self, worked_datasets):
         assert confusion_at_cutoff(ranked_fixture(worked_datasets, "s1m1"), 2).tp == 1
