@@ -92,13 +92,6 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _delimiter(text: str) -> str:
-    delimiter = "\t" if text in ("tab", "\\t") else text
-    if len(delimiter) != 1:
-        raise argparse.ArgumentTypeError(f"must be a single character, got {text!r}")
-    return delimiter
-
-
 def _fscore(entry: str) -> tuple[str, float]:
     """An argparse type: NAME=VALUE with a finite VALUE, as (name, value)."""
     # The last "=" splits, so a model named from a stem such as "a=b" can be scored.
@@ -133,7 +126,8 @@ def _add_io_flags(p: argparse.ArgumentParser, many: bool) -> None:
     p.add_argument("--negative-token", type=lambda token: frozenset({token}),
                    default=DEFAULT_NEGATIVE_TOKENS, metavar="TOKEN",
                    help="label token for the negative class (default: 0 or false)")
-    p.add_argument("--delimiter", type=_delimiter, default=",", metavar="CHAR",
+    p.add_argument("--delimiter", type=lambda text: "\t" if text in ("tab", "\\t") else text,
+                   default=",", metavar="CHAR",
                    help="field delimiter; use 'tab' or '\\t' for tabs (default: ,)")
 
 
@@ -294,11 +288,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         args.usage_error(f"argument --currency: control character in {args.currency!r}")
     names = _model_names(args)
     fscores = dict(getattr(args, "fscore", ()))
-    schema = ColumnSchema(args.id_col, args.score_col, args.label_col,
-                          args.positive_token, args.negative_token, args.delimiter)
-    cm = None
-    if unit_cost is not None:
-        cm = CostModel(unit_cost, args.currency, CostRule(args.cost_rule))
+    try:
+        schema = ColumnSchema(args.id_col, args.score_col, args.label_col,
+                              args.positive_token, args.negative_token, args.delimiter)
+    except ValueError as exc:  # "field: problem"; positive_tokens is --positive-token
+        field, _, problem = str(exc).partition(": ")
+        args.usage_error(f"argument --{field.rstrip('s').replace('_', '-')}: {problem}")
+    cm = None if unit_cost is None else CostModel(unit_cost, args.currency,
+                                                  CostRule(args.cost_rule))
 
     # One input at a time: its dataset and ranking are freed before the next read.
     results = []

@@ -31,8 +31,8 @@ DEFAULT_NEGATIVE_TOKENS = frozenset({"0", "false"})
 class ColumnSchema:
     """Maps file columns onto the (id, score, label) triple.
 
-    Label tokens are matched case-insensitively.  Any token outside the two
-    configured sets is a parse error, never a silent negative.
+    Label tokens match case-insensitively; any other token is a parse error,
+    never a silent negative.  An unmatchable schema raises ValueError("field: ...").
     """
 
     id_col: str = "id"
@@ -41,6 +41,26 @@ class ColumnSchema:
     positive_tokens: frozenset[str] = DEFAULT_POSITIVE_TOKENS
     negative_tokens: frozenset[str] = DEFAULT_NEGATIVE_TOKENS
     delimiter: str = ","
+
+    def __post_init__(self) -> None:
+        pos, neg = self.positive_tokens, self.negative_tokens
+        columns = {"id_col": self.id_col, "score_col": self.score_col, "label_col": self.label_col}
+        for field, texts in [*((f, [c]) for f, c in columns.items()),
+                             ("positive_tokens", pos), ("negative_tokens", neg)]:
+            if bad := sorted(t for t in texts if not t or t != t.strip()):
+                raise ValueError(f"{field}: empty or padded {', '.join(map(repr, bad))}")
+        # A name or token given twice is blamed on a field not left at its default.
+        for field, col in columns.items():
+            twins = [f.removesuffix("_col") for f, c in columns.items() if c == col and f != field]
+            if twins and col != getattr(ColumnSchema, field):
+                raise ValueError(f"{field}: {col!r} is also the {twins[0]} column")
+        field, tokens, other = (("positive_tokens", pos, neg) if neg == DEFAULT_NEGATIVE_TOKENS
+                                else ("negative_tokens", neg, pos))
+        lowered = {token.lower() for token in other}
+        if both := sorted(t for t in tokens if t.lower() in lowered):
+            raise ValueError(f"{field}: {', '.join(map(repr, both))} also in the other class")
+        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
+            raise ValueError(f"delimiter: {self.delimiter!r} is not one character, or ends a line")
 
 
 @dataclass(frozen=True)
@@ -84,7 +104,7 @@ class DatasetError(ValueError):
 
 
 def _label_of(schema: ColumnSchema) -> dict[str, int]:
-    """Case-folded label token -> label byte; a token in both sets counts as positive."""
+    """Case-folded label token -> label byte."""
     return {**dict.fromkeys(map(str.lower, schema.negative_tokens), 0),
             **dict.fromkeys(map(str.lower, schema.positive_tokens), 1)}
 

@@ -305,11 +305,7 @@ def render_json(r: EvaluationReport) -> str:
         if m.class_metrics is not None:
             cm = m.class_metrics
             classification = {
-                "cutoff_k": cm.confusion.cutoff_k,
-                "tp": cm.confusion.tp,
-                "fp": cm.confusion.fp,
-                "tn": cm.confusion.tn,
-                "fn": cm.confusion.fn,
+                **{k: getattr(cm.confusion, k) for k in ("cutoff_k", "tp", "fp", "tn", "fn")},
                 "accuracy": cm.accuracy,
                 **{
                     group: {name: getattr(cm, f"{group}_{name}") for name in _CLASS_MEASURES}

@@ -320,6 +320,17 @@ BAD_FLAG_VALUES = [
     ("compare", "--name", ""),
     ("eval", "--name", "   "),
     ("chart", "--name", "\u3000"),  # ideographic space, which str.strip removes
+    # A schema no input can match as meant: cells and header names are stripped,
+    # and label tokens are matched ignoring case.
+    ("eval", "--negative-token", ""),
+    ("eval", "--positive-token", " 1 "),
+    ("compare", "--negative-token", "TRUE"),  # a default positive token
+    ("budget", "--positive-token", "0"),  # a default negative token
+    ("eval", "--id-col", "score"),
+    ("stop", "--label-col", "id"),
+    ("chart", "--id-col", " id "),
+    ("eval", "--delimiter", "\r"),
+    ("compare", "--delimiter", "\n"),
 ]
 
 

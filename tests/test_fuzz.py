@@ -37,12 +37,12 @@ FLAG_VALUES = {
     "--width": (["160", "640"], ["159", "-5", "x"]),
     "--height": (["120", "480"], ["119", "0"]),
     "--format": (["text", "md", "json"], ["xml"]),
-    "--delimiter": ([",", "tab", "\\t"], [";;", ""]),
-    "--positive-token": (["1", "true"], ["yes", ""]),
-    "--negative-token": (["0", "false"], ["no", ""]),
-    "--id-col": (["id"], ["x"]),
-    "--score-col": (["score"], ["label"]),
-    "--label-col": (["label"], ["id"]),
+    "--delimiter": ([",", "tab", "\\t"], [";;", "", "\r", "\n"]),
+    "--positive-token": (["1", "true"], ["yes", "", " 1 ", "0"]),
+    "--negative-token": (["0", "false"], ["no", "", "0 ", "TRUE"]),
+    "--id-col": (["id"], ["x", " id", "score"]),
+    "--score-col": (["score"], ["label", "score\t"]),
+    "--label-col": (["label"], ["id", " label "]),
     "--name": (["m0", "m1", "m2", "zz"], ["", " ", "a\tb"]),
 }
 SWITCHES = ("--full-recall", "--baseline", "--ideal")
