@@ -19,7 +19,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -122,12 +122,12 @@ def parse_dataset(
     are skipped.  Text the csv module cannot split (a field longer than
     csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
     with the line the reader stopped on.  A seekable source is first checked
-    a column at a time; on any doubt it is read again by the strict loop,
-    the only one that writes error text.
+    a column at a time, which raises no csv.Error; on any doubt it is read
+    again by the strict loop, the only one that writes error text.
     """
     start = None
     if getattr(source, "seekable", bool)():  # not a list or generator
-        with contextlib.suppress(OSError, ValueError, KeyError, csv.Error):
+        with contextlib.suppress(OSError, ValueError, KeyError):
             start = source.tell()  # OSError on a text file that next() has started
             if dataset := _parse_columns(source, schema, name):
                 return dataset
@@ -218,38 +218,58 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
     return LabeledDataset(name=name, ids=ids, scores=scores, labels=labels)
 
 
-#: Rows the column-at-a-time path holds as raw text between checks.  Larger chunks
-#: leave more heap behind: 2^12 rows gave a 10^6-row eval 3 to 9 MiB more peak RSS.
-CHUNK_ROWS = 1 << 10
+#: Characters the column-at-a-time path reads at once.  2^12 to 2^16 ran alike on a
+#: 10^6-row eval, and the heap it held grew by about 0.1 MiB per doubling.
+BLOCK_CHARS = 1 << 15
 
 
 def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDataset | None:
-    """The dataset if the header is just the configured columns and no row is bad.
-    On a doubt it returns None or raises ValueError, KeyError or csv.Error."""
-    reader = csv.reader(source, delimiter=schema.delimiter)
-    names = [col.strip() for col in next(reader, ())]
-    order = [names.index(col) for col in (schema.id_col, schema.score_col, schema.label_col)]
-    if len(names) != 3 or len(set(order)) < 3:
-        return None
-    ids, scores, labels, seen, label_of = [], array("d"), bytearray(), set(), _label_of(schema)
+    """The dataset if the header is just the configured columns and no row is bad;
+    on a doubt None, or ValueError or KeyError.  Unquoted, csv ends a row at \\r,
+    \\n or \\r\\n and splits it at each delimiter, so str methods split whole blocks;
+    a \\r\\n cut by a block edge reads as a line end and a blank line, which is
+    skipped.  A stream without universal newlines (`newlines` is None) is doubted
+    on a \\r, or on a \\n inside the header line it reads: csv rejects both."""
+    delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
+    ids, scores, labels, seen = [], array("d"), bytearray(), set()
+    partial, order = source.readline(), None  # the header, whole
     while True:
-        columns: tuple[list[str], ...] = ([], [], [])
-        first, second, third = (column.append for column in columns)
-        for a, b, c in islice(filter(None, reader), CHUNK_ROWS):  # skip blank lines
-            first(a)
-            second(b)
-            third(c)
-        uids, texts, tokens = (columns[i] for i in order)
-        uids = list(map(str.strip, uids))
+        block = source.read(BLOCK_CHARS)
+        text = partial + block
+        if ('"' in text or "\0" in text or len(text) > limit or "\n" in partial[:-1]
+                or "\r" in text and getattr(source, "newlines", None) is None):
+            return None
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        partial = lines.pop() if block else ""
+        if order is None:
+            names = [col.strip() for col in lines.pop(0).split(delim)]
+            order = list(map(names.index, (schema.id_col, schema.score_col, schema.label_col)))
+            if len(names) != 3:
+                return None
+        lines = list(filter(None, lines))
+        for _ in range(2):
+            cells = delim.join(lines).split(delim) if lines else []
+            uids, texts, tokens = (cells[i::3] for i in order)
+            uids = list(map(str.strip, uids))
+            if set(map(str.count, lines, repeat(delim))) <= {2} and all(uids):
+                break
+            # As in the strict loop: all-blank lines are skipped, cells past the third ignored.
+            lines = [delim.join(line.split(delim, 3)[:3]) for line in lines
+                     if line.replace(delim, " ").strip()]
+        else:
+            return None
         chunk = array("d", map(float, texts))
         seen.update(uids)
-        if ("_" in "".join(texts) or not all(uids) or not all(map(math.isfinite, chunk))
+        if ("_" in "".join(texts) or not all(map(math.isfinite, chunk))
                 or len(seen) != len(ids) + len(uids)):
             return None
         ids += uids
         scores += chunk
-        labels += bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
-        if len(uids) < CHUNK_ROWS:
+        try:
+            labels += bytearray(map(label_of.__getitem__, tokens))
+        except KeyError:
+            labels += bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
+        if not block:
             return LabeledDataset(name, ids, scores, labels) if ids else None
 
 
@@ -278,8 +298,8 @@ def read_dataset_file(
     if nul >= 0:
         bad = f"NUL byte at byte offset {nul}"
         raise DatasetError(f"{name}: input holds a NUL byte", [(_line_at(raw, nul), bad)])
-    # Decoded chunk by chunk as csv pulls lines, so no second copy of the
-    # whole text is made; newline="" leaves line endings to csv.
+    # Decoded chunk by chunk as the parser reads, so no second copy of the
+    # whole text is made; newline="" leaves line endings to the parser.
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:
         try:
             dataset = parse_dataset(stream, schema, name=name)

@@ -16,11 +16,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
+from operator import itemgetter
 
 from .dataset import LabeledDataset
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_GATHER = 1 << 12  # rows per slice: all n at once held 16 MB more at 10^6 rows
 
 
 class TiePolicy(str, Enum):
@@ -82,7 +84,10 @@ def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> R
         pre = negatives + positives if policy is TiePolicy.PESSIMISTIC else positives + negatives
     # Python's sort is stable under reverse=True, so ties keep `pre` order.
     indices = sorted(pre, key=d.scores.__getitem__, reverse=True)
-    cum = array("q", accumulate(map(d.labels.__getitem__, indices), initial=0))
+    # Gathered in C a slice at a time; a leading index 0, dropped, keeps one row a tuple.
+    ranked = chain.from_iterable(itemgetter(0, *indices[i:i + _GATHER])(d.labels)[1:]
+                                 for i in range(0, n, _GATHER))
+    cum = array("q", accumulate(ranked, initial=0))
     return RankedList(dataset=d, indices=indices, cum=cum)
 
 

@@ -332,16 +332,29 @@ def strict_loop_only():
 
 @given(
     st.one_of(csv_bytes(True), csv_bytes(False), st.binary(max_size=48)),
-    st.sampled_from([2, 3, dataset.CHUNK_ROWS]),
+    st.sampled_from([1, 2, 3, 7, dataset.BLOCK_CHARS]),
 )
 # Files whose one fault, an empty or blank id after a good row, the strategies seldom draw.
 @example(b"id,score,label\na,1,1\n,2,0\n", 2)
 @example(b"id,score,label\na,1,1\n ,2,0\n", 2)
+# A \r\n cut between \r and \n by the block edge (after 15 and 21 characters).
+@example(b"id,score,label\r\na,1,1\r\nb,2,0\r\n", 3)
+# A header split across two blocks, lines that end at \r alone, and a quoted field.
+@example(b"id,score,label\na,1,1\nb,2,0\n", 7)
+@example(b"id,score,label\ra,1,1\rb,2,0\r", 7)
+@example(b'id,score,label\n"a",1,1\nb,2,0\n', dataset.BLOCK_CHARS)
+# str.splitlines() would also end a line at these; csv does not.
+@example("id,score,label\na\x85b,1,1\nc\u2028,2,0\n".encode(), 3)
+@example("id,score,label\na,1,1\u2028b,2,0\n".encode(), dataset.BLOCK_CHARS)
+# Cells past the header's are ignored, so these are one row, not two.
+@example(b"id,score,label\na,1,1,b,2,0\n", dataset.BLOCK_CHARS)
+# An id longer than csv.field_size_limit().
+@example(b"id,score,label\na,1,1\n" + b"x" * 140_000 + b",2,0\n", dataset.BLOCK_CHARS)
 @settings(max_examples=1000, deadline=None)
-def test_column_path_matches_the_strict_loop(raw, chunk_rows):
-    """A file (read column at a time, chunks of 2 and 3 rows included) parses
-    as its text does in the strict loop, which a list source always takes."""
-    with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows), tempfile.TemporaryDirectory() as tmp:
+def test_column_path_matches_the_strict_loop(raw, block_chars):
+    """A file (read in blocks of 1, 2, 3 and 7 characters too) parses as its
+    text does in the strict loop, which a list source always takes."""
+    with mock.patch.object(dataset, "BLOCK_CHARS", block_chars), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
         path.write_bytes(raw)
         got = outcome(lambda: read_dataset_file(path)[0])
@@ -409,19 +422,27 @@ class TestColumnPath:
         assert parse_dataset(lines).ids == ["a", "b"]
 
     def test_duplicate_in_a_later_chunk(self, monkeypatch):
-        monkeypatch.setattr(dataset, "CHUNK_ROWS", 2)
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 8)
         with pytest.raises(DatasetError) as exc:
             parse_text("id,score,label\na,1,1\nb,2,0\nc,3,1\na,4,0\n")
         assert exc.value.issues == ((5, "duplicate id 'a'"),)
 
     @pytest.mark.parametrize("rows", [2, 3, 4])
     def test_rows_around_a_chunk_edge(self, monkeypatch, rows):
-        monkeypatch.setattr(dataset, "CHUNK_ROWS", 2)
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 8)
         text = "score,label,id\n" + "".join(f"{i},1,r{i}\n" for i in range(rows))
         with strict_loop_only():
             d = parse_text(text)
         assert d.ids == [f"r{i}" for i in range(rows)]
         assert list(d.scores) == list(range(rows))
+
+    @pytest.mark.parametrize("odd", [" ", " , , ", "b,1,1,x"])
+    def test_odd_rows_the_strict_loop_accepts_stay_on_the_column_path(self, odd):
+        # The strict loop skips an all-blank row and ignores cells past the header's.
+        text = f"id,score,label\na,1,1\n{odd}\n"
+        strict = parse_dataset(list(io.StringIO(text, newline="")))
+        with strict_loop_only():
+            assert parse_dataset(io.StringIO(text, newline="")) == strict
 
     def test_stream_read_from_where_it_stands(self):
         # A rewind returns to where parsing began, not to the start of the stream.
@@ -430,6 +451,21 @@ class TestColumnPath:
         with pytest.raises(DatasetError) as exc:
             parse_dataset(stream)
         assert exc.value.issues == ((3, "non-numeric score 'x'"),)
+
+    @pytest.mark.parametrize("newline, raw", [
+        ("\n", b"id,score,label\na,1,1\rb,2,0\n"),
+        ("\r", b"id,score,label\na,1,1\nb,2,0\n"),
+        ("\r\n", b"id,score,label\na,1,1\nb,2,0\n"),
+    ])
+    def test_stream_without_universal_newlines(self, tmp_path, newline, raw):
+        # csv rejects a line end that such a stream leaves inside a line.
+        path = tmp_path / "m.csv"
+        path.write_bytes(raw)
+        with open(path, newline=newline) as stream:
+            strict = outcome(lambda: parse_dataset(list(stream)))
+            stream.seek(0)
+            assert outcome(lambda: parse_dataset(stream)) == strict
+        assert "new-line character seen in unquoted field" in strict[0]
 
     def test_text_file_that_next_has_started(self, tmp_path):
         # tell() fails on such a file, so only the strict loop reads it.

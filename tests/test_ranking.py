@@ -1,7 +1,9 @@
+from itertools import accumulate, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gainbudget import TiePolicy, partition_quantiles, rank_instances
+from gainbudget import TiePolicy, partition_quantiles, rank_instances, ranking
 
 from conftest import WORKED_ORDERS, make_dataset
 
@@ -15,6 +17,20 @@ def numbered_dataset(labels, scores):
 
 def quantile_sizes(part):
     return tuple(b - a for a, b in zip(part.boundaries, part.boundaries[1:]))
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+@pytest.mark.parametrize("labels, scores", [
+    *(([label], [0]) for label in (False, True)),
+    *((list(labels), [1, s]) for labels in product((False, True), repeat=2) for s in (0, 1, 2)),
+    # Two slices, the last of one row.
+    ([i % 3 == 0 for i in range(ranking._GATHER + 1)], [i % 7 for i in range(ranking._GATHER + 1)]),
+])
+def test_cum_is_the_running_sum_of_ranked_labels(policy, labels, scores):
+    # itemgetter gives a bare int, not a tuple, for a slice of one row.
+    d = numbered_dataset(labels, scores)
+    r = rank_instances(d, policy)
+    assert list(r.cum) == list(accumulate((d.labels[i] for i in r.indices), initial=0))
 
 
 class TestRankInstances:
