@@ -19,7 +19,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -122,12 +122,12 @@ def parse_dataset(
     are skipped.  Text the csv module cannot split (a field longer than
     csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
     with the line the reader stopped on.  A seekable source is first checked
-    a column at a time, which raises no csv.Error; on any doubt it is read
-    again by the strict loop, the only one that writes error text.
+    a column at a time; on any doubt it is read again by the strict loop,
+    the only one that writes error text.
     """
     start = None
     if getattr(source, "seekable", bool)():  # not a list or generator
-        with contextlib.suppress(OSError, ValueError, KeyError):
+        with contextlib.suppress(OSError, ValueError, KeyError, csv.Error):
             start = source.tell()  # OSError on a text file that next() has started
             if dataset := _parse_columns(source, schema, name):
                 return dataset
@@ -218,58 +218,66 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
     return LabeledDataset(name=name, ids=ids, scores=scores, labels=labels)
 
 
-#: Characters the column-at-a-time path reads at once.  2^12 to 2^16 ran alike on a
-#: 10^6-row eval, and the heap it held grew by about 0.1 MiB per doubling.
-BLOCK_CHARS = 1 << 15
+#: Characters (then up to a line end) and, once csv reads the rest, rows per column-path chunk.
+BLOCK_CHARS, CHUNK_ROWS = 1 << 15, 1 << 10
 
 
 def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDataset | None:
     """The dataset if the header is just the configured columns and no row is bad;
-    on a doubt None, or ValueError or KeyError.  Unquoted, csv ends a row at \\r,
-    \\n or \\r\\n and splits it at each delimiter, so str methods split whole blocks;
-    a \\r\\n cut by a block edge reads as a line end and a blank line, which is
-    skipped.  A stream without universal newlines (`newlines` is None) is doubted
-    on a \\r, or on a \\n inside the header line it reads: csv rejects both."""
+    on a doubt None, or ValueError, KeyError or csv.Error.  Unquoted, csv ends a row
+    at \\r, \\n or \\r\\n and splits it at each delimiter, so str methods split blocks
+    of whole lines.  From a block with a quote, a NUL, an overlong line, or a line end
+    that a stream without universal newlines may leave inside a line, csv reads on."""
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
-    ids, scores, labels, seen = [], array("d"), bytearray(), set()
-    partial, order = source.readline(), None  # the header, whole
+    ids, scores, labels, seen, order, reader = [], array("d"), bytearray(), set(), None, None
     while True:
-        block = source.read(BLOCK_CHARS)
-        text = partial + block
-        if ('"' in text or "\0" in text or len(text) > limit or "\n" in partial[:-1]
-                or "\r" in text and getattr(source, "newlines", None) is None):
-            return None
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        partial = lines.pop() if block else ""
+        if not reader:
+            pos = source.tell()
+            text = source.read(BLOCK_CHARS) + source.readline() if order else source.readline()
+            if ('"' in text or "\0" in text or len(text) > limit or not order and "\n" in text[:-1]
+                    or "\r" in text and getattr(source, "newlines", None) is None):
+                source.seek(pos)
+                reader = csv.reader(source, delimiter=delim)
+            rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         if order is None:
-            names = [col.strip() for col in lines.pop(0).split(delim)]
+            names = list(map(str.strip, next(reader, []) if reader else rows.pop(0).split(delim)))
             order = list(map(names.index, (schema.id_col, schema.score_col, schema.label_col)))
             if len(names) != 3:
                 return None
-        lines = list(filter(None, lines))
-        for _ in range(2):
-            cells = delim.join(lines).split(delim) if lines else []
-            uids, texts, tokens = (cells[i::3] for i in order)
-            uids = list(map(str.strip, uids))
-            if set(map(str.count, lines, repeat(delim))) <= {2} and all(uids):
-                break
-            # As in the strict loop: all-blank lines are skipped, cells past the third ignored.
-            lines = [delim.join(line.split(delim, 3)[:3]) for line in lines
-                     if line.replace(delim, " ").strip()]
+        if reader:  # Each csv row dies as it is unpacked, so the collector seldom runs.
+            columns: tuple[list[str], ...] = ([], [], [])
+            first, second, third = (column.append for column in columns)
+            for a, b, c in islice(filter(None, reader), CHUNK_ROWS):  # skip blank lines
+                first(a)
+                second(b)
+                third(c)
+            uids, texts, tokens = (columns[i] for i in order)
+            uids, last = list(map(str.strip, uids)), len(uids) < CHUNK_ROWS
         else:
-            return None
+            rows, last = list(filter(None, rows)), not text
+            for _ in range(2):
+                cells = delim.join(rows).split(delim) if rows else []
+                uids, texts, tokens = (cells[i::3] for i in order)
+                uids = list(map(str.strip, uids))
+                if set(map(str.count, rows, repeat(delim))) <= {2} and all(uids):
+                    break
+                # As in the strict loop: all-blank lines are skipped, cells past the third ignored.
+                rows = [delim.join(row.split(delim, 3)[:3]) for row in rows
+                        if row.replace(delim, " ").strip()]
+            else:
+                return None
         chunk = array("d", map(float, texts))
         seen.update(uids)
-        if ("_" in "".join(texts) or not all(map(math.isfinite, chunk))
+        if ("_" in "".join(texts) or not all(uids) or not all(map(math.isfinite, chunk))
                 or len(seen) != len(ids) + len(uids)):
             return None
         ids += uids
         scores += chunk
-        try:
+        try:  # Tokens as written first: stripping and lowering each cost 5% of a 10^6-row eval.
             labels += bytearray(map(label_of.__getitem__, tokens))
         except KeyError:
             labels += bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
-        if not block:
+        if last:
             return LabeledDataset(name, ids, scores, labels) if ids else None
 
 

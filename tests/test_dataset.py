@@ -337,12 +337,18 @@ def strict_loop_only():
 # Files whose one fault, an empty or blank id after a good row, the strategies seldom draw.
 @example(b"id,score,label\na,1,1\n,2,0\n", 2)
 @example(b"id,score,label\na,1,1\n ,2,0\n", 2)
-# A \r\n cut between \r and \n by the block edge (after 15 and 21 characters).
-@example(b"id,score,label\r\na,1,1\r\nb,2,0\r\n", 3)
-# A header split across two blocks, lines that end at \r alone, and a quoted field.
+# A block read that stops between \r and \n, then a readline() that returns "\n" alone.
+@example(b"id,score,label\r\na,1,1\r\nb,2,0\r\n", 6)
+# A block read that stops mid-line, lines that end at \r alone, and quoted fields,
+# which csv reads from the block that holds the first one: a later block (after a
+# byte-order mark, which the seek back must not read again), the header's, and one
+# cut by the block read.
 @example(b"id,score,label\na,1,1\nb,2,0\n", 7)
 @example(b"id,score,label\ra,1,1\rb,2,0\r", 7)
-@example(b'id,score,label\n"a",1,1\nb,2,0\n', dataset.BLOCK_CHARS)
+@example(b'id,score,label\na,1,1\n"b",1,1\nc,2,0\n', 1)
+@example(b'\xef\xbb\xbfid,score,label\n\xc3\xa9,1,1\n"b",1,1\nc,2,0\n', 3)
+@example(b'"id",score,label\n"a",1,1\nb,2,0\n', dataset.BLOCK_CHARS)
+@example(b'id,score,label\na,1,1\n"b\nc",1,0\nd,2,0\n', 2)
 # str.splitlines() would also end a line at these; csv does not.
 @example("id,score,label\na\x85b,1,1\nc\u2028,2,0\n".encode(), 3)
 @example("id,score,label\na,1,1\u2028b,2,0\n".encode(), dataset.BLOCK_CHARS)
@@ -451,6 +457,25 @@ class TestColumnPath:
         with pytest.raises(DatasetError) as exc:
             parse_dataset(stream)
         assert exc.value.issues == ((3, "non-numeric score 'x'"),)
+
+    @pytest.mark.parametrize("text", [
+        "id,score,label\n" + "".join(f'"r{i}",{i},1\n' for i in range(40)),
+        "id,score,label\n" + "".join(f"r{i},{i},1\n" for i in range(40)) + '"r40",1,0\n',
+        '"id","score","label"\n"a","1","1"\n\n"b\nc",2,0\r\nd,3,1',
+    ], ids=["every-id", "last-row-only", "header-and-line-end-in-a-field"])
+    def test_quoted_fields_stay_on_the_column_path(self, monkeypatch, text):
+        # csv reads on from the first block with a quote; earlier blocks are kept.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        strict = parse_dataset(list(io.StringIO(text, newline="")))
+        with strict_loop_only():
+            assert parse_dataset(io.StringIO(text, newline="")) == strict
+
+    def test_crlf_stream_without_universal_newlines_stays_on_the_column_path(self):
+        # io.StringIO's default leaves \r\n in its lines, which csv takes as line ends.
+        text = "id,score,label\r\na,1,1\r\nb,2,0\r\n"
+        strict = parse_dataset(list(io.StringIO(text)))
+        with strict_loop_only():
+            assert parse_dataset(io.StringIO(text)) == strict
 
     @pytest.mark.parametrize("newline, raw", [
         ("\n", b"id,score,label\na,1,1\rb,2,0\n"),
