@@ -75,6 +75,10 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     add("case-stop-subcent", "case",
         ["stop", *CASE, "--unit-cost", "0.0335", "--annotated-quantiles", "1"])
     cases["case-chart.svg"] = ("case", ["chart", *CASE, "--baseline", "--ideal"])
+    # Over 12 quantiles only every ceil(Q/10)-th x tick is labelled, and the
+    # last one always: 47 quantiles label 0, 5, ..., 45 and 47.
+    cases["case-chart-q47.svg"] = (
+        "case", ["chart", *CASE, "--quantiles", "47", "--baseline", "--ideal"])
 
     for policy in ("stable", "pessimistic", "optimistic"):
         add(f"tied-eval-{policy}", "data",
