@@ -16,7 +16,7 @@ import argparse
 import math
 import re
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from pathlib import Path
 
 from .budget import (
@@ -32,8 +32,8 @@ from .dataset import (DEFAULT_NEGATIVE_TOKENS, DEFAULT_POSITIVE_TOKENS, ColumnSc
 from .metrics import class_metrics, confusion_at_cutoff, gain_profile
 from .ranking import RankedList, TiePolicy, partition_quantiles, rank_instances
 from .report import (
-    MIN_CHART_HEIGHT, MIN_CHART_WIDTH, EvaluationReport, ModelResult,
-    render_chart, render_json, render_table,
+    MAX_CHART_HEIGHT, MAX_CHART_WIDTH, MIN_CHART_HEIGHT, MIN_CHART_WIDTH, EvaluationReport,
+    ModelResult, render_chart, render_json, render_table,
 )
 
 
@@ -67,8 +67,8 @@ def _money(positive: bool):
     return parse
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer no smaller than `minimum`, nor larger than any `maximum`."""
 
     def parse(text: str) -> int:
         try:
@@ -77,17 +77,19 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
 
 
-def _fraction(text: str) -> float:
+def _fraction(text: str) -> Decimal:
     try:
-        value = float(text)
-    except ValueError:
+        value = Decimal(text)
+    except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= value <= 1.0:
+    if not (value.is_finite() and 0 <= value <= 1):
         raise argparse.ArgumentTypeError(f"must be between 0 and 1, got {text!r}")
     return value
 
@@ -143,7 +145,7 @@ def _add_cutoff_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--cutoff-k", type=_int_at_least(0), default=None, metavar="K",
                        help="treat the top K ranked instances as positive predictions")
     group.add_argument("--cutoff-frac", type=_fraction, default=None, metavar="F",
-                       help="cutoff as a fraction of the dataset (k = round(F*N))")
+                       help="cutoff as a fraction of the dataset (k = F*N rounded half up)")
 
 
 def _add_cost_flags(p: argparse.ArgumentParser, with_plans: bool, required: bool) -> None:
@@ -201,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_chart, many=True)
     p_chart.add_argument("--svg-out", default=None, metavar="PATH",
                          help="write the SVG to PATH instead of standard output")
-    p_chart.add_argument("--width", type=_int_at_least(MIN_CHART_WIDTH), default=640,
-                         help="chart width in pixels")
-    p_chart.add_argument("--height", type=_int_at_least(MIN_CHART_HEIGHT), default=480,
-                         help="chart height in pixels")
+    p_chart.add_argument("--width", type=_int_at_least(MIN_CHART_WIDTH, MAX_CHART_WIDTH),
+                         default=640, help="chart width in pixels")
+    p_chart.add_argument("--height", type=_int_at_least(MIN_CHART_HEIGHT, MAX_CHART_HEIGHT),
+                         default=480, help="chart height in pixels")
     p_chart.add_argument("--baseline", action="store_true",
                          help="draw the diagonal random baseline")
     p_chart.add_argument("--ideal", action="store_true",
@@ -240,7 +242,11 @@ def _cutoff_for(args: argparse.Namespace, ranked: RankedList) -> int | None:
     if getattr(args, "cutoff_k", None) is not None:
         return args.cutoff_k
     if getattr(args, "cutoff_frac", None) is not None:
-        return math.floor(args.cutoff_frac * ranked.size + 0.5)
+        # F*N has at most as many digits as F and N together, so this precision keeps it
+        # exact; a tiny F such as 1e-999999999 costs no more than any other.
+        with localcontext() as ctx:
+            ctx.prec = len(args.cutoff_frac.as_tuple().digits) + len(str(ranked.size))
+            return int((args.cutoff_frac * ranked.size).to_integral_value(ROUND_HALF_UP))
     return None
 
 

@@ -306,24 +306,17 @@ def read_dataset_file(
     if nul >= 0:
         bad = f"NUL byte at byte offset {nul}"
         raise DatasetError(f"{name}: input holds a NUL byte", [(_line_at(raw, nul), bad)])
-    # Decoded chunk by chunk as the parser reads, so no second copy of the
-    # whole text is made; newline="" leaves line endings to the parser.
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:
+    if not raw.isascii():
         try:
-            dataset = parse_dataset(stream, schema, name=name)
-        except (UnicodeDecodeError, DatasetError):
-            # The stream's error counts bytes from the start of one chunk;
-            # decoding the whole file again gives the offset in the file.  A
-            # bad header or row can be met first (the stream holds back a cut
-            # multibyte sequence until end of input), so any DatasetError is
-            # checked the same way: a bad byte is always the fault reported.
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = _line_at(raw, exc.start)
-                bad = f"undecodable byte 0x{raw[exc.start]:02x} at byte offset {exc.start}"
-                raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
-            raise
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = _line_at(raw, exc.start)
+            bad = f"undecodable byte 0x{raw[exc.start]:02x} at byte offset {exc.start}"
+            raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
+    # Decoded chunk by chunk as the parser reads, so no second copy of the
+    # whole text is kept; newline="" leaves line endings to the parser.
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:
+        dataset = parse_dataset(stream, schema, name=name)
     return dataset, digest
 
 

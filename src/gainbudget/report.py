@@ -32,6 +32,8 @@ _SERIES_COLORS = (
 #: Smallest chart, in pixels, that leaves room for the axes and the legend.
 MIN_CHART_WIDTH = 160
 MIN_CHART_HEIGHT = 120
+#: Largest chart, in pixels: far past any screen, and inside float range for the coordinates.
+MAX_CHART_WIDTH = MAX_CHART_HEIGHT = 10**6
 
 #: The plan tables: (title, ModelResult field, ((column header, plan field), ...)).
 #: A plan's JSON keeps its field order; these columns need not follow it.
@@ -161,10 +163,7 @@ def _sig12(counts: Sequence[int], total: int) -> list[str]:
 
 
 def _text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
 
     def fmt(cells: Sequence[str]) -> str:
         parts = [cells[0].ljust(widths[0])]
@@ -365,110 +364,88 @@ def render_chart(
     quantile_count = _shared_quantile_count(series, "series")
     if width < MIN_CHART_WIDTH or height < MIN_CHART_HEIGHT:
         raise ValueError("chart dimensions too small")
+    if width > MAX_CHART_WIDTH or height > MAX_CHART_HEIGHT:
+        raise ValueError("chart dimensions too large")
     left, right, top, bottom = 62, 18, 18, 50
     x0, y0 = left, top
     x1, y1 = width - right, height - bottom
     pw, ph = x1 - x0, y1 - y0
 
-    def px(frac: float) -> float:
-        return x0 + frac * pw
-
     def py(frac: float) -> float:
         return y0 + (1.0 - frac) * ph
 
-    out: list[str] = []
-    out.append(
+    # Every quantile edge and every 25% step: the grid lines, ticks and curves share them.
+    xs = [x0 + q / quantile_count * pw for q in range(quantile_count + 1)]
+    ys = [py(i / 4) for i in range(5)]
+
+    def line(cls: str, xa: float, ya: float, xb: float, yb: float, stroke: str,
+             stroke_width: str = "1", dash_attr: str = "") -> str:
+        cls_attr = f' class="{cls}"' if cls else ""
+        return (f'<line{cls_attr} x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
+                f'stroke="{stroke}" stroke-width="{stroke_width}"{dash_attr}/>')
+
+    def text(cls: str, x: float, y: float, body: object, anchor: str = "") -> str:
+        anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+        return (f'<text class="{cls}" x="{x:.2f}" y="{y:.2f}"{anchor_attr} '
+                f'fill="#333333">{body}</text>')
+
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">'
-    )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
 
     # Gridlines: vertical at every quantile boundary, horizontal every 25%.
-    for q in range(quantile_count + 1):
-        x = px(q / quantile_count)
-        out.append(
-            f'<line class="xgrid" x1="{x:.2f}" y1="{y0:.2f}" x2="{x:.2f}" y2="{y1:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-    for i in range(5):
-        y = py(i / 4)
-        out.append(
-            f'<line class="ygrid" x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
+    out += [
+        f'<line class="xgrid" x1="{x:.2f}" y1="{y0:.2f}" x2="{x:.2f}" y2="{y1:.2f}" '
+        f'stroke="#dddddd" stroke-width="1"/>'
+        for x in xs
+    ]
+    out += [line("ygrid", x0, y, x1, y, "#dddddd") for y in ys]
 
     # Axes.
-    out.append(
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{x0:.2f}" y1="{y1:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
+    out.append(line("", x0, y0, x0, y1, "#333333"))
+    out.append(line("", x0, y1, x1, y1, "#333333"))
 
-    # Tick labels.
+    # Tick labels; past 12 quantiles, every step-th edge and the last one.
     step = 1 if quantile_count <= 12 else -(-quantile_count // 10)
-    for q in range(quantile_count + 1):
-        if q % step and q != quantile_count:
-            continue
-        x = px(q / quantile_count)
-        label = f"{100 * q / quantile_count:g}"
-        out.append(
-            f'<text class="xtick" x="{x:.2f}" y="{y1 + 16:.2f}" '
-            f'text-anchor="middle" fill="#333333">{label}</text>'
-        )
-    for i in range(5):
-        y = py(i / 4)
-        out.append(
-            f'<text class="ytick" x="{x0 - 6:.2f}" y="{y + 4:.2f}" '
-            f'text-anchor="end" fill="#333333">{25 * i}</text>'
-        )
-    out.append(
-        f'<text class="xlabel" x="{(x0 + x1) / 2:.2f}" y="{height - 12:.2f}" '
-        f'text-anchor="middle" fill="#333333">% of candidates annotated</text>'
-    )
+    out += [text("xtick", xs[q], y1 + 16, f"{100 * q / quantile_count:g}", "middle")
+            for q in (*range(0, quantile_count, step), quantile_count)]
+    out += [text("ytick", x0 - 6, y + 4, 25 * i, "end") for i, y in enumerate(ys)]
+    out.append(text("xlabel", (x0 + x1) / 2, height - 12, "% of candidates annotated", "middle"))
     out.append(
         f'<text class="ylabel" x="14" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 14 {(y0 + y1) / 2:.2f})" fill="#333333">'
         "% of positives found</text>"
     )
 
-    def cumulative_points(profile: GainProfile) -> list[tuple[float, float]]:
-        return [(0.0, 0.0)] + [
-            ((q + 1) / quantile_count, c / profile.positive_total)
-            for q, c in enumerate(profile.cumulative_positive_count)
-        ]
+    def points(profile: GainProfile) -> str:
+        fracs = (c / profile.positive_total for c in (0, *profile.cumulative_positive_count))
+        return " ".join(f"{x:.2f},{py(f):.2f}" for x, f in zip(xs, fracs))
 
-    # (name, color, stroke width, dasharray or "", points as fractions)
-    curves: list[tuple[str, str, str, str, list[tuple[float, float]]]] = []
+    # (name, color, stroke width, dasharray or "", polyline points)
+    curves: list[tuple[str, str, str, str, str]] = []
     if include_baseline:
-        curves.append(("random baseline", "#999999", "1.5", "6 4", [(0, 0), (1, 1)]))
+        curves.append(("random baseline", "#999999", "1.5", "6 4",
+                       f"{x0:.2f},{y1:.2f} {x1:.2f},{y0:.2f}"))
     if include_ideal:
         first = series[0]
         ideal = ideal_profile(first.size, first.positive_total, quantile_count)
-        curves.append(("ideal", "#333333", "1.5", "2 3", cumulative_points(ideal)))
+        curves.append(("ideal", "#333333", "1.5", "2 3", points(ideal)))
     for i, profile in enumerate(series):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
-        curves.append((profile.model_name, color, "2", "", cumulative_points(profile)))
+        curves.append((profile.model_name, color, "2", "", points(profile)))
 
     legend: list[str] = []  # drawn after every curve, so it stays on top
-    for i, (name, color, stroke_width, dash, points) in enumerate(curves):
+    for i, (name, color, stroke_width, dash, coords) in enumerate(curves):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = " ".join(f"{px(fx):.2f},{py(fy):.2f}" for fx, fy in points)
         out.append(
             f'<polyline class="series" data-name={quoteattr(name)} fill="none" '
             f'stroke="{color}" stroke-width="{stroke_width}"{dash_attr} points="{coords}"/>'
         )
         y = y0 + 14 + i * 16
-        legend.append(
-            f'<line x1="{x0 + 12:.2f}" y1="{y - 4:.2f}" x2="{x0 + 34:.2f}" '
-            f'y2="{y - 4:.2f}" stroke="{color}" stroke-width="2"{dash_attr}/>'
-        )
-        legend.append(
-            f'<text class="legend" x="{x0 + 40:.2f}" y="{y:.2f}" '
-            f'fill="#333333">{escape(name)}</text>'
-        )
+        legend.append(line("", x0 + 12, y - 4, x0 + 34, y - 4, color, "2", dash_attr))
+        legend.append(text("legend", x0 + 40, y, escape(name)))
     out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -64,6 +64,18 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["models"][0]["classification"]["cutoff_k"] == 4
 
+    # F*N is rounded half up exactly: as binary floats 0.145*100 is 14.499999999999998.
+    # A child process, so that exact arithmetic on 1e-999999999 would be cut off.
+    @pytest.mark.parametrize("frac,k", [
+        ("0.125", 13), ("0.145", 15), ("0.285", 29), ("0", 0), ("1", 100), ("1e-999999999", 0),
+    ])
+    def test_cutoff_frac_rounds_half_up_exactly(self, tmp_path, frac, k):
+        path = tmp_path / "hundred.csv"
+        path.write_text("id,score,label\n" + "".join(f"r{i},{i},{i % 2}\n" for i in range(100)))
+        code, out, err = invoke_child("eval", str(path), "--cutoff-frac", frac, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["models"][0]["classification"]["cutoff_k"] == k
+
     def test_name_override(self, capsys):
         code, out, _ = invoke(
             capsys, "eval", str(worked_path("s1m1")), "--quantiles", "6", "--name", "fixedness",
@@ -299,6 +311,9 @@ BAD_FLAG_VALUES = [
     ("stop", "--unit-cost", "-1"),
     ("chart", "--width", "159"),
     ("chart", "--height", "119"),
+    # Past float range, the chart's coordinates would overflow.
+    ("chart", "--width", "1" + "0" * 400),
+    ("chart", "--height", "1" + "0" * 400),
     # The models are named before any read: no-such-file and other.
     ("compare", "--fscore", "other"),
     ("compare", "--fscore", "zz=0.5"),

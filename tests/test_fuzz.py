@@ -34,8 +34,8 @@ FLAG_VALUES = {
     "--cost-rule": (["fractional", "integer"], ["x"]),
     "--currency": (["$", "EUR", "", "<&>", '"'], ["E\nUR"]),
     "--tie-policy": (["stable", "pessimistic", "optimistic"], ["random"]),
-    "--width": (["160", "640"], ["159", "-5", "x"]),
-    "--height": (["120", "480"], ["119", "0"]),
+    "--width": (["160", "640"], ["159", "-5", "x", "1" + "0" * 400]),
+    "--height": (["120", "480"], ["119", "0", "1" + "0" * 400]),
     "--format": (["text", "md", "json"], ["xml"]),
     "--delimiter": ([",", "tab", "\\t"], [";;", "", "\r", "\n"]),
     "--positive-token": (["1", "true"], ["yes", "", " 1 ", "0"]),

@@ -319,6 +319,11 @@ class TestChart:
         with pytest.raises(ValueError, match="too small"):
             render_chart([uniform_profile(10)], width=width, height=height)
 
+    @pytest.mark.parametrize("width,height", [(10**6 + 1, 480), (640, 10**400)])
+    def test_too_large_rejected(self, width, height):
+        with pytest.raises(ValueError, match="too large"):
+            render_chart([uniform_profile(10)], width=width, height=height)
+
     def test_deterministic(self, case_study_profiles):
         assert self.chart(case_study_profiles) == self.chart(case_study_profiles)
 
