@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from gainbudget import (
     GainProfile,
     LabeledDataset,
     RankedList,
+    TiePolicy,
     gain_profile,
     partition_quantiles,
     rank_instances,
@@ -37,6 +39,25 @@ def make_dataset(name: str, ids, scores, labels) -> LabeledDataset:
     return LabeledDataset(
         name=name, ids=list(ids), scores=array("d", scores), labels=bytearray(map(bool, labels))
     )
+
+
+def reference_order(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> list[int]:
+    """Row indices in ranked order, by the definition of each tie policy.
+
+    One stable descending sort by score over a pre-ordered index list: input
+    order for stable, negatives then positives for pessimistic, positives
+    then negatives for optimistic, each group in input order.
+    """
+    rows = list(range(d.size))
+    if policy is not TiePolicy.STABLE:
+        first = policy is TiePolicy.OPTIMISTIC
+        rows = [i for i in rows if d.labels[i] == first] + [i for i in rows if d.labels[i] != first]
+    return sorted(rows, key=d.scores.__getitem__, reverse=True)
+
+
+def reference_cum(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> list[int]:
+    """Entry k is the number of positives in the top k of the reference order."""
+    return list(accumulate((d.labels[i] for i in reference_order(d, policy)), initial=0))
 
 
 def accuracy_at_cutoff(r: RankedList, k: int) -> float:

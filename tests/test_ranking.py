@@ -1,11 +1,12 @@
+import random
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gainbudget import TiePolicy, partition_quantiles, rank_instances, ranking
+from gainbudget import TiePolicy, confusion_at_cutoff, partition_quantiles, rank_instances, ranking
 
-from conftest import WORKED_ORDERS, make_dataset
+from conftest import WORKED_ORDERS, make_dataset, reference_cum
 
 
 def numbered_dataset(labels, scores):
@@ -31,6 +32,54 @@ def test_cum_is_the_running_sum_of_ranked_labels(policy, labels, scores):
     d = numbered_dataset(labels, scores)
     r = rank_instances(d, policy)
     assert list(r.cum) == list(accumulate((d.labels[i] for i in r.indices), initial=0))
+
+
+#: Few distinct scores, so rows tie within and across labels and across
+#: quantile edges; 0.0 and -0.0 tie, and +-1e300 sit far from the rest.
+tied_datasets = st.lists(
+    st.tuples(st.booleans(), st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300])),
+    min_size=1,
+    max_size=40,
+).map(lambda rows: numbered_dataset(*zip(*rows)))
+
+
+@given(tied_datasets, st.sampled_from(list(TiePolicy)), st.integers(min_value=1, max_value=40))
+@example(numbered_dataset([True] * 3, [0.0, -0.0, 0.0]), TiePolicy.STABLE, 2)
+@example(numbered_dataset([False] * 3, [-0.0, 1.0, 0.0]), TiePolicy.OPTIMISTIC, 3)
+@example(numbered_dataset([True, False, True, False], [-0.0, 0.0, 0.0, -0.0]), TiePolicy.STABLE, 3)
+@settings(max_examples=500)
+def test_ranking_law(d, policy, q):
+    """The positives in the top k, for every k, and the counts of a partition
+    are those of the reference order."""
+    r = rank_instances(d, policy)
+    cum = reference_cum(d, policy)
+    assert [confusion_at_cutoff(r, k).tp for k in range(d.size + 1)] == cum
+    q = min(q, d.size)
+    cuts = [i * d.size // q for i in range(q + 1)]
+    expected = tuple(cum[b] - cum[a] for a, b in zip(cuts, cuts[1:]))
+    assert partition_quantiles(r, q).per_quantile_positive == expected
+
+
+def tie_blocks_dataset(rows=20_000, seed=11):
+    """Mixed-label tie blocks of 1,000 to 5,000 rows (the last may be shorter),
+    their rows scattered in input order; the first block mixes 0.0 and -0.0."""
+    rng = random.Random(seed)
+    scores, labels = [], []
+    while len(scores) < rows:
+        size = min(rng.randint(1000, 5000), rows - len(scores))
+        score, rate = (rng.uniform(-1, 1) if scores else 0.0), rng.random()
+        scores += [score if scores or i % 2 else -score for i in range(size)]
+        labels += [rng.random() < rate for _ in range(size)]
+    order = list(range(rows))
+    rng.shuffle(order)
+    return numbered_dataset([labels[i] for i in order], [scores[i] for i in order])
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_ranking_law_on_large_tie_blocks(policy):
+    d = tie_blocks_dataset()
+    r = rank_instances(d, policy)
+    assert [confusion_at_cutoff(r, k).tp for k in range(d.size + 1)] == reference_cum(d, policy)
 
 
 class TestRankInstances:
