@@ -74,7 +74,12 @@ def _int_at_least(minimum: int, maximum: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            # int() refuses more digits than sys.get_int_max_str_digits(): out of any bound here.
+            if not (match := re.fullmatch(r"\s*([+-]?)\d(?:_?\d)*\s*", text)):
+                raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            bound = (f"must be at least {minimum}" if match[1] == "-" else
+                     f"must be at most {maximum}" if maximum is not None else "too large")
+            raise argparse.ArgumentTypeError(f"{bound}, got {sum(map(str.isdigit, text))} digits")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:

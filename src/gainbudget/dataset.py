@@ -5,9 +5,9 @@ header row.  Each data row carries an opaque identifier, a finite confidence
 score, and a binary gold label.  Parsing is strict: every malformed row is
 reported with its 1-based line number, and nothing is silently coerced.
 
-A parsed dataset is held as three parallel columns (ids, scores, labels):
-however many rows a file has, the garbage collector tracks three
-containers.
+A parsed dataset is held as two parallel columns (scores, labels): however
+many rows a file has, the garbage collector tracks two containers.  The ids
+are read only to check that they are unique, and are not kept.
 """
 
 from __future__ import annotations
@@ -67,19 +67,18 @@ class ColumnSchema:
 class LabeledDataset:
     """One model's output file as columns, in input-file order.
 
-    Row i is (ids[i], scores[i], labels[i]); a label byte is 1 for a
-    positive and 0 for a negative.  The class itself is permissive;
-    `parse_dataset` enforces unique ids and at least one row.
+    Row i is (scores[i], labels[i]); a label byte is 1 for a positive and 0
+    for a negative.  The class itself is permissive; `parse_dataset`
+    enforces unique ids and at least one row.
     """
 
     name: str
-    ids: list[str]
     scores: array  # array('d')
     labels: bytearray
 
     @property
     def size(self) -> int:
-        return len(self.ids)
+        return len(self.scores)
 
 
 #: Issues spelled out in a DatasetError message; the rest are only counted.
@@ -169,7 +168,6 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
 
     label_of = _label_of(schema)
 
-    ids: list[str] = []
     scores = array("d")
     labels = bytearray()
     seen: set[str] = set()
@@ -207,15 +205,14 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
             continue
 
         seen.add(uid)
-        ids.append(uid)
         scores.append(score)
         labels.append(label)
 
     if issues:
         raise DatasetError(f"{name}: {len(issues)} invalid row(s)", issues)
-    if not ids:
+    if not scores:
         raise DatasetError(f"{name}: dataset has zero instances")
-    return LabeledDataset(name=name, ids=ids, scores=scores, labels=labels)
+    return LabeledDataset(name=name, scores=scores, labels=labels)
 
 
 #: Characters (then up to a line end) and, once csv reads the rest, rows per column-path chunk.
@@ -229,7 +226,7 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDatas
     of whole lines.  From a block with a quote, a NUL, an overlong line, or a line end
     that a stream without universal newlines may leave inside a line, csv reads on."""
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
-    ids, scores, labels, seen, order, reader = [], array("d"), bytearray(), set(), None, None
+    scores, labels, seen, order, reader = array("d"), bytearray(), set(), None, None
     while True:
         if not reader:
             pos = source.tell()
@@ -269,16 +266,15 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDatas
         chunk = array("d", map(float, texts))
         seen.update(uids)
         if ("_" in "".join(texts) or not all(uids) or not all(map(math.isfinite, chunk))
-                or len(seen) != len(ids) + len(uids)):
+                or len(seen) != len(scores) + len(uids)):
             return None
-        ids += uids
         scores += chunk
         try:  # Tokens as written first: stripping and lowering each cost 5% of a 10^6-row eval.
             labels += bytearray(map(label_of.__getitem__, tokens))
         except KeyError:
             labels += bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
         if last:
-            return LabeledDataset(name, ids, scores, labels) if ids else None
+            return LabeledDataset(name, scores, labels) if scores else None
 
 
 def read_dataset_file(
@@ -306,13 +302,19 @@ def read_dataset_file(
     if nul >= 0:
         bad = f"NUL byte at byte offset {nul}"
         raise DatasetError(f"{name}: input holds a NUL byte", [(_line_at(raw, nul), bad)])
-    if not raw.isascii():
+    # In slices of about 1 MiB, so no string of the whole text is built; each
+    # ends at a \n, which no multibyte UTF-8 sequence holds.
+    start = len(raw) if raw.isascii() else 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + (1 << 20)) + 1 or len(raw)
         try:
-            raw.decode("utf-8")
+            str(memoryview(raw)[start:end], "utf-8")
         except UnicodeDecodeError as exc:
-            line = _line_at(raw, exc.start)
-            bad = f"undecodable byte 0x{raw[exc.start]:02x} at byte offset {exc.start}"
+            offset = start + exc.start
+            bad = f"undecodable byte 0x{raw[offset]:02x} at byte offset {offset}"
+            line = _line_at(raw, offset)
             raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
+        start = end
     # Decoded chunk by chunk as the parser reads, so no second copy of the
     # whole text is kept; newline="" leaves line endings to the parser.
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:

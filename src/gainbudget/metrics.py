@@ -3,8 +3,8 @@
 Gain for a quantile is the number of positive instances it holds divided by
 the total number of positives in the test set.  A profile stores only the
 integer counts; each gain is divided out where it is printed, so sum-to-one
-checks are exact.  Counts at a cutoff are read from the ranking's prefix
-sums, not recounted.
+checks are exact.  Counts at a cutoff are read from the ranking's positive
+ranks, not recounted.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
     n = r.size
     if not 0 <= k <= n:
         raise ValueError(f"cutoff must be in 0..{n}, got {k}")
-    tp = r.cum[k]
+    tp = r.positives_above(k)
     fp = k - tp
     fn = r.positive_total - tp
     tn = n - k - fn

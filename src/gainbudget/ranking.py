@@ -1,28 +1,26 @@
 """Ordering instances by score and splitting the order into quantiles.
 
-A ranking is a list of row indices into its dataset's columns, plus one
-prefix-sum array: `cum[k]` is the number of positives among the top k rows.
-Every count over a contiguous stretch of the ranking (a quantile, a cutoff)
-is then a difference of two entries of `cum`.
+A ranking is the ascending list of its positives' ranks, rank 0 being the
+top.  The positives in the top k are `bisect_left(positive_ranks, k)`, so a
+count over any stretch of ranks (a quantile, a cutoff) takes two bisections.
 
-Ties are ordered by one stable descending sort over a pre-ordered index
-list: input order for `stable`, negatives before positives for
+Ties are ordered as one stable descending sort over a pre-ordered row list
+would order them: input order for `stable`, negatives before positives for
 `pessimistic`, positives before negatives for `optimistic`, each group in
 input order.  Equal scores (including 0.0 and -0.0) keep that pre-order.
 """
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, compress
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import ne, sub
 
 from .dataset import LabeledDataset
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-_GATHER = 1 << 12  # rows per slice: all n at once held 16 MB more at 10^6 rows
 
 
 class TiePolicy(str, Enum):
@@ -39,23 +37,22 @@ class TiePolicy(str, Enum):
 
 @dataclass(frozen=True)
 class RankedList:
-    """A dataset's rows in descending-score order under an explicit tie policy.
-
-    `indices[r]` is the dataset row at rank r; `cum[k]` is the number of
-    positives in ranks 0..k-1, so `cum[0] == 0` and `cum[-1]` is the total.
-    """
+    """A dataset ranked by descending score under an explicit tie policy, held as
+    the ascending ranks of its positives; rank 0 holds the highest score."""
 
     dataset: LabeledDataset
-    indices: list[int]
-    cum: array  # array('q'), length size + 1
+    positive_ranks: list[int]
 
     @property
     def positive_total(self) -> int:
-        return self.cum[-1]
+        return len(self.positive_ranks)
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self.dataset.size
+
+    def positives_above(self, k: int) -> int:
+        return bisect_left(self.positive_ranks, k)
 
 
 @dataclass(frozen=True)
@@ -73,22 +70,26 @@ class QuantilePartition:
 
 def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> RankedList:
     """Sort descending by score; ties resolved per policy, then input order."""
-    n = d.size
-    if not n:
+    if not d.size:
         raise ValueError("cannot rank an empty dataset")
-    if policy is TiePolicy.STABLE:
-        pre = range(n)
-    else:
-        positives = list(compress(range(n), d.labels))
-        negatives = list(compress(range(n), d.labels.translate(_FLIP)))
-        pre = negatives + positives if policy is TiePolicy.PESSIMISTIC else positives + negatives
-    # Python's sort is stable under reverse=True, so ties keep `pre` order.
-    indices = sorted(pre, key=d.scores.__getitem__, reverse=True)
-    # Gathered in C a slice at a time; a leading index 0, dropped, keeps one row a tuple.
-    ranked = chain.from_iterable(itemgetter(0, *indices[i:i + _GATHER])(d.labels)[1:]
-                                 for i in range(0, n, _GATHER))
-    cum = array("q", accumulate(ranked, initial=0))
-    return RankedList(dataset=d, indices=indices, cum=cum)
+    pos = sorted(compress(d.scores, d.labels))
+    neg = sorted(compress(d.scores, d.labels.translate(_FLIP)))
+    # The j-th highest positive has rank j plus the negatives ranked above it:
+    # under optimistic those of a higher score, else those of an equal score too.
+    side = bisect_right if policy is TiePolicy.OPTIMISTIC else bisect_left
+    lower = list(map(side, repeat(neg), reversed(pos)))  # negatives ranked below each
+    ranks = list(map(sub, count(len(neg)), lower))
+    # Input order decides only where a positive and a negative share a score, which is
+    # where the two bisections differ; only the rows of such a score are read again.
+    if policy is TiePolicy.STABLE and (blocks := {score: bytearray() for score in compress(
+            reversed(pos), map(ne, lower, map(bisect_right, repeat(neg), reversed(pos))))}):
+        for score, label in compress(zip(d.scores, d.labels), map(blocks.__contains__, d.scores)):
+            blocks[score].append(label)
+        for score, labels in blocks.items():
+            top = len(pos) - bisect_right(pos, score)  # positives of a higher score
+            start = top + len(neg) - bisect_right(neg, score)
+            ranks[top:top + labels.count(1)] = compress(count(start), labels)
+    return RankedList(dataset=d, positive_ranks=ranks)
 
 
 def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition:
@@ -99,9 +100,9 @@ def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition
             f"quantile count must be between 1 and {n}, got {quantile_count}"
         )
     boundaries = tuple(q * n // quantile_count for q in range(quantile_count + 1))
-    cum = r.cum
+    above = list(map(r.positives_above, boundaries))
     return QuantilePartition(
         ranked=r,
         boundaries=boundaries,
-        per_quantile_positive=tuple(cum[b] - cum[a] for a, b in zip(boundaries, boundaries[1:])),
+        per_quantile_positive=tuple(map(sub, above[1:], above)),
     )

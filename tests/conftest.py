@@ -21,7 +21,8 @@ from casestudy import DECILE_POSITIVES, case_study_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 
-#: Ranked id orders of the hand-built worked example; positives are 1, 2, 3.
+#: Ranked id orders of the hand-built worked example; positives are 1, 2, 3,
+#: and each file lists ids 1 to 6 in that order.
 WORKED_ORDERS = {
     "s1m1": ["1", "5", "4", "2", "6", "3"],
     "s1m2": ["1", "2", "6", "5", "3", "4"],
@@ -30,15 +31,18 @@ WORKED_ORDERS = {
 }
 
 
+def worked_positive_ranks(key: str) -> list[int]:
+    """The ranks of the positives (ids 1, 2 and 3) in a worked order."""
+    return [rank for rank, uid in enumerate(WORKED_ORDERS[key]) if uid in {"1", "2", "3"}]
+
+
 def worked_path(key: str) -> Path:
     return DATA_DIR / f"worked_{key}.csv"
 
 
-def make_dataset(name: str, ids, scores, labels) -> LabeledDataset:
-    """A dataset built straight from its three columns, in the given order."""
-    return LabeledDataset(
-        name=name, ids=list(ids), scores=array("d", scores), labels=bytearray(map(bool, labels))
-    )
+def make_dataset(name: str, scores, labels) -> LabeledDataset:
+    """A dataset built straight from its two columns, in the given order."""
+    return LabeledDataset(name=name, scores=array("d", scores), labels=bytearray(map(bool, labels)))
 
 
 def reference_order(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> list[int]:
@@ -60,19 +64,19 @@ def reference_cum(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> li
     return list(accumulate((d.labels[i] for i in reference_order(d, policy)), initial=0))
 
 
-def accuracy_at_cutoff(r: RankedList, k: int) -> float:
-    """Fraction of correct predictions at cutoff k.
+def accuracy_at_cutoff(r: RankedList, k: int, policy: TiePolicy = TiePolicy.STABLE) -> float:
+    """Fraction of correct predictions at cutoff k, for a ranking under `policy`.
 
-    Computed by a direct scan of the ranked labels, independently of the
-    prefix sums that confusion_at_cutoff reads, so the two stay mutually
-    checkable.
+    Computed by a direct scan of the labels in the reference order,
+    independently of the positive ranks that confusion_at_cutoff reads, so
+    the two stay mutually checkable.
     """
     n = r.size
     if not 0 <= k <= n:
         raise ValueError(f"cutoff must be in 0..{n}, got {k}")
     labels = r.dataset.labels
     correct = sum(
-        1 for rank, i in enumerate(r.indices) if labels[i] == (rank < k)
+        1 for rank, i in enumerate(reference_order(r.dataset, policy)) if labels[i] == (rank < k)
     )
     return correct / n
 

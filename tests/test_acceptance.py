@@ -31,7 +31,8 @@ from gainbudget import (
 from gainbudget.cli import run
 
 from casestudy import case_study_csv
-from conftest import WORKED_ORDERS, accuracy_at_cutoff, make_dataset, worked_path
+from conftest import (WORKED_ORDERS, accuracy_at_cutoff, make_dataset, reference_order,
+                      worked_path, worked_positive_ranks)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -47,7 +48,8 @@ def test_c1_worked_example_accuracies():
     for key, order in WORKED_ORDERS.items():
         dataset, _ = read_dataset_file(worked_path(key))
         ranked = rank_instances(dataset)
-        assert [dataset.ids[i] for i in ranked.indices] == order
+        assert [str(i + 1) for i in reference_order(dataset)] == order
+        assert ranked.positive_ranks == worked_positive_ranks(key)
         assert accuracy_at_cutoff(ranked, 4) == float(expected[key])
     sixth = accuracy_at_cutoff(rank_instances(read_dataset_file(worked_path("s2m1"))[0]), 4)
     assert f"{sixth:.2f}" == "0.17"
@@ -117,7 +119,7 @@ def _random_dataset(rng: random.Random, max_size: int) -> LabeledDataset:
         labels.append(rng.random() < 0.4)
     if not any(labels):
         labels[rng.randrange(n)] = True
-    return make_dataset("r", [str(i) for i in range(n)], scores, labels)
+    return make_dataset("r", scores, labels)
 
 
 def test_c6_property_suite():
@@ -142,9 +144,9 @@ def test_c6_property_suite():
             for i, c in zip(ideal.cumulative_positive_count, profile.cumulative_positive_count)
         )
 
-        doubled = make_dataset(d.name, d.ids, [s * 2 for s in d.scores], d.labels)
+        doubled = make_dataset(d.name, [s * 2 for s in d.scores], d.labels)
         ranked2 = rank_instances(doubled)
-        assert [doubled.ids[i] for i in ranked2.indices] == [d.ids[i] for i in ranked.indices]
+        assert ranked2.positive_ranks == ranked.positive_ranks
         assert (
             gain_profile(partition_quantiles(ranked2, q)).per_quantile_positive
             == profile.per_quantile_positive
@@ -152,11 +154,7 @@ def test_c6_property_suite():
 
         prefix = {}
         for policy in (TiePolicy.PESSIMISTIC, TiePolicy.STABLE, TiePolicy.OPTIMISTIC):
-            total, sums = 0, []
-            for i in rank_instances(d, policy).indices:
-                total += d.labels[i]
-                sums.append(total)
-            prefix[policy] = sums
+            prefix[policy] = list(map(rank_instances(d, policy).positives_above, range(1, n + 1)))
         assert all(
             p <= s <= o
             for p, s, o in zip(
@@ -186,7 +184,7 @@ def test_c7_brute_force_oracle():
         for q in range(1, n + 1):
             # independent recount: rank i lives in quantile ceil((i+1)q/n) - 1
             expected = [0] * q
-            for i, row in enumerate(ranked.indices):
+            for i, row in enumerate(reference_order(d)):
                 expected[-(-(i + 1) * q // n) - 1] += d.labels[row]
             part = partition_quantiles(ranked, q)
             assert part.per_quantile_positive == tuple(expected)

@@ -314,6 +314,9 @@ BAD_FLAG_VALUES = [
     # Past float range, the chart's coordinates would overflow.
     ("chart", "--width", "1" + "0" * 400),
     ("chart", "--height", "1" + "0" * 400),
+    # Past int()'s 4,300-digit limit, so int() refuses them.
+    ("chart", "--quantiles", "1" + "0" * 5000),
+    ("chart", "--quantiles", "-1" + "0" * 5000),
     # The models are named before any read: no-such-file and other.
     ("compare", "--fscore", "other"),
     ("compare", "--fscore", "zz=0.5"),
@@ -411,6 +414,19 @@ class TestErrorsAndHelp:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
         assert_usage_error(err, command)
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("chart", "--quantiles", "1" + "0" * 5000, "too large, got 5001 digits"),
+        ("eval", "--cutoff-k", " -1" + "0" * 5000, "must be at least 0, got 5001 digits"),
+        ("chart", "--width", "+1_" + "0" * 5000, "must be at most 1000000, got 5001 digits"),
+    ], ids=["unbounded", "negative", "bounded"])
+    def test_integer_past_the_digit_limit_is_named_by_its_bound(
+        self, capsys, command, flag, value, message
+    ):
+        code, out, err = invoke(capsys, command, "no-such-file.csv", *REQUIRED_FLAGS[command],
+                                f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: {message}\n" in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")

@@ -25,12 +25,12 @@ def parse_text(text: str, schema: ColumnSchema = ColumnSchema(), name: str = "t"
     return parse_dataset(io.StringIO(text), schema, name=name)
 
 
-def render_csv(d: LabeledDataset) -> str:
-    """Write the columns in the default format; repr keeps every score exact."""
+def render_csv(ids, d: LabeledDataset) -> str:
+    """Write ids and the columns in the default format; repr keeps every score exact."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "score", "label"])
-    for uid, score, label in zip(d.ids, d.scores, d.labels):
+    for uid, score, label in zip(ids, d.scores, d.labels, strict=True):
         writer.writerow([uid, repr(score), "1" if label else "0"])
     return out.getvalue()
 
@@ -44,7 +44,7 @@ class TestParse:
 
     def test_row_order_preserved(self):
         d = parse_text("id,score,label\nb,1,0\na,2,1\n")
-        assert d.ids == ["b", "a"]
+        assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [0, 1])
 
     def test_header_only_is_empty_dataset(self):
         with pytest.raises(DatasetError, match="zero instances"):
@@ -95,8 +95,12 @@ class TestParse:
 
     def test_column_remapping(self):
         schema = ColumnSchema(id_col="phrase", score_col="fixedness", label_col="idiom")
-        d = parse_text("phrase,fixedness,idiom\nkick the bucket,0.9,1\n", schema)
-        assert d.ids[0] == "kick the bucket"
+        text = "phrase,fixedness,idiom\nkick the bucket,0.9,1\n"
+        d = parse_text(text, schema)
+        assert (list(d.scores), list(d.labels)) == ([0.9], [1])
+        with pytest.raises(DatasetError) as exc:
+            parse_text(text + "kick the bucket,0.5,0\n", schema)
+        assert exc.value.issues == ((3, "duplicate id 'kick the bucket'"),)
 
     def test_tab_delimiter(self):
         schema = ColumnSchema(delimiter="\t")
@@ -124,7 +128,7 @@ class TestParse:
     @pytest.mark.parametrize("blank", [" , , ", "\t,", " "])
     def test_rows_of_blank_cells_skipped(self, blank):
         d = parse_text(f"id,score,label\na,1,1\n{blank}\nb,2,0\n")
-        assert d.ids == ["a", "b"]
+        assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [1, 0])
 
     @pytest.mark.parametrize("score", ["1_0", "0.5_5", "1e1_0"])
     def test_underscore_score_rejected(self, score):
@@ -157,13 +161,18 @@ class TestReadFile:
         raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"
         (tmp_path / "bom.csv").write_bytes(raw)
         d, digest = read_dataset_file(tmp_path / "bom.csv")
-        assert d.ids == ["a", "b"]
+        assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [1, 0])
         assert digest == hashlib.sha256(raw).hexdigest()
+        (tmp_path / "bom.csv").write_bytes(raw + b"a,3,0\n")
+        with pytest.raises(DatasetError) as exc:
+            read_dataset_file(tmp_path / "bom.csv")
+        assert exc.value.issues == ((4, "duplicate id 'a'"),)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    @pytest.mark.parametrize("rows_before", [1, 5000])
+    @pytest.mark.parametrize("rows_before", [1, 5000, 150_000])
     def test_undecodable_byte_reports_its_line(self, tmp_path, newline, rows_before):
-        # 5000 rows put the bad byte well past the first chunk the reader decodes.
+        # 5000 rows put the bad byte well past the first chunk the reader decodes,
+        # and 150,000 (over 1.6 MB) past the first 1 MiB slice of the UTF-8 check.
         good = "".join(f"r{i},1,0{newline}" for i in range(rows_before)).encode()
         raw = f"id,score,label{newline}".encode() + good + b"x,\xff,1" + newline.encode()
         (tmp_path / "bad.csv").write_bytes(raw)
@@ -187,6 +196,23 @@ class TestReadFile:
         offset = len(raw) - 1
         assert exc.value.issues == (
             (raw.count(b"\n") + 1, f"undecodable byte 0x{raw[-1]:02x} at byte offset {offset}"),
+        )
+
+    @pytest.mark.parametrize("bad", [b"", b"\xff", b"\xc3", b"\xe2\x82"])
+    def test_multibyte_text_across_slices_of_the_utf8_check(self, tmp_path, bad):
+        # Ids of two-byte characters over 2 MiB, padded so that byte 2**20 falls inside
+        # a sequence; then a bad or cut sequence, and one more valid row.
+        rows = "".join(f"{i:06d}{chr(0xE9) * 40},1,{i % 2}\n" for i in range(30_000))
+        files = (f"id,score,label\n{'a' * pad}{rows}".encode() for pad in (0, 1))
+        good = next(raw for raw in files if raw[1 << 20] & 0xC0 == 0x80)
+        (tmp_path / "e.csv").write_bytes(good + b"x" + bad + f",1,0\n{chr(0xE9)},2,1\n".encode())
+        if not bad:
+            assert read_dataset_file(tmp_path / "e.csv")[0].size == 30_002
+            return
+        with pytest.raises(DatasetError, match="not valid UTF-8") as exc:
+            read_dataset_file(tmp_path / "e.csv")
+        assert exc.value.issues == (
+            (30_002, f"undecodable byte 0x{bad[0]:02x} at byte offset {len(good) + 1}"),
         )
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -243,15 +269,20 @@ class TestColumnSchema:
         assert str(exc.value) == message
 
     def test_matchable_schemas_accepted(self):
+        # The last row repeats the id a, which only a parse of the id column as meant sees.
         yes = frozenset({"Yes", "YES"})
-        for schema, text in (
-            (ColumnSchema(positive_tokens=yes), "id,score,label\na,1,yes\nb,0,0\n"),
-            (ColumnSchema(id_col="score", score_col="id"), "id,score,label\n1,a,1\n0,b,0\n"),
-            (ColumnSchema(delimiter="\t"), "id\tscore\tlabel\na\t1\t1\nb\t0\t0\n"),
-            (ColumnSchema(delimiter=" "), "id score label\na 1 1\nb 0 0\n"),
+        for schema, text, again in (
+            (ColumnSchema(positive_tokens=yes), "id,score,label\na,1,yes\nb,0,0\n", "a,2,0"),
+            (ColumnSchema(id_col="score", score_col="id"), "id,score,label\n1,a,1\n0,b,0\n",
+             "2,a,0"),
+            (ColumnSchema(delimiter="\t"), "id\tscore\tlabel\na\t1\t1\nb\t0\t0\n", "a\t2\t0"),
+            (ColumnSchema(delimiter=" "), "id score label\na 1 1\nb 0 0\n", "a 2 0"),
         ):
             d = parse_text(text, schema)
-            assert (d.ids, list(d.scores), list(d.labels)) == (["a", "b"], [1.0, 0.0], [1, 0])
+            assert (list(d.scores), list(d.labels)) == ([1.0, 0.0], [1, 0])
+            with pytest.raises(DatasetError) as exc:
+                parse_text(text + again + "\n", schema)
+            assert exc.value.issues == ((4, "duplicate id 'a'"),)
 
 
 class TestValidate:
@@ -260,7 +291,11 @@ class TestValidate:
     def test_worked_example_counts(self, worked_datasets):
         d = worked_datasets["s1m1"]
         assert (d.size, d.labels.count(1)) == (6, 3)
-        assert len(set(d.ids)) == d.size
+        # Its ids are unique, so only a repeated row is refused.
+        text = worked_path("s1m1").read_text()
+        with pytest.raises(DatasetError) as exc:
+            parse_text(text + text.splitlines()[1] + "\n")
+        assert exc.value.issues == ((8, "duplicate id '1'"),)
 
     def test_case_study_counts(self, case_study_dir):
         dataset, _ = read_dataset_file(case_study_dir / "m1.csv")
@@ -268,17 +303,17 @@ class TestValidate:
 
     def test_constructed_duplicate(self):
         # The class is permissive; writing it out and parsing it back is not.
-        d = make_dataset("dup", ["x", "x"], [1.0, 2.0], [True, False])
+        d = make_dataset("dup", [1.0, 2.0], [True, False])
         assert d.size == 2
         with pytest.raises(DatasetError) as exc:
-            parse_text(render_csv(d))
+            parse_text(render_csv(["x", "x"], d))
         assert exc.value.issues == ((3, "duplicate id 'x'"),)
 
     def test_never_throws_on_degenerate_data(self):
-        d = make_dataset("empty", [], [], [])
+        d = make_dataset("empty", [], [])
         assert (d.size, d.labels.count(1)) == (0, 0)
         with pytest.raises(DatasetError, match="zero instances"):
-            parse_text(render_csv(d))
+            parse_text(render_csv([], d))
 
 
 ids = st.lists(
@@ -296,22 +331,29 @@ scores = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinit
 
 @st.composite
 def datasets(draw):
+    """(ids, dataset) with unique ids."""
     uids = draw(ids)
     rows = [(draw(scores), draw(st.booleans())) for _ in uids]
-    return make_dataset("prop", uids, [s for s, _ in rows], [p for _, p in rows])
+    return uids, make_dataset("prop", [s for s, _ in rows], [p for _, p in rows])
 
 
-@given(datasets())
+@given(datasets(), st.data())
 @settings(max_examples=100)
-def test_render_parse_round_trip(d):
-    parsed = parse_dataset(io.StringIO(render_csv(d)), name="prop")
+def test_render_parse_round_trip(built, data):
+    uids, d = built
+    parsed = parse_dataset(io.StringIO(render_csv(uids, d)), name="prop")
     assert parsed == d
+    # Any id written twice is refused, so every id was read as written.
+    again = data.draw(st.sampled_from(uids))
+    with pytest.raises(DatasetError) as exc:
+        parse_dataset(io.StringIO(render_csv(uids, d) + f"{again},0,0\n"), name="prop")
+    assert exc.value.issues == ((len(uids) + 2, f"duplicate id {again!r}"),)
 
 
 @given(datasets())
 @settings(max_examples=100)
-def test_parsed_count_matches_data_rows(d):
-    text = render_csv(d)
+def test_parsed_count_matches_data_rows(built):
+    text = render_csv(*built)
     rows = text.count("\n") - 1
     assert parse_dataset(io.StringIO(text), name="prop").size == rows
 
@@ -322,7 +364,7 @@ def outcome(parse) -> tuple:
         d = parse()
     except DatasetError as exc:
         return str(exc), exc.issues
-    return d.ids, d.scores, d.labels
+    return d.scores, d.labels
 
 
 def strict_loop_only():
@@ -411,8 +453,14 @@ class TestColumnPath:
         path.write_text("id,score,label\nkick_the_bucket,0.97, True\n\n read_the_paper ,0.40,0\n\n")
         with strict_loop_only():
             d, _ = read_dataset_file(path)
-        assert d.ids == ["kick_the_bucket", "read_the_paper"]
+        assert list(d.scores) == [0.97, 0.40]
         assert d.labels == bytearray([1, 0])
+        # Only the stripped id repeats the one above, so the column path must strip it too.
+        with path.open("a") as out:
+            out.write("read_the_paper,0.1,1\n")
+        with pytest.raises(DatasetError) as exc:
+            read_dataset_file(path)
+        assert exc.value.issues == ((6, "duplicate id 'read_the_paper'"),)
 
     def test_bad_last_row_after_a_byte_order_mark(self, tmp_path):
         # The rewind must skip the mark again, or the header would not match.
@@ -425,7 +473,8 @@ class TestColumnPath:
 
     def test_generator_source(self):
         lines = (line for line in ["id,score,label\n", "a,1,1\n", "b,2,0\n"])
-        assert parse_dataset(lines).ids == ["a", "b"]
+        d = parse_dataset(lines)
+        assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [1, 0])
 
     def test_duplicate_in_a_later_chunk(self, monkeypatch):
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 8)
@@ -439,8 +488,11 @@ class TestColumnPath:
         text = "score,label,id\n" + "".join(f"{i},1,r{i}\n" for i in range(rows))
         with strict_loop_only():
             d = parse_text(text)
-        assert d.ids == [f"r{i}" for i in range(rows)]
         assert list(d.scores) == list(range(rows))
+        assert list(d.labels) == [1] * rows
+        with pytest.raises(DatasetError) as exc:
+            parse_text(text + "9,0,r0\n")
+        assert exc.value.issues == ((rows + 2, "duplicate id 'r0'"),)
 
     @pytest.mark.parametrize("odd", [" ", " , , ", "b,1,1,x"])
     def test_odd_rows_the_strict_loop_accepts_stay_on_the_column_path(self, odd):
@@ -498,4 +550,5 @@ class TestColumnPath:
         path.write_text("# scores of run 7\nid,score,label\na,1,1\n")
         with open(path, newline="") as stream:
             next(stream)
-            assert parse_dataset(stream).ids == ["a"]
+            d = parse_dataset(stream)
+        assert (list(d.scores), list(d.labels)) == ([1.0], [1])

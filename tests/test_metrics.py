@@ -16,7 +16,7 @@ from gainbudget import (
     rank_instances,
 )
 
-from conftest import accuracy_at_cutoff, make_dataset
+from conftest import accuracy_at_cutoff, make_dataset, reference_cum
 
 
 def ranked_fixture(worked_datasets, key):
@@ -25,8 +25,7 @@ def ranked_fixture(worked_datasets, key):
 
 def perfect_dataset(n=10, positives=5):
     return make_dataset(
-        "perfect", [str(i) for i in range(n)], [float(n - i) for i in range(n)],
-        [i < positives for i in range(n)],
+        "perfect", [float(n - i) for i in range(n)], [i < positives for i in range(n)]
     )
 
 
@@ -49,7 +48,7 @@ class TestGainProfile:
         assert g.positive_total == 5
 
     def test_zero_positives_rejected(self):
-        d = make_dataset("nopos", ["a"], [1.0], [False])
+        d = make_dataset("nopos", [1.0], [False])
         with pytest.raises(ValueError, match="no positive"):
             gain_profile(partition_quantiles(rank_instances(d), 1))
 
@@ -230,7 +229,7 @@ def profiles(draw):
             max_size=len(lab),
         )
     )
-    d = make_dataset("prop", [str(i) for i in range(len(lab))], map(float, scores), lab)
+    d = make_dataset("prop", map(float, scores), lab)
     ranked = rank_instances(d)
     q = draw(st.integers(min_value=1, max_value=ranked.size))
     return gain_profile(partition_quantiles(ranked, q)), ranked
@@ -256,12 +255,13 @@ def test_cumulative_monotone_ending_at_one(built):
 @given(profiles())
 @settings(max_examples=200)
 def test_counts_recoverable_from_cumulative(built):
-    # The stored cumulative counts are the ranking's prefix sums at each
-    # quantile's right edge, and their differences give back the counts.
+    # The stored cumulative counts are the reference order's prefix sums at
+    # each quantile's right edge, and their differences give back the counts.
     g, ranked = built
     n, q = ranked.size, g.quantile_count
     cumulative = g.cumulative_positive_count
-    assert cumulative == tuple(ranked.cum[(i + 1) * n // q] for i in range(q))
+    cum = reference_cum(ranked.dataset)
+    assert cumulative == tuple(cum[(i + 1) * n // q] for i in range(q))
     assert tuple(b - a for a, b in zip((0,) + cumulative, cumulative)) == g.per_quantile_positive
 
 

@@ -1,19 +1,30 @@
 import random
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gainbudget import TiePolicy, confusion_at_cutoff, partition_quantiles, rank_instances, ranking
+from gainbudget import TiePolicy, partition_quantiles, rank_instances
 
-from conftest import WORKED_ORDERS, make_dataset, reference_cum
+from conftest import (WORKED_ORDERS, make_dataset, reference_cum, reference_order,
+                      worked_positive_ranks)
 
 
 def numbered_dataset(labels, scores):
-    """Rows "1", "2", ... from paired labels and scores."""
+    """Rows from paired labels and scores."""
     pairs = list(zip(labels, scores))
-    ids = [str(i + 1) for i in range(len(pairs))]
-    return make_dataset("t", ids, [float(s) for _, s in pairs], [l for l, _ in pairs])
+    return make_dataset("t", [float(s) for _, s in pairs], [l for l, _ in pairs])
+
+
+def assert_ranks_follow_scores(d, ranked):
+    """The ranks are distinct and the positives' own, and each positive's rank
+    lies in its score's tie block: after every higher score, before every lower."""
+    ranks = ranked.positive_ranks
+    assert len(set(ranks)) == len(ranks) == d.labels.count(1)
+    assert all(0 <= rank < d.size for rank in ranks)
+    positive_scores = sorted((s for s, label in zip(d.scores, d.labels) if label), reverse=True)
+    for rank, score in zip(ranks, positive_scores):
+        assert sum(s > score for s in d.scores) <= rank < sum(s >= score for s in d.scores)
 
 
 def quantile_sizes(part):
@@ -24,14 +35,12 @@ def quantile_sizes(part):
 @pytest.mark.parametrize("labels, scores", [
     *(([label], [0]) for label in (False, True)),
     *((list(labels), [1, s]) for labels in product((False, True), repeat=2) for s in (0, 1, 2)),
-    # Two slices, the last of one row.
-    ([i % 3 == 0 for i in range(ranking._GATHER + 1)], [i % 7 for i in range(ranking._GATHER + 1)]),
 ])
 def test_cum_is_the_running_sum_of_ranked_labels(policy, labels, scores):
-    # itemgetter gives a bare int, not a tuple, for a slice of one row.
+    # positives_above(k) is the running sum of the labels in the reference order, at k.
     d = numbered_dataset(labels, scores)
     r = rank_instances(d, policy)
-    assert list(r.cum) == list(accumulate((d.labels[i] for i in r.indices), initial=0))
+    assert [r.positives_above(k) for k in range(d.size + 1)] == reference_cum(d, policy)
 
 
 #: Few distinct scores, so rows tie within and across labels and across
@@ -53,7 +62,7 @@ def test_ranking_law(d, policy, q):
     are those of the reference order."""
     r = rank_instances(d, policy)
     cum = reference_cum(d, policy)
-    assert [confusion_at_cutoff(r, k).tp for k in range(d.size + 1)] == cum
+    assert [r.positives_above(k) for k in range(d.size + 1)] == cum
     q = min(q, d.size)
     cuts = [i * d.size // q for i in range(q + 1)]
     expected = tuple(cum[b] - cum[a] for a, b in zip(cuts, cuts[1:]))
@@ -79,7 +88,7 @@ def tie_blocks_dataset(rows=20_000, seed=11):
 def test_ranking_law_on_large_tie_blocks(policy):
     d = tie_blocks_dataset()
     r = rank_instances(d, policy)
-    assert [confusion_at_cutoff(r, k).tp for k in range(d.size + 1)] == reference_cum(d, policy)
+    assert [r.positives_above(k) for k in range(d.size + 1)] == reference_cum(d, policy)
 
 
 class TestRankInstances:
@@ -87,33 +96,32 @@ class TestRankInstances:
     def test_worked_orders(self, worked_datasets, key):
         d = worked_datasets[key]
         ranked = rank_instances(d)
-        assert [d.ids[i] for i in ranked.indices] == WORKED_ORDERS[key]
+        assert [str(i + 1) for i in reference_order(d)] == WORKED_ORDERS[key]
+        assert ranked.positive_ranks == worked_positive_ranks(key)
         assert ranked.positive_total == 3
 
     def test_scores_non_increasing(self, worked_datasets):
         d = worked_datasets["s2m2"]
-        ranked = rank_instances(d)
-        scores = [d.scores[i] for i in ranked.indices]
-        assert scores == sorted(scores, reverse=True)
+        assert_ranks_follow_scores(d, rank_instances(d))
 
     def test_optimistic_ties_put_positives_first(self):
         d = numbered_dataset([False, True, False, True], [1, 1, 1, 1])
         ranked = rank_instances(d, TiePolicy.OPTIMISTIC)
-        assert [bool(d.labels[i]) for i in ranked.indices] == [True, True, False, False]
+        assert ranked.positive_ranks == [0, 1]
 
     def test_pessimistic_ties_put_positives_last(self):
         d = numbered_dataset([False, True, False, True], [1, 1, 1, 1])
         ranked = rank_instances(d, TiePolicy.PESSIMISTIC)
-        assert [bool(d.labels[i]) for i in ranked.indices] == [False, False, True, True]
+        assert ranked.positive_ranks == [2, 3]
 
     def test_stable_ties_keep_input_order(self):
         d = numbered_dataset([False, True, False, True], [1, 1, 1, 1])
         ranked = rank_instances(d, TiePolicy.STABLE)
-        assert [d.ids[i] for i in ranked.indices] == ["1", "2", "3", "4"]
+        assert ranked.positive_ranks == [1, 3]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            rank_instances(make_dataset("e", [], [], []))
+            rank_instances(make_dataset("e", [], []))
 
 
 class TestPartition:
@@ -165,40 +173,41 @@ small_datasets = st.builds(
 @given(small_datasets, st.data())
 @settings(max_examples=200)
 def test_partition_reconstructs_order(d, data):
+    # The quantiles tile the ranks 0..N-1, and each positive counts in the one holding its rank.
     ranked = rank_instances(d)
     q = data.draw(st.integers(min_value=1, max_value=ranked.size))
     part = partition_quantiles(ranked, q)
-    rebuilt = []
-    for i in range(q):
-        rebuilt.extend(ranked.indices[part.boundaries[i] : part.boundaries[i + 1]])
-    assert rebuilt == ranked.indices
+    assert part.boundaries[0] == 0 and part.boundaries[-1] == ranked.size
+    assert all(a <= b for a, b in zip(part.boundaries, part.boundaries[1:]))
+    rebuilt = tuple(
+        sum(a <= rank < b for rank in ranked.positive_ranks)
+        for a, b in zip(part.boundaries, part.boundaries[1:])
+    )
+    assert rebuilt == part.per_quantile_positive
 
 
 @given(small_datasets)
 @settings(max_examples=200)
 def test_order_is_permutation(d):
-    ranked = rank_instances(d)
-    assert sorted(d.ids[i] for i in ranked.indices) == sorted(d.ids)
-    scores = [d.scores[i] for i in ranked.indices]
-    assert all(a >= b for a, b in zip(scores, scores[1:]))
+    assert_ranks_follow_scores(d, rank_instances(d))
 
 
 @given(small_datasets)
 @settings(max_examples=200)
 def test_doubling_scores_keeps_stable_order(d):
     # doubling is exact in binary floating point, so relative order is intact
-    doubled = make_dataset(d.name, d.ids, [s * 2 for s in d.scores], d.labels)
-    before = [d.ids[i] for i in rank_instances(d).indices]
-    after = [doubled.ids[i] for i in rank_instances(doubled).indices]
-    assert before == after
+    doubled = make_dataset(d.name, [s * 2 for s in d.scores], d.labels)
+    for policy in TiePolicy:
+        before = rank_instances(d, policy).positive_ranks
+        assert rank_instances(doubled, policy).positive_ranks == before
 
 
 @given(small_datasets)
 @settings(max_examples=200)
 def test_tie_policy_prefix_bounds(d):
-    # cum[k] is the positives in the top k; test_columns checks it against recounts.
+    # The positives in the top k; test_ranking_law checks them against the reference order.
     pes, sta, opt = (
-        rank_instances(d, policy).cum
+        list(map(rank_instances(d, policy).positives_above, range(d.size + 1)))
         for policy in (TiePolicy.PESSIMISTIC, TiePolicy.STABLE, TiePolicy.OPTIMISTIC)
     )
     assert all(p <= s <= o for p, s, o in zip(pes, sta, opt))
@@ -212,7 +221,7 @@ def test_counts_match_brute_force(d, data):
     n = ranked.size
     q = data.draw(st.integers(min_value=1, max_value=n))
     expected = [0] * q
-    for i, row in enumerate(ranked.indices):
+    for i, row in enumerate(reference_order(d)):
         bucket = -(-(i + 1) * q // n) - 1
         expected[bucket] += d.labels[row]
     part = partition_quantiles(ranked, q)
