@@ -77,7 +77,7 @@ def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> R
     # The j-th highest positive has rank j plus the negatives ranked above it:
     # under optimistic those of a higher score, else those of an equal score too.
     side = bisect_right if policy is TiePolicy.OPTIMISTIC else bisect_left
-    lower = list(map(side, repeat(neg), reversed(pos)))  # negatives ranked below each
+    lower = list(map(side, repeat(neg), reversed(pos)))  # the negatives below each positive
     ranks = list(map(sub, count(len(neg)), lower))
     # Input order decides only where a positive and a negative share a score, which is
     # where the two bisections differ; only the rows of such a score are read again.

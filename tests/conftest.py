@@ -64,8 +64,8 @@ def reference_cum(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> li
     return list(accumulate((d.labels[i] for i in reference_order(d, policy)), initial=0))
 
 
-def accuracy_at_cutoff(r: RankedList, k: int, policy: TiePolicy = TiePolicy.STABLE) -> float:
-    """Fraction of correct predictions at cutoff k, for a ranking under `policy`.
+def accuracy_at_cutoff(r: RankedList, k: int) -> float:
+    """Fraction of correct predictions at cutoff k, for a ranking under the stable policy.
 
     Computed by a direct scan of the labels in the reference order,
     independently of the positive ranks that confusion_at_cutoff reads, so
@@ -76,7 +76,7 @@ def accuracy_at_cutoff(r: RankedList, k: int, policy: TiePolicy = TiePolicy.STAB
         raise ValueError(f"cutoff must be in 0..{n}, got {k}")
     labels = r.dataset.labels
     correct = sum(
-        1 for rank, i in enumerate(reference_order(r.dataset, policy)) if labels[i] == (rank < k)
+        1 for rank, i in enumerate(reference_order(r.dataset)) if labels[i] == (rank < k)
     )
     return correct / n
 
