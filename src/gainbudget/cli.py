@@ -74,12 +74,16 @@ def _int_at_least(minimum: int, maximum: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            # int() refuses more digits than sys.get_int_max_str_digits(): out of any bound here.
-            if not (match := re.fullmatch(r"\s*([+-]?)\d(?:_?\d)*\s*", text)):
+            # int() refuses more digits than sys.get_int_max_str_digits(), leading zeros included.
+            if not (match := re.fullmatch(r"\s*([+-]?)(\d(?:_?\d)*)\s*", text)):
                 raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-            bound = (f"must be at least {minimum}" if match[1] == "-" else
-                     f"must be at most {maximum}" if maximum is not None else "too large")
-            raise argparse.ArgumentTypeError(f"{bound}, got {sum(map(str.isdigit, text))} digits")
+            significant = match[2].replace("_", "").lstrip("0") or "0"
+            try:
+                value = int(match[1] + significant)
+            except ValueError:  # too many significant digits: out of any bound here
+                bound = (f"must be at least {minimum}" if match[1] == "-" else
+                         f"must be at most {maximum}" if maximum is not None else "too large")
+                raise argparse.ArgumentTypeError(f"{bound}, got {len(significant)} digits")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .ranking import QuantilePartition, RankedList
+from .ranking import QuantilePartition, RankedList, partition_quantiles
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def gain_profile(p: QuantilePartition) -> GainProfile:
     Raises ValueError when the ranking holds no positives (division by zero).
     """
     return GainProfile(
-        model_name=p.ranked.dataset.name,
+        model_name=p.ranked.name,
         per_quantile_positive=p.per_quantile_positive,
         positive_total=p.ranked.positive_total,
         size=p.ranked.size,
@@ -99,22 +99,12 @@ def gain_profile(p: QuantilePartition) -> GainProfile:
 
 
 def ideal_profile(size: int, positive_total: int, quantile_count: int) -> GainProfile:
-    """Profile of a perfect ranker: all positives in the top positions."""
+    """Profile of a perfect ranker: the positives hold ranks 0 .. positive_total - 1."""
     if not 1 <= positive_total <= size:
         raise ValueError(f"positive_total must be in 1..{size}, got {positive_total}")
-    if not 1 <= quantile_count <= size:
-        raise ValueError(f"quantile count must be in 1..{size}, got {quantile_count}")
-    boundaries = [q * size // quantile_count for q in range(quantile_count + 1)]
-    counts = tuple(
-        min(boundaries[q + 1], positive_total) - min(boundaries[q], positive_total)
-        for q in range(quantile_count)
-    )
-    return GainProfile(
-        model_name="ideal",
-        per_quantile_positive=counts,
-        positive_total=positive_total,
-        size=size,
-    )
+    # A list, not a range: bisecting a range builds an int object at every probe.
+    ideal = RankedList("ideal", size, list(range(positive_total)))
+    return gain_profile(partition_quantiles(ideal, quantile_count))
 
 
 def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:

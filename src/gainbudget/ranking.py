@@ -37,19 +37,16 @@ class TiePolicy(str, Enum):
 
 @dataclass(frozen=True)
 class RankedList:
-    """A dataset ranked by descending score under an explicit tie policy, held as
-    the ascending ranks of its positives; rank 0 holds the highest score."""
+    """`size` instances ranked by descending score under an explicit tie policy, held
+    as the ascending ranks of their positives; rank 0 holds the highest score."""
 
-    dataset: LabeledDataset
+    name: str
+    size: int
     positive_ranks: list[int]
 
     @property
     def positive_total(self) -> int:
         return len(self.positive_ranks)
-
-    @property
-    def size(self) -> int:
-        return self.dataset.size
 
     def positives_above(self, k: int) -> int:
         return bisect_left(self.positive_ranks, k)
@@ -89,7 +86,7 @@ def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> R
             top = len(pos) - bisect_right(pos, score)  # positives of a higher score
             start = top + len(neg) - bisect_right(neg, score)
             ranks[top:top + labels.count(1)] = compress(count(start), labels)
-    return RankedList(dataset=d, positive_ranks=ranks)
+    return RankedList(d.name, d.size, ranks)
 
 
 def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition:
@@ -100,7 +97,7 @@ def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition
             f"quantile count must be between 1 and {n}, got {quantile_count}"
         )
     boundaries = tuple(q * n // quantile_count for q in range(quantile_count + 1))
-    above = list(map(r.positives_above, boundaries))
+    above = list(map(bisect_left, repeat(r.positive_ranks), boundaries))
     return QuantilePartition(
         ranked=r,
         boundaries=boundaries,

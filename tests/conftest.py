@@ -9,7 +9,6 @@ import pytest
 from gainbudget import (
     GainProfile,
     LabeledDataset,
-    RankedList,
     TiePolicy,
     gain_profile,
     partition_quantiles,
@@ -64,20 +63,17 @@ def reference_cum(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> li
     return list(accumulate((d.labels[i] for i in reference_order(d, policy)), initial=0))
 
 
-def accuracy_at_cutoff(r: RankedList, k: int) -> float:
-    """Fraction of correct predictions at cutoff k, for a ranking under the stable policy.
+def accuracy_at_cutoff(d: LabeledDataset, k: int) -> float:
+    """Fraction of correct predictions at cutoff k, for a dataset ranked under the stable policy.
 
     Computed by a direct scan of the labels in the reference order,
     independently of the positive ranks that confusion_at_cutoff reads, so
     the two stay mutually checkable.
     """
-    n = r.size
+    n = d.size
     if not 0 <= k <= n:
         raise ValueError(f"cutoff must be in 0..{n}, got {k}")
-    labels = r.dataset.labels
-    correct = sum(
-        1 for rank, i in enumerate(reference_order(r.dataset)) if labels[i] == (rank < k)
-    )
+    correct = sum(1 for rank, i in enumerate(reference_order(d)) if d.labels[i] == (rank < k))
     return correct / n
 
 

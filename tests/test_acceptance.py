@@ -50,8 +50,8 @@ def test_c1_worked_example_accuracies():
         ranked = rank_instances(dataset)
         assert [str(i + 1) for i in reference_order(dataset)] == order
         assert ranked.positive_ranks == worked_positive_ranks(key)
-        assert accuracy_at_cutoff(ranked, 4) == float(expected[key])
-    sixth = accuracy_at_cutoff(rank_instances(read_dataset_file(worked_path("s2m1"))[0]), 4)
+        assert accuracy_at_cutoff(dataset, 4) == float(expected[key])
+    sixth = accuracy_at_cutoff(read_dataset_file(worked_path("s2m1"))[0], 4)
     assert f"{sixth:.2f}" == "0.17"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -168,7 +168,7 @@ def test_c6_property_suite():
             c = confusion_at_cutoff(ranked, k)
             assert c.tp + c.fp == k
             assert c.tp + c.fp + c.tn + c.fn == n
-            assert accuracy_at_cutoff(ranked, k) == (c.tp + c.tn) / n
+            assert accuracy_at_cutoff(d, k) == (c.tp + c.tn) / n
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _pass(6, f"1000 randomized datasets (N<=200) hold all six invariants in {elapsed:.1f}s")

@@ -419,7 +419,10 @@ class TestErrorsAndHelp:
         ("chart", "--quantiles", "1" + "0" * 5000, "too large, got 5001 digits"),
         ("eval", "--cutoff-k", " -1" + "0" * 5000, "must be at least 0, got 5001 digits"),
         ("chart", "--width", "+1_" + "0" * 5000, "must be at most 1000000, got 5001 digits"),
-    ], ids=["unbounded", "negative", "bounded"])
+        # Leading zeros are no digits of the value: the bound is judged on what follows them.
+        ("eval", "--cutoff-k", "-" + "0" * 5001 + "5", "must be at least 0, got -5"),
+        ("chart", "--quantiles", "0" * 5001 + "1" + "0" * 5000, "too large, got 5001 digits"),
+    ], ids=["unbounded", "negative", "bounded", "padded-negative", "padded-unbounded"])
     def test_integer_past_the_digit_limit_is_named_by_its_bound(
         self, capsys, command, flag, value, message
     ):
@@ -427,6 +430,11 @@ class TestErrorsAndHelp:
                                 f"{flag}={value}")
         assert (code, out) == (2, "")
         assert f"argument {flag}: {message}\n" in err
+
+    def test_zero_padded_integer_is_read_by_its_significant_digits(self, capsys):
+        padded = invoke(capsys, "eval", str(worked_path("s1m1")), "--quantiles", "0" * 5001 + "5")
+        assert padded == invoke(capsys, "eval", str(worked_path("s1m1")), "--quantiles", "5")
+        assert padded[0] == 0
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gainbudget import (
     ConfusionMatrix,
     GainProfile,
+    TiePolicy,
     class_metrics,
     confusion_at_cutoff,
     gain_profile,
@@ -97,13 +98,12 @@ class TestConfusion:
 
 class TestAccuracy:
     def test_worked_example_row(self, worked_datasets):
-        assert accuracy_at_cutoff(ranked_fixture(worked_datasets, "s2m1"), 4) == pytest.approx(1 / 6)
+        assert accuracy_at_cutoff(worked_datasets["s2m1"], 4) == pytest.approx(1 / 6)
         for key in ("s1m1", "s1m2", "s2m2"):
-            assert accuracy_at_cutoff(ranked_fixture(worked_datasets, key), 4) == 0.5
+            assert accuracy_at_cutoff(worked_datasets[key], 4) == 0.5
 
     def test_perfect_ranking(self):
-        ranked = rank_instances(perfect_dataset())
-        assert accuracy_at_cutoff(ranked, 5) == 1.0
+        assert accuracy_at_cutoff(perfect_dataset(), 5) == 1.0
 
 
 class TestClassMetrics:
@@ -232,13 +232,13 @@ def profiles(draw):
     d = make_dataset("prop", map(float, scores), lab)
     ranked = rank_instances(d)
     q = draw(st.integers(min_value=1, max_value=ranked.size))
-    return gain_profile(partition_quantiles(ranked, q)), ranked
+    return gain_profile(partition_quantiles(ranked, q)), ranked, d
 
 
 @given(profiles())
 @settings(max_examples=200)
 def test_gain_sums_to_one(built):
-    g, _ = built
+    g, _, _ = built
     assert sum(g.per_quantile_positive) == g.positive_total
     assert sum(Fraction(c, g.positive_total) for c in g.per_quantile_positive) == 1
 
@@ -246,7 +246,7 @@ def test_gain_sums_to_one(built):
 @given(profiles())
 @settings(max_examples=200)
 def test_cumulative_monotone_ending_at_one(built):
-    g, _ = built
+    g, _, _ = built
     cumulative = g.cumulative_positive_count
     assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
     assert cumulative[-1] == g.positive_total
@@ -257,10 +257,10 @@ def test_cumulative_monotone_ending_at_one(built):
 def test_counts_recoverable_from_cumulative(built):
     # The stored cumulative counts are the reference order's prefix sums at
     # each quantile's right edge, and their differences give back the counts.
-    g, ranked = built
+    g, ranked, d = built
     n, q = ranked.size, g.quantile_count
     cumulative = g.cumulative_positive_count
-    cum = reference_cum(ranked.dataset)
+    cum = reference_cum(d)
     assert cumulative == tuple(cum[(i + 1) * n // q] for i in range(q))
     assert tuple(b - a for a, b in zip((0,) + cumulative, cumulative)) == g.per_quantile_positive
 
@@ -268,20 +268,45 @@ def test_counts_recoverable_from_cumulative(built):
 @given(profiles())
 @settings(max_examples=200)
 def test_ideal_dominates(built):
-    g, _ = built
+    g, _, _ = built
     ideal = ideal_profile(g.size, g.positive_total, g.quantile_count)
     pairs = zip(ideal.cumulative_positive_count, g.cumulative_positive_count)
     assert all(i >= c for i, c in pairs)
     assert ideal.cumulative_positive_count[-1] == g.cumulative_positive_count[-1] == g.positive_total
 
 
+@st.composite
+def perfect_rankings(draw):
+    """(n, p, q, d): p positives all scoring above n - p negatives, ties within a class."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    p = draw(st.integers(min_value=1, max_value=n))
+    q = draw(st.integers(min_value=1, max_value=n))
+    scores = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=p, max_size=p))
+    scores += draw(st.lists(st.integers(min_value=-3, max_value=0), min_size=n - p, max_size=n - p))
+    order = draw(st.permutations(range(n)))
+    d = make_dataset("perfect", [float(scores[i]) for i in order], [i < p for i in order])
+    return n, p, q, d
+
+
+@given(perfect_rankings())
+@settings(max_examples=200)
+def test_ideal_is_the_perfect_ranker(built):
+    n, p, q, d = built
+    ideal = ideal_profile(n, p, q)
+    for policy in TiePolicy:
+        g = gain_profile(partition_quantiles(rank_instances(d, policy), q))
+        assert g.per_quantile_positive == ideal.per_quantile_positive, policy
+        assert g.cumulative_positive_count == ideal.cumulative_positive_count, policy
+        assert (g.size, g.positive_total) == (ideal.size, ideal.positive_total) == (n, p)
+
+
 @given(profiles())
 @settings(max_examples=100)
 def test_accuracy_consistent_with_confusion(built):
-    _, ranked = built
+    _, ranked, d = built
     n = ranked.size
     for k in range(n + 1):
         c = confusion_at_cutoff(ranked, k)
         assert (c.tp, c.fp, c.tn, c.fn) == (c.tp, k - c.tp, c.tn, c.fn)
-        assert accuracy_at_cutoff(ranked, k) == pytest.approx((c.tp + c.tn) / n)
+        assert accuracy_at_cutoff(d, k) == pytest.approx((c.tp + c.tn) / n)
         assert c.tp + c.fp + c.tn + c.fn == n
