@@ -37,9 +37,9 @@ from .report import (
 )
 
 
-#: A control character (Unicode category Cc), such as a newline, in a model name
-#: or currency label would split a table row or the metadata line, or break the SVG.
-_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+#: A control character (category Cc) or a line or paragraph separator (U+2028, U+2029) in a
+#: model name or currency label would split a table row or the metadata line, or break the SVG.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 #: Largest decimal exponent a nonzero money flag may have, either sign.
 #: Exact arithmetic on 1e-999999999 would build a 10^999999999 denominator.

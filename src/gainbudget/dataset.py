@@ -61,6 +61,8 @@ class ColumnSchema:
             raise ValueError(f"{field}: {', '.join(map(repr, both))} also in the other class")
         if len(self.delimiter) != 1 or self.delimiter in "\r\n":
             raise ValueError(f"delimiter: {self.delimiter!r} is not one character, or ends a line")
+        if self.delimiter == '"':  # csv's quote character; Python 3.13's reader refuses it
+            raise ValueError(f"delimiter: {self.delimiter!r} is the quote character")
 
 
 @dataclass(frozen=True)

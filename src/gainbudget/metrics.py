@@ -111,7 +111,7 @@ def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:
     """Predict the top k instances positive, the rest negative, and tally."""
     n = r.size
     if not 0 <= k <= n:
-        raise ValueError(f"cutoff must be in 0..{n}, got {k}")
+        raise ValueError(f"{r.name}: cutoff must be in 0..{n}, got {k}")
     tp = r.positives_above(k)
     fp = k - tp
     fn = r.positive_total - tp

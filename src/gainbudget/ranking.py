@@ -94,7 +94,7 @@ def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition
     n = r.size
     if quantile_count < 1 or quantile_count > n:
         raise ValueError(
-            f"quantile count must be between 1 and {n}, got {quantile_count}"
+            f"{r.name}: quantile count must be between 1 and {n}, got {quantile_count}"
         )
     boundaries = tuple(q * n // quantile_count for q in range(quantile_count + 1))
     above = list(map(bisect_left, repeat(r.positive_ranks), boundaries))

@@ -35,7 +35,7 @@ MIN_CHART_HEIGHT = 120
 #: Largest chart, in pixels: far past any screen, and inside float range for the coordinates.
 MAX_CHART_WIDTH = MAX_CHART_HEIGHT = 10**6
 
-#: The plan tables: (title, ModelResult field, ((column header, plan field), ...)).
+#: The plan tables: (title, key of a model's document, ((column header, plan field), ...)).
 #: A plan's JSON keeps its field order; these columns need not follow it.
 _PLAN_TABLES = (
     ("Fixed budget plan", "budget_plan", (
@@ -146,20 +146,14 @@ def _plan_cell(value: Any) -> str:
     return str(value)
 
 
-def _gain_cells(counts: Sequence[int], total: int) -> list[str]:
-    return [f"{c / total:.2f}" for c in counts]
-
-
-def _count_cells(counts: Sequence[int], total: int) -> list[str]:
-    return [str(c) for c in counts]
-
-
 def _sig12(counts: Sequence[int], total: int) -> list[str]:
     """Each count / total as a decimal string with 12 significant digits."""
     with localcontext() as ctx:
         ctx.prec = 12
         divisor = Decimal(total)
-        return [str(Decimal(c) / divisor) for c in counts]
+        # Divide each distinct count once: P positives give at most P + 1, however many quantiles.
+        text = {c: str(Decimal(c) / divisor) for c in set(counts)}
+    return list(map(text.__getitem__, counts))
 
 
 def _text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -182,16 +176,17 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str
 
 
 def render_table(r: EvaluationReport, style: str = "text") -> str:
-    """Render the report as fixed-layout text or markdown tables."""
+    """Render the report as fixed-layout text or markdown tables of the JSON document."""
     if style not in ("text", "md"):
         raise ValueError(f"unknown table style {style!r}")
     md = style == "md"
     table = _md_table if md else _text_table
+    doc = _document(r)
+    run, models = doc["run"], doc["models"]
 
-    meta = [f"quantiles={r.quantile_count}", f"tie-policy={r.tie_policy.value}"]
-    if r.cost_model is not None:
-        meta += [f"cost-rule={r.cost_model.cost_rule.value}",
-                 f"currency={r.cost_model.currency_label}"]
+    meta = [f"quantiles={run['quantiles']}", f"tie-policy={run['tie_policy']}"]
+    if run["cost_rule"] is not None:
+        meta += [f"cost-rule={run['cost_rule']}", f"currency={run['currency']}"]
 
     lines: list[str] = []
     if md:
@@ -206,60 +201,51 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
         heading(title)
         lines.extend(table(headers, rows))
 
-    qcols = [f"Q{q + 1}" for q in range(r.quantile_count)]
-
     section(
         "Models",
         ["Model", "Instances", "Positives"],
-        [[m.name, str(m.profile.size), str(m.profile.positive_total)] for m in r.models],
+        [[m["name"], str(m["instances"]), str(m["positive_total"])] for m in models],
     )
-    profiles = [m.profile for m in r.models]
-    for title, attr, cells in (
-        ("Gain", "per_quantile_positive", _gain_cells),
-        ("Cumulative gain", "cumulative_positive_count", _gain_cells),
-        ("Cumulative positives", "cumulative_positive_count", _count_cells),
+    qcols = [f"Q{q + 1}" for q in range(run["quantiles"])]
+    # Gains are formatted from the counts: the 12-digit strings would round twice.
+    for title, key, as_gain in (
+        ("Gain", "per_quantile_positive", True),
+        ("Cumulative gain", "cumulative_positive_count", True),
+        ("Cumulative positives", "cumulative_positive_count", False),
     ):
-        section(
-            title,
-            ["Model"] + qcols,
-            [[p.model_name] + cells(getattr(p, attr), p.positive_total) for p in profiles],
-        )
+        rows = []
+        for m in models:
+            total, counts = m["positive_total"], m[key]
+            cells = [f"{c / total:.2f}" for c in counts] if as_gain else list(map(str, counts))
+            rows.append([m["name"]] + cells)
+        section(title, ["Model"] + qcols, rows)
 
-    classified = [m for m in r.models if m.class_metrics is not None]
+    classified = [(m["name"], m["classification"]) for m in models if m["classification"]]
     if classified:
-        names = ["accuracy"] + [f"{g}_{x}" for g in _CLASS_GROUPS for x in _CLASS_MEASURES]
         section(
             "Classification at cutoff",
             ["Model", "k", "Acc", "P+", "R+", "F1+", "P-", "R-", "F1-", "wP", "wR", "wF1"],
-            [
-                [m.name, str(m.class_metrics.confusion.cutoff_k)]
-                + [f"{getattr(m.class_metrics, name):.2f}" for name in names]
-                for m in classified
-            ],
+            [[name, str(c["cutoff_k"]), f"{c['accuracy']:.2f}"]
+             + [f"{c[g][x]:.2f}" for g in _CLASS_GROUPS for x in _CLASS_MEASURES]
+             for name, c in classified],
         )
-        flagged = [
-            f"{m.name}: {', '.join(m.class_metrics.conventions)}"
-            for m in classified
-            if m.class_metrics.conventions
-        ]
+        flagged = [f"{name}: {', '.join(c['conventions'])}"
+                   for name, c in classified if c["conventions"]]
         if flagged:
             lines.append("zero-denominator convention (value set to 0): " + "; ".join(flagged))
 
-    supplied = [m for m in r.models if m.supplied_fscore is not None]
+    supplied = [[m["name"], f"{m['supplied_fscore']:.2f}"]
+                for m in models if m["supplied_fscore"] is not None]
     if supplied:
-        section(
-            "Supplied F-scores",
-            ["Model", "F-score"],
-            [[m.name, f"{m.supplied_fscore:.2f}"] for m in supplied],
-        )
+        section("Supplied F-scores", ["Model", "F-score"], supplied)
 
-    for title, attr, columns in _PLAN_TABLES:
-        docs = [(m.name, _plan_doc(getattr(m, attr), None)) for m in r.models]
-        rows = [[name] + [_plan_cell(doc[key]) for _, key in columns] for name, doc in docs if doc]
+    for title, key, columns in _PLAN_TABLES:
+        rows = [[m["name"]] + [_plan_cell(m[key][field]) for _, field in columns]
+                for m in models if m[key]]
         if rows:
             section(title, ["Model"] + [header for header, _ in columns], rows)
 
-    by_cost, by_fscore, source = r.rankings()
+    by_cost, by_fscore, source = doc["rankings"].values()
     if by_cost or by_fscore:
         heading("Rankings")
         if by_cost:
@@ -288,8 +274,8 @@ def _plan_doc(
     return doc
 
 
-def render_json(r: EvaluationReport) -> str:
-    """Render the report as a stable, versioned JSON document.
+def _document(r: EvaluationReport) -> dict[str, Any]:
+    """The report as the JSON document's value; every renderer but the chart prints it.
 
     Counts are integers, gains are decimal strings with 12 significant
     digits, money is minor-unit integers with the currency label.  Optional
@@ -300,36 +286,30 @@ def render_json(r: EvaluationReport) -> str:
     models: list[dict[str, Any]] = []
     for m in r.models:
         profile = m.profile
-        classification: dict[str, Any] | None = None
-        if m.class_metrics is not None:
-            cm = m.class_metrics
-            classification = {
-                **{k: getattr(cm.confusion, k) for k in ("cutoff_k", "tp", "fp", "tn", "fn")},
-                "accuracy": cm.accuracy,
-                **{
-                    group: {name: getattr(cm, f"{group}_{name}") for name in _CLASS_MEASURES}
-                    for group in _CLASS_GROUPS
-                },
-                "conventions": list(cm.conventions),
-            }
-        models.append(
-            {
-                "name": m.name,
-                "instances": profile.size,
-                "positive_total": profile.positive_total,
-                "per_quantile_positive": list(profile.per_quantile_positive),
-                "cumulative_positive_count": list(profile.cumulative_positive_count),
-                "gain": _sig12(profile.per_quantile_positive, profile.positive_total),
-                "cumulative": _sig12(profile.cumulative_positive_count, profile.positive_total),
-                "classification": classification,
-                "supplied_fscore": m.supplied_fscore,
-                "budget_plan": _plan_doc(m.budget_plan, currency),
-                "target_plan": _plan_doc(m.target_plan, currency),
-                "marginal": _plan_doc(m.marginal, currency),
-            }
-        )
+        cm = m.class_metrics
+        classification = None if cm is None else {
+            **{k: getattr(cm.confusion, k) for k in ("cutoff_k", "tp", "fp", "tn", "fn")},
+            "accuracy": cm.accuracy,
+            **{group: {name: getattr(cm, f"{group}_{name}") for name in _CLASS_MEASURES}
+               for group in _CLASS_GROUPS},
+            "conventions": list(cm.conventions),
+        }
+        models.append({
+            "name": m.name,
+            "instances": profile.size,
+            "positive_total": profile.positive_total,
+            "per_quantile_positive": list(profile.per_quantile_positive),
+            "cumulative_positive_count": list(profile.cumulative_positive_count),
+            "gain": _sig12(profile.per_quantile_positive, profile.positive_total),
+            "cumulative": _sig12(profile.cumulative_positive_count, profile.positive_total),
+            "classification": classification,
+            "supplied_fscore": m.supplied_fscore,
+            "budget_plan": _plan_doc(m.budget_plan, currency),
+            "target_plan": _plan_doc(m.target_plan, currency),
+            "marginal": _plan_doc(m.marginal, currency),
+        })
 
-    doc = {
+    return {
         "schema_version": 1,
         "run": {
             "quantiles": r.quantile_count,
@@ -346,7 +326,11 @@ def render_json(r: EvaluationReport) -> str:
             "fscore_source": source,
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def render_json(r: EvaluationReport) -> str:
+    """Render the report as a stable, versioned JSON document (see `_document`)."""
+    return json.dumps(_document(r), indent=2) + "\n"
 
 
 def render_chart(

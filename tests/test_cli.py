@@ -13,7 +13,7 @@ import gainbudget
 from gainbudget import cli
 from gainbudget.cli import run
 
-from conftest import worked_path
+from conftest import DATA_DIR, worked_path
 
 
 def invoke(capsys, *argv):
@@ -334,6 +334,9 @@ BAD_FLAG_VALUES = [
     ("compare", "--currency", "E\nUR"),
     ("budget", "--currency", "\x1b[31m$"),
     ("stop", "--currency", "\x9f"),
+    # A line or paragraph separator is no control character, but str.splitlines splits there.
+    ("eval", "--name", "a\u2028b"),
+    ("budget", "--currency", "\u2029"),
     # A blank name would print an empty Model cell.
     ("compare", "--name", ""),
     ("eval", "--name", "   "),
@@ -349,6 +352,7 @@ BAD_FLAG_VALUES = [
     ("chart", "--id-col", " id "),
     ("eval", "--delimiter", "\r"),
     ("compare", "--delimiter", "\n"),
+    ("eval", "--delimiter", '"'),  # csv's quote character, which Python 3.13's reader refuses
 ]
 
 
@@ -379,6 +383,14 @@ class TestErrorsAndHelp:
         assert code == 1
         assert out == ""
         assert "cutoff must be in 0..6" in err
+
+    @pytest.mark.parametrize("flag, value", [("--quantiles", "8"), ("--cutoff-k", "7")])
+    def test_bound_error_names_the_input(self, capsys, flag, value):
+        # 8 quantiles and a cutoff of 7 fit the 12-row tied.csv, not the 6-row second input.
+        code, out, err = invoke(capsys, "compare", str(DATA_DIR / "tied.csv"),
+                                str(worked_path("s1m1")), "--quantiles", "3", flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("gainbudget: worked_s1m1: "), err
 
     def test_negative_zero_budget_accepted(self, capsys):
         code, out, err = invoke(

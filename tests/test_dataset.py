@@ -262,6 +262,7 @@ class TestColumnSchema:
         ({"delimiter": "\n"}, "delimiter: '\\n' is not one character, or ends a line"),
         ({"delimiter": ";;"}, "delimiter: ';;' is not one character, or ends a line"),
         ({"delimiter": ""}, "delimiter: '' is not one character, or ends a line"),
+        ({"delimiter": '"'}, "delimiter: '\"' is the quote character"),
     ])
     def test_unmatchable_schema_rejected(self, kwargs, message):
         with pytest.raises(ValueError) as exc:

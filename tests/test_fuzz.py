@@ -37,7 +37,7 @@ FLAG_VALUES = {
     "--width": (["160", "640"], ["159", "-5", "x", "1" + "0" * 400]),
     "--height": (["120", "480"], ["119", "0", "1" + "0" * 400]),
     "--format": (["text", "md", "json"], ["xml"]),
-    "--delimiter": ([",", "tab", "\\t"], [";;", "", "\r", "\n"]),
+    "--delimiter": ([",", "tab", "\\t"], [";;", "", "\r", "\n", '"']),
     "--positive-token": (["1", "true"], ["yes", "", " 1 ", "0"]),
     "--negative-token": (["0", "false"], ["no", "", "0 ", "TRUE"]),
     "--id-col": (["id"], ["x", " id", "score"]),

@@ -375,3 +375,13 @@ def test_rankings_sort_names_by_key_then_run_index(report):
         keys = [m.class_metrics and -m.class_metrics.weighted_f1 for m in models]
     by_fscore = order(keys)
     assert report.rankings() == (by_cost, by_fscore, source if by_fscore else None)
+    # The JSON document and the text table print those same orders.
+    assert json.loads(render_json(report))["rankings"] == {
+        "by_cost_to_target": list(by_cost) if by_cost else None,
+        "by_fscore": list(by_fscore) if by_fscore else None,
+        "fscore_source": source if by_fscore else None,
+    }
+    label = "supplied F-score" if source == "supplied" else "weighted F1"
+    lines = ([f"by cost to target (cheapest first): {' < '.join(by_cost)}"] if by_cost else [])
+    lines += [f"by {label} (highest first): {' > '.join(by_fscore)}"] if by_fscore else []
+    assert render_table(report).partition("\nRankings\n")[2].splitlines() == lines
