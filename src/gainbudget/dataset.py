@@ -63,6 +63,8 @@ class ColumnSchema:
             raise ValueError(f"delimiter: {self.delimiter!r} is not one character, or ends a line")
         if self.delimiter == '"':  # csv's quote character; Python 3.13's reader refuses it
             raise ValueError(f"delimiter: {self.delimiter!r} is the quote character")
+        if self.delimiter == "\0":  # no file read holds a NUL; Python 3.10's csv refuses it
+            raise ValueError(f"delimiter: {self.delimiter!r} is NUL, which no input file may hold")
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from decimal import Decimal, localcontext
-from typing import Any, Sequence
-from xml.sax.saxutils import escape, quoteattr
+from decimal import Context
+from typing import Any, Callable, Sequence
 
 from .budget import BudgetPlan, CostModel, MarginalReport, TargetPlan
 from .metrics import ClassMetrics, GainProfile, ideal_profile
@@ -146,25 +145,34 @@ def _plan_cell(value: Any) -> str:
     return str(value)
 
 
-def _sig12(counts: Sequence[int], total: int) -> list[str]:
-    """Each count / total as a decimal string with 12 significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = 12
-        divisor = Decimal(total)
-        # Divide each distinct count once: P positives give at most P + 1, however many quantiles.
-        text = {c: str(Decimal(c) / divisor) for c in set(counts)}
+def _each_once(fmt: Callable[[int], str], counts: Sequence[int]) -> list[str]:
+    """`fmt(c)` for each count, once per distinct count: P positives give at most P + 1."""
+    text = {c: fmt(c) for c in set(counts)}
     return list(map(text.__getitem__, counts))
 
 
+def _sig12(counts: Sequence[int], total: int) -> list[str]:
+    """Each count / total as a decimal string with 12 significant digits."""
+    divide = Context(prec=12).divide
+    return _each_once(lambda c: str(divide(c, total)), counts)
+
+
+def _escape(text: str, attr: bool = False) -> str:
+    """As `xml.sax.saxutils.escape`, or `quoteattr` with `attr`; that import pulls in urllib."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    if not attr:
+        return text
+    text = text.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' in text and "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-
-    def fmt(cells: Sequence[str]) -> str:
-        parts = [cells[0].ljust(widths[0])]
-        parts += [cells[i].rjust(widths[i]) for i in range(1, len(cells))]
-        return "  ".join(parts).rstrip()
-
-    return [fmt(headers)] + [fmt(row) for row in rows]
+    """Rows under their headers, each column as wide as its widest cell; `rows` is not empty."""
+    widths = list(map(max, *(map(len, cells) for cells in (headers, *rows))))
+    return ["  ".join([cells[0].ljust(widths[0]), *map(str.rjust, cells[1:], widths[1:])]).rstrip()
+            for cells in (headers, *rows)]
 
 
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -215,9 +223,9 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
     ):
         rows = []
         for m in models:
-            total, counts = m["positive_total"], m[key]
-            cells = [f"{c / total:.2f}" for c in counts] if as_gain else list(map(str, counts))
-            rows.append([m["name"]] + cells)
+            total = m["positive_total"]
+            cells = _each_once(lambda c: f"{c / total:.2f}" if as_gain else str(c), m[key])
+            rows.append([m["name"], *cells])
         section(title, ["Model"] + qcols, rows)
 
     classified = [(m["name"], m["classification"]) for m in models if m["classification"]]
@@ -328,9 +336,26 @@ def _document(r: EvaluationReport) -> dict[str, Any]:
     }
 
 
+def _json(value: Any, newline: str) -> str:
+    """`json.dumps(value, indent=2)` at the indent `newline` ends with, for str-keyed dicts,
+    lists and scalars.  A list of scalars is one C encoder call; `indent` encodes in Python."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [json.dumps(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list) and value:
+        # One check per distinct item type: an isinstance per item costs as much as the encoding.
+        if any(issubclass(kind, (dict, list)) for kind in set(map(type, value))):
+            body = ("," + inner).join([_json(item, inner) for item in value])
+        else:
+            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        return "[" + inner + body + newline + "]"
+    return json.dumps(value)
+
+
 def render_json(r: EvaluationReport) -> str:
-    """Render the report as a stable, versioned JSON document (see `_document`)."""
-    return json.dumps(_document(r), indent=2) + "\n"
+    """Render the report as a stable, versioned JSON document (see `_document`), indent 2."""
+    return _json(_document(r), "\n") + "\n"
 
 
 def render_chart(
@@ -360,6 +385,7 @@ def render_chart(
 
     # Every quantile edge and every 25% step: the grid lines, ticks and curves share them.
     xs = [x0 + q / quantile_count * pw for q in range(quantile_count + 1)]
+    xtext = [f"{x:.2f}" for x in xs]
     ys = [py(i / 4) for i in range(5)]
 
     def line(cls: str, xa: float, ya: float, xb: float, yb: float, stroke: str,
@@ -381,9 +407,9 @@ def render_chart(
 
     # Gridlines: vertical at every quantile boundary, horizontal every 25%.
     out += [
-        f'<line class="xgrid" x1="{x:.2f}" y1="{y0:.2f}" x2="{x:.2f}" y2="{y1:.2f}" '
+        f'<line class="xgrid" x1="{x}" y1="{y0:.2f}" x2="{x}" y2="{y1:.2f}" '
         f'stroke="#dddddd" stroke-width="1"/>'
-        for x in xs
+        for x in xtext
     ]
     out += [line("ygrid", x0, y, x1, y, "#dddddd") for y in ys]
 
@@ -404,8 +430,10 @@ def render_chart(
     )
 
     def points(profile: GainProfile) -> str:
-        fracs = (c / profile.positive_total for c in (0, *profile.cumulative_positive_count))
-        return " ".join(f"{x:.2f},{py(f):.2f}" for x, f in zip(xs, fracs))
+        total = profile.positive_total
+        ytext = _each_once(lambda c: f",{py(c / total):.2f}",
+                           (0, *profile.cumulative_positive_count))
+        return " ".join(map(str.__add__, xtext, ytext))
 
     # (name, color, stroke width, dasharray or "", polyline points)
     curves: list[tuple[str, str, str, str, str]] = []
@@ -424,12 +452,12 @@ def render_chart(
     for i, (name, color, stroke_width, dash, coords) in enumerate(curves):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(
-            f'<polyline class="series" data-name={quoteattr(name)} fill="none" '
+            f'<polyline class="series" data-name={_escape(name, attr=True)} fill="none" '
             f'stroke="{color}" stroke-width="{stroke_width}"{dash_attr} points="{coords}"/>'
         )
         y = y0 + 14 + i * 16
         legend.append(line("", x0 + 12, y - 4, x0 + 34, y - 4, color, "2", dash_attr))
-        legend.append(text("legend", x0 + 40, y, escape(name)))
+        legend.append(text("legend", x0 + 40, y, _escape(name)))
     out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"

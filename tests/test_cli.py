@@ -546,3 +546,15 @@ class TestDeterminism:
         assert code == 0
         doc = json.loads(out)
         assert doc["models"][0]["cumulative_positive_count"][1] == 414
+
+
+def test_cli_import_loads_no_xml_or_network_package():
+    # Every run and every --help pays for these imports; xml.sax.saxutils alone pulled in
+    # urllib.request, http, email and ssl.  -S keeps a site .pth file's imports out of the check.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gainbudget.cli; "
+             "print(*sorted({'xml', 'urllib.request', 'http', 'email', 'ssl'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(Path(gainbudget.__file__).parents[1])],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")

@@ -263,6 +263,7 @@ class TestColumnSchema:
         ({"delimiter": ";;"}, "delimiter: ';;' is not one character, or ends a line"),
         ({"delimiter": ""}, "delimiter: '' is not one character, or ends a line"),
         ({"delimiter": '"'}, "delimiter: '\"' is the quote character"),
+        ({"delimiter": "\0"}, "delimiter: '\\x00' is NUL, which no input file may hold"),
     ])
     def test_unmatchable_schema_rejected(self, kwargs, message):
         with pytest.raises(ValueError) as exc:

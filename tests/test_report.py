@@ -2,6 +2,7 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from gainbudget import (
     render_json,
     render_table,
 )
+from gainbudget.report import _escape, _json
 
 CM = CostModel(unit_cost=Decimal("0.04"))
 SVG = "{http://www.w3.org/2000/svg}"
@@ -329,13 +331,44 @@ class TestChart:
 
     def test_name_escaping(self):
         profile = ideal_profile(4, 2, 2)
-        renamed = type(profile)(
-            model_name="a<b&c", per_quantile_positive=profile.per_quantile_positive,
-            positive_total=profile.positive_total, size=profile.size,
-        )
-        svg = render_chart([renamed])
-        assert "a<b&c" not in svg
-        assert "a&lt;b&amp;c" in svg
+        for name, attr, body in (
+            ("a<b&c", '"a&lt;b&amp;c"', "a&lt;b&amp;c"),
+            # Both quote characters: the attribute keeps '"' and writes each '"' as &quot;.
+            ("say \"hi\"\tit's & go", '"say &quot;hi&quot;&#9;it\'s &amp; go"',
+             "say \"hi\"\tit's &amp; go"),
+        ):
+            renamed = type(profile)(
+                model_name=name, per_quantile_positive=profile.per_quantile_positive,
+                positive_total=profile.positive_total, size=profile.size,
+            )
+            svg = render_chart([renamed])
+            assert name not in svg
+            assert f"data-name={attr} " in svg and f">{body}</text>" in svg
+            root = ET.fromstring(svg)
+            assert root.find(f"{SVG}polyline").get("data-name") == name
+            assert root.find(f"{SVG}text[@class='legend']").text == name
+
+
+#: Text with non-ASCII characters and lone surrogates, which json escapes as \uXXXX.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ANY_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300)
+def test_json_lays_out_as_indent_2(value):
+    assert _json(value, "\n") == json.dumps(value, indent=2)
+
+
+@given(st.text(st.sampled_from("&<>\"'\n\r\t") | st.characters()))
+@settings(max_examples=300)
+def test_escape_is_saxutils(text):
+    assert _escape(text) == escape(text)
+    assert _escape(text, attr=True) == quoteattr(text)
 
 
 @st.composite
