@@ -16,10 +16,10 @@ import contextlib
 import csv
 import hashlib
 import io
-import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
+from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -145,10 +145,8 @@ def parse_dataset(
 
 
 def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError(f"{name}: empty input, expected a header row") from None
+    if (header := next(reader, None)) is None:
+        raise DatasetError(f"{name}: empty input, expected a header row")
 
     configured = (schema.id_col, schema.score_col, schema.label_col)
     names = [col.strip() for col in header]
@@ -165,15 +163,12 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
             f"{name}: configured column(s) {', '.join(repeated)} appear more than once",
             [(1, f"header is {header!r}")],
         )
-    id_idx = columns[schema.id_col]
-    score_idx = columns[schema.score_col]
-    label_idx = columns[schema.label_col]
+    id_idx, score_idx, label_idx = (columns[col] for col in configured)
     width = max(id_idx, score_idx, label_idx) + 1
 
     label_of = _label_of(schema)
 
-    scores = array("d")
-    labels = bytearray()
+    scores, labels = array("d"), bytearray()
     seen: set[str] = set()
     issues: list[tuple[int, str]] = []
     for row in reader:
@@ -199,7 +194,7 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
         except ValueError:
             issues.append((reader.line_num, f"non-numeric score {text!r}"))
             continue
-        if not math.isfinite(score):
+        if not isfinite(score):
             issues.append((reader.line_num, f"non-finite score {text!r}"))
             continue
 
@@ -226,11 +221,14 @@ BLOCK_CHARS, CHUNK_ROWS = 1 << 15, 1 << 10
 def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDataset | None:
     """The dataset if the header is just the configured columns and no row is bad;
     on a doubt None, or ValueError, KeyError or csv.Error.  Unquoted, csv ends a row
-    at \\r, \\n or \\r\\n and splits it at each delimiter, so str methods split blocks
-    of whole lines.  From a block with a quote, a NUL, an overlong line, or a line end
-    that a stream without universal newlines may leave inside a line, csv reads on."""
+    at \\r, \\n or \\r\\n and splits it at each delimiter, so str methods split a block
+    of lines with two delimiters each; other blocks are read again row by row.  From a block
+    with a quote, a NUL, an overlong line, or a line end that a stream without universal
+    newlines may leave inside a line, csv reads on."""
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
-    scores, labels, seen, order, reader = array("d"), bytearray(), set(), None, None
+    mark = delim if delim.isascii() else "\0"  # NUL stands in: no block split here holds one
+    drop = bytes(range(256)).replace(mark.encode(), b"").replace(b"\n", b"")
+    chunks, labels, seen, order, reader = [], bytearray(), set(), None, None
     while True:
         if not reader:
             pos = source.tell()
@@ -239,12 +237,13 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDatas
                     or "\r" in text and getattr(source, "newlines", None) is None):
                 source.seek(pos)
                 reader = csv.reader(source, delimiter=delim)
-            rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            body, last = text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n"), not text
         if order is None:
-            names = list(map(str.strip, next(reader, []) if reader else rows.pop(0).split(delim)))
+            names = list(map(str.strip, next(reader, []) if reader else body.split(delim)))
             order = list(map(names.index, (schema.id_col, schema.score_col, schema.label_col)))
             if len(names) != 3:
                 return None
+            continue
         if reader:  # Each csv row dies as it is unpacked, so the collector seldom runs.
             columns: tuple[list[str], ...] = ([], [], [])
             first, second, third = (column.append for column in columns)
@@ -255,30 +254,33 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDatas
             uids, texts, tokens = (columns[i] for i in order)
             uids, last = list(map(str.strip, uids)), len(uids) < CHUNK_ROWS
         else:
-            rows, last = list(filter(None, rows)), not text
-            for _ in range(2):
-                cells = delim.join(rows).split(delim) if rows else []
+            for _ in range(2):  # The probe keeps only the block's delimiters and line ends.
+                probe = body.replace(delim, mark).encode().translate(None, drop)
+                cells = body.replace("\n", delim).split(delim) if body else []
                 uids, texts, tokens = (cells[i::3] for i in order)
-                uids = list(map(str.strip, uids))
-                if set(map(str.count, rows, repeat(delim))) <= {2} and all(uids):
+                if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
+                    uids = list(map(str.strip, uids))  # else each id would come back as it is
+                shape = (2 * mark + "\n").encode() * probe.count(b"\n") + (2 * mark).encode()
+                if (not body or probe == shape) and all(uids):
                     break
                 # As in the strict loop: all-blank lines are skipped, cells past the third ignored.
-                rows = [delim.join(row.split(delim, 3)[:3]) for row in rows
-                        if row.replace(delim, " ").strip()]
+                body = "\n".join(delim.join(row.split(delim, 3)[:3]) for row in body.split("\n")
+                                 if row.replace(delim, " ").strip())
             else:
                 return None
         chunk = array("d", map(float, texts))
         seen.update(uids)
-        if ("_" in "".join(texts) or not all(uids) or not all(map(math.isfinite, chunk))
-                or len(seen) != len(scores) + len(uids)):
+        if ("_" in "".join(texts) or reader and not all(uids) or not isfinite(sum(chunk))
+                and not all(map(isfinite, chunk)) or len(seen) != len(labels) + len(uids)):
             return None
-        scores += chunk
+        chunks.append(chunk)  # joined once: an array grown in place left holes in the heap
         try:  # Tokens as written first: stripping and lowering each cost 5% of a 10^6-row eval.
             labels += bytearray(map(label_of.__getitem__, tokens))
         except KeyError:
             labels += bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
         if last:
-            return LabeledDataset(name, scores, labels) if scores else None
+            seen.clear()  # first, so that the join adds nothing to the peak
+            return LabeledDataset(name, array("d", b"".join(chunks)), labels) if labels else None
 
 
 def read_dataset_file(
@@ -293,8 +295,7 @@ def read_dataset_file(
     is reported, ahead of any other fault, with the line that holds it.
     """
     path = Path(path)
-    if name is None:
-        name = path.stem
+    name = path.stem if name is None else name
     try:
         raw = path.read_bytes()
     except OSError as exc:

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import ne, sub
+from operator import floordiv, ne, sub
 
 from .dataset import LabeledDataset
 
@@ -96,7 +96,7 @@ def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition
         raise ValueError(
             f"{r.name}: quantile count must be between 1 and {n}, got {quantile_count}"
         )
-    boundaries = tuple(q * n // quantile_count for q in range(quantile_count + 1))
+    boundaries = tuple(map(floordiv, range(0, n * quantile_count + 1, n), repeat(quantile_count)))
     above = list(map(bisect_left, repeat(r.positive_ranks), boundaries))
     return QuantilePartition(
         ranked=r,

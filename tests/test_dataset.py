@@ -418,6 +418,48 @@ def test_column_path_matches_the_strict_loop(raw, block_chars):
     assert got == outcome(lambda: parse_dataset(list(io.StringIO(text, newline="")), name="m"))
 
 
+DELIMITERS = [",", "\t", ";", " ", "\u00a7"]
+
+
+@st.composite
+def delimited_files(draw) -> tuple[bytes, str]:
+    """A file in any of DELIMITERS, and that delimiter.  Sometimes one row passes its
+    last cell to the row above, which then has four cells and leaves two: the file
+    has as many delimiters as when each row had three."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    raw = draw(csv_bytes(draw(st.booleans()), delimiter=delimiter))
+    text = raw.decode("utf-8")
+    ending = next(end for end in ("\r\n", "\r", "\n") if end in text)
+    lines = text.split(ending)
+    pairs = [i for i in range(1, len(lines) - 1) if delimiter in lines[i + 1]]
+    if pairs and draw(st.booleans()):
+        i = draw(st.sampled_from(pairs))
+        lines[i + 1], cell = lines[i + 1].rsplit(delimiter, 1)
+        lines[i] += delimiter + cell
+    return ending.join(lines).encode("utf-8"), delimiter
+
+
+@given(delimited_files(), st.sampled_from([1, 2, 3, 7, 16, dataset.BLOCK_CHARS]))
+# The 4-cell and 2-cell rows in one block, and on either side of a block edge; in the
+# last file the six cells also read as two good rows of three.
+@example((b"id,score,label\na,1,1,x\nb,2\n", ","), dataset.BLOCK_CHARS)
+@example((b"id,score,label\na,1,1,x\nb,2\n", ","), 3)
+@example((b"id,score,label\na,1,1,5\n0,1\n", ","), dataset.BLOCK_CHARS)
+# Ids that only str.strip() makes equal.
+@example((b"id;score;label\n\x1ca;1;1\na;2;0\n", ";"), dataset.BLOCK_CHARS)
+@settings(max_examples=1000, deadline=None)
+def test_column_path_matches_the_strict_loop_in_any_delimiter(file, block_chars):
+    """As above, in each delimiter, and with rows whose cell counts cancel out."""
+    raw, delimiter = file
+    schema = ColumnSchema(delimiter=delimiter)
+    with mock.patch.object(dataset, "BLOCK_CHARS", block_chars), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(raw)
+        got = outcome(lambda: read_dataset_file(path, schema)[0])
+    text = raw.decode("utf-8-sig")
+    assert got == outcome(lambda: parse_dataset(list(io.StringIO(text, newline="")), schema, "m"))
+
+
 @given(csv_bytes(True))
 @settings(max_examples=200, deadline=None)
 def test_well_formed_files_never_reach_the_strict_loop(raw):
@@ -496,9 +538,10 @@ class TestColumnPath:
             parse_text(text + "9,0,r0\n")
         assert exc.value.issues == ((rows + 2, "duplicate id 'r0'"),)
 
-    @pytest.mark.parametrize("odd", [" ", " , , ", "b,1,1,x"])
+    @pytest.mark.parametrize("odd", [" ", " , , ", "b,1,1,x", "b,1e308,1\nc,1e308,0"])
     def test_odd_rows_the_strict_loop_accepts_stay_on_the_column_path(self, odd):
-        # The strict loop skips an all-blank row and ignores cells past the header's.
+        # The strict loop skips an all-blank row and ignores cells past the header's;
+        # scores whose sum overflows are each finite.
         text = f"id,score,label\na,1,1\n{odd}\n"
         strict = parse_dataset(list(io.StringIO(text, newline="")))
         with strict_loop_only():
@@ -523,6 +566,19 @@ class TestColumnPath:
         strict = parse_dataset(list(io.StringIO(text, newline="")))
         with strict_loop_only():
             assert parse_dataset(io.StringIO(text, newline="")) == strict
+
+    @pytest.mark.parametrize("delimiter", ["\t", " ", "\u00a7"], ids=["tab", "space", "section"])
+    def test_other_delimiters_stay_on_the_column_path(self, monkeypatch, tmp_path, delimiter):
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        schema = ColumnSchema(delimiter=delimiter)
+        rows = [("label", "id", "score")] + [(str(i % 2), f"r{i}", repr(i / 7)) for i in range(40)]
+        path = tmp_path / "m.csv"
+        path.write_text("".join(delimiter.join(row) + "\n" for row in rows), encoding="utf-8")
+        with path.open(newline="", encoding="utf-8") as lines:
+            strict = parse_dataset(list(lines), schema, name="m")
+        assert strict.size == 40
+        with strict_loop_only():
+            assert read_dataset_file(path, schema)[0] == strict
 
     def test_crlf_stream_without_universal_newlines_stays_on_the_column_path(self):
         # io.StringIO's default leaves \r\n in its lines, which csv takes as line ends.

@@ -101,7 +101,7 @@ COLUMN_ORDERS = st.sampled_from([("id", "score", "label"), ("label", "score", "i
 
 
 @st.composite
-def csv_bytes(draw, well_formed: bool, with_positive: bool = False):
+def csv_bytes(draw, well_formed: bool, with_positive: bool = False, delimiter: str = ","):
     """A delimited file; unless well formed, any row or the header may be bad."""
     scores, labels, order = GOOD_SCORES, GOOD_LABELS, draw(COLUMN_ORDERS)
     header = draw(st.sampled_from(["", "\ufeff"])) + ",".join(order)
@@ -119,6 +119,7 @@ def csv_bytes(draw, well_formed: bool, with_positive: bool = False):
     ]
     if not well_formed and draw(st.booleans()):
         lines.append(draw(st.sampled_from(["0,1,1", ",1,1", "a b,1", '"q,1,1'])))
+    lines = [line.replace(",", delimiter) for line in lines]  # no drawn cell holds a comma
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode("utf-8")
 
