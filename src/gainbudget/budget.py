@@ -30,8 +30,6 @@ class CostRule(str, Enum):
 
 
 class _FullRecall:
-    __slots__ = ()
-
     def __repr__(self) -> str:
         return "FULL_RECALL"
 
@@ -169,12 +167,9 @@ def cost_to_target(
     FULL_RECALL targets every positive.  An impossible target reports
     achievable=False with the cost of annotating everything.
     """
-    if isinstance(target, _FullRecall):
-        goal = g.positive_total
-    else:
-        if target < 1:
-            raise ValueError(f"target must be at least 1, got {target}")
-        goal = target
+    goal = g.positive_total if isinstance(target, _FullRecall) else target
+    if goal < 1:  # never so for FULL_RECALL: a profile has a positive
+        raise ValueError(f"target must be at least 1, got {target}")
     quantile_count = g.quantile_count
     # Cumulative counts never decrease, so the first prefix reaching the goal
     # is a bisection; an unreachable goal prices every quantile.

@@ -150,20 +150,13 @@ def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
 
     configured = (schema.id_col, schema.score_col, schema.label_col)
     names = [col.strip() for col in header]
-    columns = {col: idx for idx, col in enumerate(names)}
-    missing = [col for col in configured if col not in columns]
-    if missing:
-        raise DatasetError(
-            f"{name}: missing configured column(s) {', '.join(missing)}",
-            [(1, f"header is {header!r}")],
-        )
-    repeated = [col for col in dict.fromkeys(configured) if names.count(col) > 1]
-    if repeated:
-        raise DatasetError(
-            f"{name}: configured column(s) {', '.join(repeated)} appear more than once",
-            [(1, f"header is {header!r}")],
-        )
-    id_idx, score_idx, label_idx = (columns[col] for col in configured)
+    missing = [col for col in configured if col not in names]
+    repeated = [col for col in configured if names.count(col) > 1]  # ColumnSchema: 3 distinct
+    if missing or repeated:
+        fault = (f"missing configured column(s) {', '.join(missing)}" if missing
+                 else f"configured column(s) {', '.join(repeated)} appear more than once")
+        raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
+    id_idx, score_idx, label_idx = map(names.index, configured)
     width = max(id_idx, score_idx, label_idx) + 1
 
     label_of = _label_of(schema)
@@ -283,48 +276,67 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDatas
             return LabeledDataset(name, array("d", b"".join(chunks)), labels) if labels else None
 
 
+class _HashedFile(io.FileIO):
+    """A file whose reads feed a sha256, and set `bad` on a NUL, with each byte once however
+    often a seek goes back over it: only the bytes past the furthest offset read are new."""
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(path)
+        self.sha, self.end, self.bad = hashlib.sha256(), 0, False
+
+    def readinto(self, buffer: Any) -> int:
+        start, count = self.tell() if self.seekable() else self.end, super().readinto(buffer)
+        if start + count > self.end:
+            new = bytes(buffer[self.end - start:count])
+            self.sha.update(new)
+            self.bad, self.end = self.bad or b"\0" in new, start + count
+        return count
+
+
 def read_dataset_file(
     path: str | Path,
     schema: ColumnSchema = ColumnSchema(),
     name: str | None = None,
 ) -> tuple[LabeledDataset, str]:
-    """Load a dataset from disk; returns (dataset, sha256 of the raw bytes).
+    """Load a dataset from disk; returns (dataset, sha256 of the bytes parsed).
 
-    The digest feeds report metadata so runs are traceable to exact inputs.
-    A leading UTF-8 byte-order mark is skipped; a NUL or undecodable byte
-    is reported, ahead of any other fault, with the line that holds it.
+    The file is read once, as a stream, and no copy of it is held.  A leading UTF-8
+    byte-order mark is skipped.  A NUL or undecodable byte is reported ahead of any
+    other fault, with its line: only then is the file read whole, to find that byte.
     """
     path = Path(path)
     name = path.stem if name is None else name
     try:
-        raw = path.read_bytes()
+        raw = _HashedFile(path)
     except OSError as exc:
         raise DatasetError(f"{name}: cannot read {path}: {exc.strerror or exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
-    # The csv module rejects NUL before Python 3.11 and keeps it in a field
-    # after, so it is rejected here, the same way on every version.
-    nul = raw.find(b"\0")
-    if nul >= 0:
-        bad = f"NUL byte at byte offset {nul}"
-        raise DatasetError(f"{name}: input holds a NUL byte", [(_line_at(raw, nul), bad)])
-    # In slices of about 1 MiB, so no string of the whole text is built; each
-    # ends at a \n, which no multibyte UTF-8 sequence holds.
-    start = len(raw) if raw.isascii() else 0
-    while start < len(raw):
-        end = raw.find(b"\n", start + (1 << 20)) + 1 or len(raw)
-        try:
-            str(memoryview(raw)[start:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            offset = start + exc.start
-            bad = f"undecodable byte 0x{raw[offset]:02x} at byte offset {offset}"
-            line = _line_at(raw, offset)
-            raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
-        start = end
-    # Decoded chunk by chunk as the parser reads, so no second copy of the
-    # whole text is kept; newline="" leaves line endings to the parser.
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as stream:
-        dataset = parse_dataset(stream, schema, name=name)
-    return dataset, digest
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as stream:
+        # Skipped here: a utf-8-sig decoder would take a file of b"\xef" for an empty one.
+        stream.buffer.read(3 if stream.buffer.peek(3).startswith(b"\xef\xbb\xbf") else 0)
+        try:  # A parse that returns has read the text to its end, so the digest has every byte.
+            try:
+                dataset = parse_dataset(stream, schema, name=name)
+            except DatasetError:
+                while stream.read(1 << 16):  # A bad byte past the fault is reported instead.
+                    pass
+                if not raw.bad:
+                    raise
+        except UnicodeDecodeError:
+            raw.bad = True
+    if not raw.bad:
+        return dataset, raw.sha.hexdigest()
+    # csv rejects NUL before Python 3.11 and keeps it in a field after; it is rejected here.
+    data = path.read_bytes()
+    if (offset := data.find(b"\0")) >= 0:
+        bad = f"NUL byte at byte offset {offset}"
+        raise DatasetError(f"{name}: input holds a NUL byte", [(_line_at(data, offset), bad)])
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = f"undecodable byte 0x{data[exc.start]:02x} at byte offset {exc.start}"
+        line = _line_at(data, exc.start)
+        raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
+    raise DatasetError(f"{name}: input changed while it was read")
 
 
 def _line_at(raw: bytes, offset: int) -> int:

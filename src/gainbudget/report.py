@@ -129,15 +129,10 @@ class EvaluationReport:
         return tuple(self.models[i].name for i in held)
 
 
-def _fmt_money(units: int) -> str:
-    """Minor units (cents) as a decimal amount with two places."""
-    return f"{units // 100}.{units % 100:02d}"
-
-
 def _plan_cell(value: Any) -> str:
     """One `_plan_doc` value as table text: money, yes/no, a ratio, "inf" or an integer."""
-    if isinstance(value, dict):
-        return _fmt_money(value["minor_units"])
+    if isinstance(value, dict):  # minor units (cents) as a decimal amount with two places
+        return f"{value['minor_units'] // 100}.{value['minor_units'] % 100:02d}"
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
@@ -189,7 +184,7 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
         raise ValueError(f"unknown table style {style!r}")
     md = style == "md"
     table = _md_table if md else _text_table
-    doc = _document(r)
+    doc = _document(r, gains=False)
     run, models = doc["run"], doc["models"]
 
     meta = [f"quantiles={run['quantiles']}", f"tie-policy={run['tie_policy']}"]
@@ -206,8 +201,9 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
         lines.extend(["", f"## {title}", ""] if md else ["", title])
 
     def section(title: str, headers: Sequence[str], rows: list[Sequence[str]]) -> None:
-        heading(title)
-        lines.extend(table(headers, rows))
+        if rows:  # an optional section that no model has is left out
+            heading(title)
+            lines.extend(table(headers, rows))
 
     section(
         "Models",
@@ -215,7 +211,6 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
         [[m["name"], str(m["instances"]), str(m["positive_total"])] for m in models],
     )
     qcols = [f"Q{q + 1}" for q in range(run["quantiles"])]
-    # Gains are formatted from the counts: the 12-digit strings would round twice.
     for title, key, as_gain in (
         ("Gain", "per_quantile_positive", True),
         ("Cumulative gain", "cumulative_positive_count", True),
@@ -229,29 +224,26 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
         section(title, ["Model"] + qcols, rows)
 
     classified = [(m["name"], m["classification"]) for m in models if m["classification"]]
-    if classified:
-        section(
-            "Classification at cutoff",
-            ["Model", "k", "Acc", "P+", "R+", "F1+", "P-", "R-", "F1-", "wP", "wR", "wF1"],
-            [[name, str(c["cutoff_k"]), f"{c['accuracy']:.2f}"]
-             + [f"{c[g][x]:.2f}" for g in _CLASS_GROUPS for x in _CLASS_MEASURES]
-             for name, c in classified],
-        )
-        flagged = [f"{name}: {', '.join(c['conventions'])}"
-                   for name, c in classified if c["conventions"]]
-        if flagged:
-            lines.append("zero-denominator convention (value set to 0): " + "; ".join(flagged))
+    section(
+        "Classification at cutoff",
+        ["Model", "k", "Acc", "P+", "R+", "F1+", "P-", "R-", "F1-", "wP", "wR", "wF1"],
+        [[name, str(c["cutoff_k"]), f"{c['accuracy']:.2f}"]
+         + [f"{c[g][x]:.2f}" for g in _CLASS_GROUPS for x in _CLASS_MEASURES]
+         for name, c in classified],
+    )
+    flagged = [f"{name}: {', '.join(c['conventions'])}"
+               for name, c in classified if c["conventions"]]
+    if flagged:
+        lines.append("zero-denominator convention (value set to 0): " + "; ".join(flagged))
 
     supplied = [[m["name"], f"{m['supplied_fscore']:.2f}"]
                 for m in models if m["supplied_fscore"] is not None]
-    if supplied:
-        section("Supplied F-scores", ["Model", "F-score"], supplied)
+    section("Supplied F-scores", ["Model", "F-score"], supplied)
 
     for title, key, columns in _PLAN_TABLES:
         rows = [[m["name"]] + [_plan_cell(m[key][field]) for _, field in columns]
                 for m in models if m[key]]
-        if rows:
-            section(title, ["Model"] + [header for header, _ in columns], rows)
+        section(title, ["Model"] + [header for header, _ in columns], rows)
 
     by_cost, by_fscore, source = doc["rankings"].values()
     if by_cost or by_fscore:
@@ -282,12 +274,12 @@ def _plan_doc(
     return doc
 
 
-def _document(r: EvaluationReport) -> dict[str, Any]:
+def _document(r: EvaluationReport, gains: bool) -> dict[str, Any]:
     """The report as the JSON document's value; every renderer but the chart prints it.
 
-    Counts are integers, gains are decimal strings with 12 significant
-    digits, money is minor-unit integers with the currency label.  Optional
-    sections are always present, null when not requested.
+    Counts are integers, gains are decimal strings with 12 significant digits (only
+    with `gains`: no table prints them), money is minor-unit integers with the
+    currency label.  Optional sections are always present, null when not requested.
     """
     currency = r.cost_model.currency_label if r.cost_model is not None else None
     by_cost, by_fscore, source = r.rankings()
@@ -308,8 +300,9 @@ def _document(r: EvaluationReport) -> dict[str, Any]:
             "positive_total": profile.positive_total,
             "per_quantile_positive": list(profile.per_quantile_positive),
             "cumulative_positive_count": list(profile.cumulative_positive_count),
-            "gain": _sig12(profile.per_quantile_positive, profile.positive_total),
-            "cumulative": _sig12(profile.cumulative_positive_count, profile.positive_total),
+            **({"gain": _sig12(profile.per_quantile_positive, profile.positive_total),
+                "cumulative": _sig12(profile.cumulative_positive_count, profile.positive_total)}
+               if gains else {}),
             "classification": classification,
             "supplied_fscore": m.supplied_fscore,
             "budget_plan": _plan_doc(m.budget_plan, currency),
@@ -355,7 +348,7 @@ def _json(value: Any, newline: str) -> str:
 
 def render_json(r: EvaluationReport) -> str:
     """Render the report as a stable, versioned JSON document (see `_document`), indent 2."""
-    return _json(_document(r), "\n") + "\n"
+    return _json(_document(r, gains=True), "\n") + "\n"
 
 
 def render_chart(
@@ -413,7 +406,6 @@ def render_chart(
     ]
     out += [line("ygrid", x0, y, x1, y, "#dddddd") for y in ys]
 
-    # Axes.
     out.append(line("", x0, y0, x0, y1, "#333333"))
     out.append(line("", x0, y1, x1, y1, "#333333"))
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -188,6 +189,8 @@ class TestReadFile:
         pytest.param(b"\n\xc2", id="cut-sequence"),
         # A bad header is met before the chunk that holds the bad byte.
         pytest.param(b"id,score\n" + b"a,1\n" * 5000 + b"\xff", id="past-bad-header"),
+        # The parse stops at the header; the rest of the file, over 1 MiB, is read on.
+        pytest.param(b"id,score\n" + b"a,1\n" * 300_000 + b"\xff", id="far-past-bad-header"),
     ])
     def test_undecodable_byte_reported_before_other_faults(self, tmp_path, raw):
         (tmp_path / "bad.csv").write_bytes(raw)
@@ -216,17 +219,22 @@ class TestReadFile:
         )
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    @pytest.mark.parametrize("where", ["id", "score", "header"])
+    @pytest.mark.parametrize("where", ["id", "score", "header", "past-bad-header", "past-bad-byte"])
     def test_nul_byte_reports_its_line(self, tmp_path, newline, where):
         # Python 3.11's csv keeps a NUL inside a field, 3.10's raises; both
-        # must give the same error.
-        header = "id,sc\0ore,label" if where == "header" else "id,score,label"
-        bad = {"id": "a\0b,1,1", "score": "b,1\0,1", "header": "b,1,1"}[where]
-        raw = newline.join([header, "a,1,0", bad, ""]).encode()
+        # must give the same error.  It also comes ahead of a bad header that
+        # stops the parse over 1 MiB before the NUL, and of an undecodable byte
+        # that stops the decoder before it.
+        header = {"header": b"id,sc\0ore,label", "past-bad-header": b"id,score"}.get(where)
+        far = where == "past-bad-header"
+        good = [b"r%d,1,0" % i for i in range(200_000)] if far else [b"a,1,0"]
+        bad = {"id": [b"a\0b,1,1"], "score": [b"b,1\0,1"], "header": [b"b,1,1"],
+               "past-bad-header": [b"b,\0,1"], "past-bad-byte": [b"b,\xff,1", b"c,1\0,1"]}[where]
+        raw = newline.encode().join([header or b"id,score,label", *good, *bad, b""])
         (tmp_path / "nul.csv").write_bytes(raw)
         with pytest.raises(DatasetError, match="NUL byte") as exc:
             read_dataset_file(tmp_path / "nul.csv")
-        line = 1 if where == "header" else 3
+        line = raw.count(newline.encode(), 0, raw.index(0)) + 1
         assert exc.value.issues == ((line, f"NUL byte at byte offset {raw.index(0)}"),)
 
     def test_oversized_field_reports_its_line(self, tmp_path):
@@ -237,6 +245,60 @@ class TestReadFile:
         ((line, reason),) = exc.value.issues
         assert line == 3
         assert "field larger than field limit" in reason
+
+    @pytest.mark.parametrize("ending, raw", [
+        ("\n", b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"),
+        ("\r", b"id,score,label\ra,1,1\rb,2,0\r"),
+        # The column path seeks back to the start of the block that holds the quote,
+        # past the first BLOCK_CHARS characters, and csv reads on past where it had read.
+        ("\n", ("id,score,label\n" + "".join(f"r{i},0.5,{i % 2}\n" for i in range(5000))
+                + '"q",1,1\n' + "".join(f"s{i},0.5,{i % 2}\n" for i in range(5000))).encode()),
+    ], ids=["byte-order-mark", "cr", "quoted-block-past-the-first"])
+    def test_digest_is_of_the_bytes_parsed_in_one_read(self, tmp_path, monkeypatch, ending, raw):
+        monkeypatch.setattr(Path, "read_bytes", mock.Mock(side_effect=AssertionError("whole")))
+        path = tmp_path / "m.csv"
+        path.write_bytes(raw)
+        d, digest = read_dataset_file(path)
+        assert digest == hashlib.sha256(raw).hexdigest()
+        assert d.size == raw.count(ending.encode()) - 1
+        path.write_bytes(raw + f"zz,abc,1{ending}".encode())
+        with pytest.raises(DatasetError, match="1 invalid row"):
+            read_dataset_file(path)
+
+    def test_a_read_back_over_taken_bytes_takes_only_the_new_ones(self, tmp_path):
+        # The text layer seeks back only to the start of a chunk it read, so it never
+        # reads across the furthest offset read; a direct read does.
+        raw = bytes(range(250)) * 4
+        (tmp_path / "b").write_bytes(raw)
+        with dataset._HashedFile(tmp_path / "b") as f:
+            counts = [f.readinto(bytearray(600)), f.seek(100), f.readinto(bytearray(950))]
+            taken = f.sha.hexdigest(), f.end, f.bad
+        assert counts == [600, 100, 900]
+        assert taken == (hashlib.sha256(raw).hexdigest(), 1000, True)  # byte 0 is a NUL
+
+    @pytest.mark.parametrize("bad", [b"\0", b"\xff"])
+    def test_bad_byte_gone_when_looked_for(self, tmp_path, monkeypatch, bad):
+        # The stream saw the bad byte; the file read whole to find it has none.
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"id,score,label\na,1" + bad + b",1\n")
+        monkeypatch.setattr(Path, "read_bytes", lambda self: b"id,score,label\na,1,1\n")
+        with pytest.raises(DatasetError) as exc:
+            read_dataset_file(path)
+        assert (str(exc.value), exc.value.issues) == ("m: input changed while it was read", ())
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_pipe(self):
+        # A pipe cannot seek, so only the strict loop reads it; the digest is of its bytes.
+        raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"
+        read_end, write_end = os.pipe()
+        os.write(write_end, raw)
+        os.close(write_end)
+        try:
+            d, digest = read_dataset_file(f"/dev/fd/{read_end}", name="p")
+        finally:
+            os.close(read_end)
+        assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [1, 0])
+        assert digest == hashlib.sha256(raw).hexdigest()
 
 
 class TestColumnSchema:
@@ -400,6 +462,8 @@ def strict_loop_only():
 @example(b"id,score,label\na,1,1,b,2,0\n", dataset.BLOCK_CHARS)
 # An id longer than csv.field_size_limit().
 @example(b"id,score,label\na,1,1\n" + b"x" * 140_000 + b",2,0\n", dataset.BLOCK_CHARS)
+# A byte-order mark cut short is not UTF-8, though a utf-8-sig decoder reads it as no text.
+@example(b"\xef\xbb", dataset.BLOCK_CHARS)
 @settings(max_examples=1000, deadline=None)
 def test_column_path_matches_the_strict_loop(raw, block_chars):
     """A file (read in blocks of 1, 2, 3 and 7 characters too) parses as its
