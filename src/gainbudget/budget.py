@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -37,56 +37,44 @@ class _FullRecall:
 #: Target marker meaning "recover every positive instance".
 FULL_RECALL = _FullRecall()
 
-#: Field metadata marking an amount of money, held as integer minor units.
-_MONEY = {"money": True}
+
+class CostModel(namedtuple("CostModel", "unit_cost currency_label cost_rule")):
+    """Per-candidate annotation price (a Decimal) plus the pricing rule for quantiles."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, unit_cost: Decimal, currency_label: str = "$",
+                cost_rule: CostRule = CostRule.FRACTIONAL) -> CostModel:
+        if not isinstance(unit_cost, Decimal):
+            unit_cost = Decimal(str(unit_cost))
+        if unit_cost <= 0:
+            raise ValueError(f"unit cost must be positive, got {unit_cost}")
+        return super().__new__(cls, unit_cost, currency_label, cost_rule)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Per-candidate annotation price plus the pricing rule for quantiles."""
-
-    unit_cost: Decimal
-    currency_label: str = "$"
-    cost_rule: CostRule = CostRule.FRACTIONAL
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.unit_cost, Decimal):
-            object.__setattr__(self, "unit_cost", Decimal(str(self.unit_cost)))
-        if self.unit_cost <= 0:
-            raise ValueError(f"unit cost must be positive, got {self.unit_cost}")
+#: The plan fields that hold an amount of money, as an int of minor units.
+_MONEY = frozenset({"budget", "spend", "leftover", "cost", "next_quantile_cost"})
 
 
-@dataclass(frozen=True)
-class BudgetPlan:
+class BudgetPlan(namedtuple("BudgetPlan", "budget affordable_quantiles expected_tp spend "
+                                          "leftover profit")):
     """What a fixed budget buys: the affordable prefix and its yield."""
 
-    budget: int = field(metadata=_MONEY)
-    affordable_quantiles: int
-    expected_tp: int
-    spend: int = field(metadata=_MONEY)
-    leftover: int = field(metadata=_MONEY)
-    profit: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TargetPlan:
+class TargetPlan(namedtuple("TargetPlan", "target_tp achievable quantiles_needed cost")):
     """Cheapest quantile prefix that reaches a target positive count."""
 
-    target_tp: int
-    achievable: bool
-    quantiles_needed: int
-    cost: int = field(metadata=_MONEY)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MarginalReport:
+class MarginalReport(namedtuple("MarginalReport", "annotated_quantiles next_quantile_tp "
+                                                  "next_quantile_cost tp_per_cost exhausted")):
     """Yield and price of annotating one more quantile."""
 
-    annotated_quantiles: int
-    next_quantile_tp: int
-    next_quantile_cost: int = field(metadata=_MONEY)
-    tp_per_cost: float
-    exhausted: bool
+    __slots__ = ()
 
 
 def _exact_cost(cm: CostModel, size: int, q: int, quantile_count: int) -> Fraction:

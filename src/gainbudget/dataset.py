@@ -12,29 +12,20 @@ are read only to check that they are unique, and are not kept.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
 from array import array
-from dataclasses import dataclass
 from itertools import islice
 from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 DEFAULT_POSITIVE_TOKENS = frozenset({"1", "true"})
 DEFAULT_NEGATIVE_TOKENS = frozenset({"0", "false"})
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Maps file columns onto the (id, score, label) triple.
-
-    Label tokens match case-insensitively; any other token is a parse error,
-    never a silent negative.  An unmatchable schema raises ValueError("field: ...").
-    """
-
+class _ColumnSchema(NamedTuple):
     id_col: str = "id"
     score_col: str = "score"
     label_col: str = "label"
@@ -42,7 +33,19 @@ class ColumnSchema:
     negative_tokens: frozenset[str] = DEFAULT_NEGATIVE_TOKENS
     delimiter: str = ","
 
-    def __post_init__(self) -> None:
+
+class ColumnSchema(_ColumnSchema):
+    """Maps file columns onto the (id, score, label) triple.
+
+    Label tokens match case-insensitively; any other token is a parse error,
+    never a silent negative.  An unmatchable schema raises ValueError("field: ...").
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> ColumnSchema:
+        self = super().__new__(cls, *args, **kwargs)
         pos, neg = self.positive_tokens, self.negative_tokens
         columns = {"id_col": self.id_col, "score_col": self.score_col, "label_col": self.label_col}
         for field, texts in [*((f, [c]) for f, c in columns.items()),
@@ -52,7 +55,7 @@ class ColumnSchema:
         # A name or token given twice is blamed on a field not left at its default.
         for field, col in columns.items():
             twins = [f.removesuffix("_col") for f, c in columns.items() if c == col and f != field]
-            if twins and col != getattr(ColumnSchema, field):
+            if twins and col != cls._field_defaults[field]:
                 raise ValueError(f"{field}: {col!r} is also the {twins[0]} column")
         field, tokens, other = (("positive_tokens", pos, neg) if neg == DEFAULT_NEGATIVE_TOKENS
                                 else ("negative_tokens", neg, pos))
@@ -65,10 +68,10 @@ class ColumnSchema:
             raise ValueError(f"delimiter: {self.delimiter!r} is the quote character")
         if self.delimiter == "\0":  # no file read holds a NUL; Python 3.10's csv refuses it
             raise ValueError(f"delimiter: {self.delimiter!r} is NUL, which no input file may hold")
+        return self
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(NamedTuple):
     """One model's output file as columns, in input-file order.
 
     Row i is (scores[i], labels[i]); a label byte is 1 for a positive and 0
@@ -130,10 +133,14 @@ def parse_dataset(
     """
     start = None
     if getattr(source, "seekable", bool)():  # not a list or generator
-        with contextlib.suppress(OSError, ValueError, KeyError, csv.Error):
+        try:
             start = source.tell()  # OSError on a text file that next() has started
             if dataset := _parse_columns(source, schema, name):
                 return dataset
+        except UnicodeDecodeError:  # a ValueError; the strict loop would only meet it again
+            raise
+        except (OSError, ValueError, KeyError, csv.Error):
+            pass
     if start is not None:
         source.seek(start)
     reader = csv.reader(source, delimiter=schema.delimiter)
@@ -310,6 +317,7 @@ def read_dataset_file(
         raw = _HashedFile(path)
     except OSError as exc:
         raise DatasetError(f"{name}: cannot read {path}: {exc.strerror or exc}") from exc
+    undecodable, seekable = False, raw.seekable()
     with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as stream:
         # Skipped here: a utf-8-sig decoder would take a file of b"\xef" for an empty one.
         stream.buffer.read(3 if stream.buffer.peek(3).startswith(b"\xef\xbb\xbf") else 0)
@@ -322,9 +330,16 @@ def read_dataset_file(
                 if not raw.bad:
                     raise
         except UnicodeDecodeError:
-            raw.bad = True
-    if not raw.bad:
+            undecodable = True
+            while not seekable and stream.buffer.read(1 << 16):  # as below, a NUL comes first
+                pass
+    if not (raw.bad or undecodable):
         return dataset, raw.sha.hexdigest()
+    if not seekable:  # A pipe cannot be read again, so the bad byte's line is not known.
+        fault, byte = (("holds a NUL byte", "NUL") if raw.bad
+                       else ("is not valid UTF-8", "undecodable"))
+        issue = (0, f"{byte} byte on an unknown line: the input cannot be read again")
+        raise DatasetError(f"{name}: input {fault}", [issue])
     # csv rejects NUL before Python 3.11 and keeps it in a field after; it is rejected here.
     data = path.read_bytes()
     if (offset := data.find(b"\0")) >= 0:

@@ -9,80 +9,65 @@ ranks, not recounted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 
 from .ranking import QuantilePartition, RankedList, partition_quantiles
 
 
-@dataclass(frozen=True)
-class GainProfile:
+class GainProfile(namedtuple("GainProfile", "model_name per_quantile_positive positive_total "
+                                            "size cumulative_positive_count")):
     """Per-quantile positive counts for one model's ranking.
 
     `size` is the number of ranked instances behind the profile (N).
-    `cumulative_positive_count` is built once, from the per-quantile counts.
-    Gain and cumulative gain are these counts divided by `positive_total`.
+    `cumulative_positive_count` is built once, from the per-quantile counts;
+    it is never an argument.  Gain and cumulative gain are these counts
+    divided by `positive_total`.
     """
 
-    model_name: str
-    per_quantile_positive: tuple[int, ...]
-    positive_total: int
-    size: int
-    cumulative_positive_count: tuple[int, ...] = field(init=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:4]))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.positive_total < 1:
-            raise ValueError(
-                f"{self.model_name}: gain undefined, dataset has no positive instances"
-            )
-        if min(self.per_quantile_positive, default=0) < 0:
+    def __new__(cls, model_name: str, per_quantile_positive: tuple[int, ...],
+                positive_total: int, size: int) -> GainProfile:
+        if positive_total < 1:
+            raise ValueError(f"{model_name}: gain undefined, dataset has no positive instances")
+        if min(per_quantile_positive, default=0) < 0:
             raise ValueError("negative per-quantile count")
-        if sum(self.per_quantile_positive) != self.positive_total:
+        if sum(per_quantile_positive) != positive_total:
             raise ValueError(
                 "per-quantile positives must sum to positive_total "
-                f"({sum(self.per_quantile_positive)} != {self.positive_total})"
+                f"({sum(per_quantile_positive)} != {positive_total})"
             )
-        object.__setattr__(
-            self, "cumulative_positive_count", tuple(accumulate(self.per_quantile_positive))
-        )
+        return super().__new__(cls, model_name, per_quantile_positive, positive_total, size,
+                               tuple(accumulate(per_quantile_positive)))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle pass the arguments, not the counts
+        return self[:4]
 
     @property
     def quantile_count(self) -> int:
         return len(self.per_quantile_positive)
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp fp tn fn cutoff_k")):
     """Counts from treating the top `cutoff_k` ranked instances as positive."""
 
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    cutoff_k: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    """Per-class and support-weighted precision/recall/F1 plus accuracy.
+class ClassMetrics(namedtuple("ClassMetrics", (
+        "confusion positive_precision positive_recall positive_f1 negative_precision"
+        " negative_recall negative_f1 weighted_precision weighted_recall weighted_f1"
+        " accuracy conventions"), defaults=[()])):
+    """Per-class and support-weighted precision/recall/F1 plus accuracy, as floats.
 
     `confusion` is the matrix the metrics were computed from.  `conventions`
     names the fields where a zero-denominator convention was applied (value
     forced to 0); renderers surface it as a footnote.
     """
 
-    confusion: ConfusionMatrix
-    positive_precision: float
-    positive_recall: float
-    positive_f1: float
-    negative_precision: float
-    negative_recall: float
-    negative_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    accuracy: float
-    conventions: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def gain_profile(p: QuantilePartition) -> GainProfile:

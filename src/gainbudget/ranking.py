@@ -13,7 +13,7 @@ input order.  Equal scores (including 0.0 and -0.0) keep that pre-order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import compress, count, repeat
 from operator import floordiv, ne, sub
@@ -35,14 +35,11 @@ class TiePolicy(str, Enum):
     OPTIMISTIC = "optimistic"
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """`size` instances ranked by descending score under an explicit tie policy, held
-    as the ascending ranks of their positives; rank 0 holds the highest score."""
+class RankedList(namedtuple("RankedList", "name size positive_ranks")):
+    """`size` instances ranked by descending score under an explicit tie policy, held as
+    the ascending ranks of their positives, a list of ints; rank 0 holds the highest score."""
 
-    name: str
-    size: int
-    positive_ranks: list[int]
+    __slots__ = ()
 
     @property
     def positive_total(self) -> int:
@@ -52,17 +49,15 @@ class RankedList:
         return bisect_left(self.positive_ranks, k)
 
 
-@dataclass(frozen=True)
-class QuantilePartition:
+class QuantilePartition(namedtuple("QuantilePartition", "ranked boundaries per_quantile_positive")):
     """The ranked order cut into Q contiguous groups of near-equal size.
 
     Quantile q covers order indices [boundaries[q], boundaries[q+1]) with
-    boundaries[q] = floor(q * N / Q), so sizes differ by at most one.
+    boundaries[q] = floor(q * N / Q), so sizes differ by at most one.  Both
+    tuples hold ints; `per_quantile_positive[q]` counts quantile q's positives.
     """
 
-    ranked: RankedList
-    boundaries: tuple[int, ...]
-    per_quantile_positive: tuple[int, ...]
+    __slots__ = ()
 
 
 def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> RankedList:

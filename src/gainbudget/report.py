@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from decimal import Context
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .budget import BudgetPlan, CostModel, MarginalReport, TargetPlan
+from .budget import _MONEY, BudgetPlan, CostModel, MarginalReport, TargetPlan
 from .metrics import ClassMetrics, GainProfile, ideal_profile
 from .ranking import TiePolicy
 
@@ -65,8 +64,7 @@ def _shared_quantile_count(profiles: Sequence[GainProfile], across: str) -> int:
     return profiles[0].quantile_count
 
 
-@dataclass(frozen=True)
-class ModelResult:
+class ModelResult(NamedTuple):
     """Everything computed for one model, and its input file; optional parts stay None."""
 
     profile: GainProfile
@@ -83,18 +81,24 @@ class ModelResult:
         return self.profile.model_name
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Per-model results plus the run settings they share; the quantile count is theirs."""
-
+class _EvaluationReport(NamedTuple):
     models: tuple[ModelResult, ...]
     tie_policy: TiePolicy
     cost_model: CostModel | None = None
 
-    def __post_init__(self) -> None:
+
+class EvaluationReport(_EvaluationReport):
+    """Per-model results plus the run settings they share; the quantile count is theirs."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> EvaluationReport:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.models:
             raise ValueError("report needs at least one model")
         _shared_quantile_count([m.profile for m in self.models], "models")
+        return self
 
     @property
     def quantile_count(self) -> int:
@@ -263,14 +267,12 @@ def _plan_doc(
     """A plan's fields in declaration order; money as minor units, inf as "inf"."""
     if plan is None:
         return None
-    doc: dict[str, Any] = {}
-    for f in fields(plan):
-        value = getattr(plan, f.name)
-        if f.metadata.get("money"):
-            value = {"minor_units": value, "currency": currency}
+    doc: dict[str, Any] = plan._asdict()
+    for field, value in doc.items():
+        if field in _MONEY:
+            doc[field] = {"minor_units": value, "currency": currency}
         elif isinstance(value, float) and not math.isfinite(value):
-            value = "inf"
-        doc[f.name] = value
+            doc[field] = "inf"
     return doc
 
 

@@ -172,20 +172,27 @@ class TestCompare:
 class TestOnePass:
     @pytest.mark.parametrize("command", ["compare", "chart"])
     def test_one_input_held_at_a_time(self, capsys, monkeypatch, case_study_dir, command):
-        """No earlier input's dataset or ranking is alive when the next file is read."""
+        """No earlier input's dataset or ranking is alive when the next file is read.
+
+        A record is a tuple, which takes no weak reference, so each is followed by its
+        column of scores or of ranks: while a record lives, so does that column."""
         refs = []
         alive_at_read = []
         read, rank = cli.read_dataset_file, cli.rank_instances
 
+        class Ranks(list):  # a list subclass takes a weak reference
+            pass
+
         def traced_read(*args, **kwargs):
             alive_at_read.append(sum(ref() is not None for ref in refs))
             dataset, sha = read(*args, **kwargs)
-            refs.append(weakref.ref(dataset))
+            refs.append(weakref.ref(dataset.scores))
             return dataset, sha
 
         def traced_rank(*args, **kwargs):
             ranked = rank(*args, **kwargs)
-            refs.append(weakref.ref(ranked))
+            ranked = ranked._replace(positive_ranks=Ranks(ranked.positive_ranks))
+            refs.append(weakref.ref(ranked.positive_ranks))
             return ranked
 
         monkeypatch.setattr(cli, "read_dataset_file", traced_read)
@@ -550,9 +557,12 @@ class TestDeterminism:
 
 def test_cli_import_loads_no_xml_or_network_package():
     # Every run and every --help pays for these imports; xml.sax.saxutils alone pulled in
-    # urllib.request, http, email and ssl.  -S keeps a site .pth file's imports out of the check.
+    # urllib.request, http, email and ssl, and dataclasses pulled in inspect, ast, dis and
+    # tokenize.  -S keeps a site .pth file's imports out of the check.
+    names = ("{'xml', 'urllib.request', 'http', 'email', 'ssl', "
+             "'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gainbudget.cli; "
-             "print(*sorted({'xml', 'urllib.request', 'http', 'email', 'ssl'} & set(sys.modules)))")
+             f"print(*sorted({names} & set(sys.modules)))")
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe, str(Path(gainbudget.__file__).parents[1])],
         capture_output=True, text=True, timeout=30,

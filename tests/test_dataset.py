@@ -184,15 +184,24 @@ class TestReadFile:
             (rows_before + 2, f"undecodable byte 0xff at byte offset {offset}"),
         )
 
-    @pytest.mark.parametrize("raw", [
+    @pytest.mark.parametrize("raw,strict", [
         # A cut multibyte sequence is only decoded at end of input.
-        pytest.param(b"\n\xc2", id="cut-sequence"),
+        pytest.param(b"\n\xc2", True, id="cut-sequence"),
         # A bad header is met before the chunk that holds the bad byte.
-        pytest.param(b"id,score\n" + b"a,1\n" * 5000 + b"\xff", id="past-bad-header"),
+        pytest.param(b"id,score\n" + b"a,1\n" * 5000 + b"\xff", True, id="past-bad-header"),
         # The parse stops at the header; the rest of the file, over 1 MiB, is read on.
-        pytest.param(b"id,score\n" + b"a,1\n" * 300_000 + b"\xff", id="far-past-bad-header"),
+        pytest.param(b"id,score\n" + b"a,1\n" * 300_000 + b"\xff", True,
+                     id="far-past-bad-header"),
+        # Read a column at a time up to the bad byte, which ends the parse: the strict
+        # loop, which could only read the same rows up to the same byte, is not run.
+        pytest.param(b"id,score,label\n" + b"".join(b"r%d,1,0\n" % i for i in range(5000))
+                     + b"\xff", False, id="past-good-rows"),
     ])
-    def test_undecodable_byte_reported_before_other_faults(self, tmp_path, raw):
+    def test_undecodable_byte_reported_before_other_faults(self, tmp_path, monkeypatch, raw,
+                                                           strict):
+        if not strict:
+            strict_loop = mock.Mock(side_effect=AssertionError("the strict loop ran"))
+            monkeypatch.setattr(dataset, "_parse_rows", strict_loop)
         (tmp_path / "bad.csv").write_bytes(raw)
         with pytest.raises(DatasetError, match="not valid UTF-8") as exc:
             read_dataset_file(tmp_path / "bad.csv")
@@ -287,13 +296,29 @@ class TestReadFile:
         assert (str(exc.value), exc.value.issues) == ("m: input changed while it was read", ())
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
-    def test_pipe(self):
+    @pytest.mark.parametrize("last,fault", [
+        (b"", None),
+        (b"zz,\0,1\n", ("input holds a NUL byte", "NUL")),
+        (b"zz,\xff,1\n", ("input is not valid UTF-8", "undecodable")),
+        # A NUL is reported ahead of an undecodable byte, as from a file.
+        (b"zz,\xff,1\nzy,1\0,1\n", ("input holds a NUL byte", "NUL")),
+    ], ids=["clean", "nul", "undecodable", "undecodable-then-nul"])
+    def test_pipe(self, last, fault):
         # A pipe cannot seek, so only the strict loop reads it; the digest is of its bytes.
-        raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"
+        # A bad byte in it is named, but its line is not: the pipe cannot be read again.
+        raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n" + last
         read_end, write_end = os.pipe()
         os.write(write_end, raw)
         os.close(write_end)
         try:
+            if fault:
+                with pytest.raises(DatasetError) as exc:
+                    read_dataset_file(f"/dev/fd/{read_end}", name="p")
+                message, byte = fault
+                reason = f"{byte} byte on an unknown line: the input cannot be read again"
+                assert (str(exc.value), exc.value.issues) == (
+                    f"p: {message}\n  line 0: {reason}", ((0, reason),))
+                return
             d, digest = read_dataset_file(f"/dev/fd/{read_end}", name="p")
         finally:
             os.close(read_end)
