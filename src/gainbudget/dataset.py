@@ -310,6 +310,7 @@ def read_dataset_file(
     The file is read once, as a stream, and no copy of it is held.  A leading UTF-8
     byte-order mark is skipped.  A NUL or undecodable byte is reported ahead of any
     other fault, with its line: only then is the file read whole, to find that byte.
+    A pipe cannot be read again, so its bad byte is reported on line 0.
     """
     path = Path(path)
     name = path.stem if name is None else name

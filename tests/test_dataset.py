@@ -296,34 +296,34 @@ class TestReadFile:
         assert (str(exc.value), exc.value.issues) == ("m: input changed while it was read", ())
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
-    @pytest.mark.parametrize("last,fault", [
-        (b"", None),
-        (b"zz,\0,1\n", ("input holds a NUL byte", "NUL")),
-        (b"zz,\xff,1\n", ("input is not valid UTF-8", "undecodable")),
-        # A NUL is reported ahead of an undecodable byte, as from a file.
-        (b"zz,\xff,1\nzy,1\0,1\n", ("input holds a NUL byte", "NUL")),
-    ], ids=["clean", "nul", "undecodable", "undecodable-then-nul"])
-    def test_pipe(self, last, fault):
+    def test_pipe(self):
         # A pipe cannot seek, so only the strict loop reads it; the digest is of its bytes.
         # A bad byte in it is named, but its line is not: the pipe cannot be read again.
-        raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n" + last
-        read_end, write_end = os.pipe()
-        os.write(write_end, raw)
-        os.close(write_end)
-        try:
-            if fault:
-                with pytest.raises(DatasetError) as exc:
-                    read_dataset_file(f"/dev/fd/{read_end}", name="p")
-                message, byte = fault
-                reason = f"{byte} byte on an unknown line: the input cannot be read again"
-                assert (str(exc.value), exc.value.issues) == (
-                    f"p: {message}\n  line 0: {reason}", ((0, reason),))
-                return
-            d, digest = read_dataset_file(f"/dev/fd/{read_end}", name="p")
-        finally:
-            os.close(read_end)
+        def read_pipe(raw):
+            read_end, write_end = os.pipe()
+            os.write(write_end, raw)  # at most 64 KiB, which a pipe holds with no reader
+            os.close(write_end)
+            try:
+                return read_dataset_file(f"/dev/fd/{read_end}", name="p")
+            finally:
+                os.close(read_end)
+
+        raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"
+        d, digest = read_pipe(raw)
         assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [1, 0])
         assert digest == hashlib.sha256(raw).hexdigest()
+        for last, message, byte in [
+            (b"zz,\0,1\n", "input holds a NUL byte", "NUL"),
+            (b"zz,\xff,1\n", "input is not valid UTF-8", "undecodable"),
+            # A NUL is reported ahead of an undecodable byte, as from a file, even one
+            # too far on for the decoder to have read it.
+            (b"zz,\xff,1\n" + b"y,1,1\n" * 4000 + b"zy,1\0,1\n", "input holds a NUL byte", "NUL"),
+        ]:
+            with pytest.raises(DatasetError) as exc:
+                read_pipe(raw + last)
+            reason = f"{byte} byte on an unknown line: the input cannot be read again"
+            assert (str(exc.value), exc.value.issues) == (f"p: {message}\n  line 0: {reason}",
+                                                          ((0, reason),))
 
 
 class TestColumnSchema:
