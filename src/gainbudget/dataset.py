@@ -16,7 +16,6 @@ import csv
 import hashlib
 import io
 from array import array
-from itertools import islice
 from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -127,160 +126,158 @@ def parse_dataset(
     a header that lacks a configured column or repeats one.  Blank lines
     are skipped.  Text the csv module cannot split (a field longer than
     csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
-    with the line the reader stopped on.  A seekable source is first checked
-    a column at a time; on any doubt it is read again by the strict loop,
-    the only one that writes error text.
+    with the line the reader stopped on.  A seekable source is read once, a
+    block of lines at a time: the column path takes each block it proves
+    good, and the strict loop, the only one that writes error text, reads
+    each other block, or the rest of the source from a block only csv can
+    split.  A list or generator is read by the strict loop alone.
     """
-    start = None
+    chunks, labels, seen, issues = state = [], bytearray(), set(), []
+    parse = _parse_rows
     if getattr(source, "seekable", bool)():  # not a list or generator
         try:
-            start = source.tell()  # OSError on a text file that next() has started
-            if dataset := _parse_columns(source, schema, name):
-                return dataset
-        except UnicodeDecodeError:  # a ValueError; the strict loop would only meet it again
-            raise
-        except (OSError, ValueError, KeyError, csv.Error):
+            source.tell()
+            parse = _parse_columns
+        except OSError:  # a text file that next() has started
             pass
-    if start is not None:
-        source.seek(start)
-    reader = csv.reader(source, delimiter=schema.delimiter)
+    parse(source, schema, name, state)
+    if issues:
+        raise DatasetError(f"{name}: {len(issues)} invalid row(s)", issues)
+    if not labels:
+        raise DatasetError(f"{name}: dataset has zero instances")
+    seen.clear()  # first, so that the join adds nothing to the peak
+    return LabeledDataset(name, array("d", b"".join(chunks)), labels)
+
+
+def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tuple,
+                before: int = 0, order: list[int] | None = None) -> None:
+    """The strict loop: add each row of `lines` to `state` (score arrays, labels, the ids
+    seen, issues), a bad one as an issue on its line plus `before`.  The header comes
+    first, unless `order` holds the columns' indices."""
+    reader = csv.reader(lines, delimiter=schema.delimiter)
     try:
-        return _parse_rows(reader, schema, name)
+        if order is None:
+            if (header := next(reader, None)) is None:
+                raise DatasetError(f"{name}: empty input, expected a header row")
+            configured = (schema.id_col, schema.score_col, schema.label_col)
+            names = [col.strip() for col in header]
+            missing = [col for col in configured if col not in names]
+            repeated = [col for col in configured if names.count(col) > 1]  # 3 distinct names
+            if missing or repeated:
+                fault = (f"missing configured column(s) {', '.join(missing)}" if missing
+                         else f"configured column(s) {', '.join(repeated)} appear more than once")
+                raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
+            order = list(map(names.index, configured))
+        id_idx, score_idx, label_idx = order
+        width = max(order) + 1
+
+        label_of = _label_of(schema)
+        chunks, labels, seen, issues = state
+        chunks.append(scores := array("d"))
+
+        def bad(reason: str) -> None:
+            issues.append((before + reader.line_num, reason))
+
+        for row in reader:
+            # A blank row is short or has an empty id, so only those are tested.
+            if len(row) < width or not (uid := row[id_idx].strip()):
+                if all(not cell.strip() for cell in row):
+                    continue
+                bad(f"row has {len(row)} fields, expected at least {width}" if len(row) < width
+                    else "empty id")
+                continue
+            if uid in seen:
+                bad(f"duplicate id {uid!r}")
+                continue
+
+            text = row[score_idx]
+            try:
+                if "_" in text:  # float() accepts digit grouping such as 1_0
+                    raise ValueError(text)
+                score = float(text)
+            except ValueError:
+                bad(f"non-numeric score {text!r}")
+                continue
+            if not isfinite(score):
+                bad(f"non-finite score {text!r}")
+                continue
+
+            label = label_of.get(row[label_idx].strip().lower())
+            if label is None:
+                bad(f"unrecognized label token {row[label_idx]!r}")
+                continue
+
+            seen.add(uid)
+            scores.append(score)
+            labels.append(label)
     except csv.Error as exc:
-        issue = (reader.line_num, str(exc))
+        issue = (before + reader.line_num, str(exc))
         raise DatasetError(f"{name}: malformed delimited text", [issue]) from None
 
 
-def _parse_rows(reader: Any, schema: ColumnSchema, name: str) -> LabeledDataset:
-    if (header := next(reader, None)) is None:
-        raise DatasetError(f"{name}: empty input, expected a header row")
-
-    configured = (schema.id_col, schema.score_col, schema.label_col)
-    names = [col.strip() for col in header]
-    missing = [col for col in configured if col not in names]
-    repeated = [col for col in configured if names.count(col) > 1]  # ColumnSchema: 3 distinct
-    if missing or repeated:
-        fault = (f"missing configured column(s) {', '.join(missing)}" if missing
-                 else f"configured column(s) {', '.join(repeated)} appear more than once")
-        raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
-    id_idx, score_idx, label_idx = map(names.index, configured)
-    width = max(id_idx, score_idx, label_idx) + 1
-
-    label_of = _label_of(schema)
-
-    scores, labels = array("d"), bytearray()
-    seen: set[str] = set()
-    issues: list[tuple[int, str]] = []
-    for row in reader:
-        # A blank row is short or has an empty id, so only those are tested.
-        if len(row) < width or not (uid := row[id_idx].strip()):
-            if all(not cell.strip() for cell in row):
-                continue
-            if len(row) < width:
-                reason = f"row has {len(row)} fields, expected at least {width}"
-            else:
-                reason = "empty id"
-            issues.append((reader.line_num, reason))
-            continue
-        if uid in seen:
-            issues.append((reader.line_num, f"duplicate id {uid!r}"))
-            continue
-
-        text = row[score_idx]
-        try:
-            if "_" in text:  # float() accepts digit grouping such as 1_0
-                raise ValueError(text)
-            score = float(text)
-        except ValueError:
-            issues.append((reader.line_num, f"non-numeric score {text!r}"))
-            continue
-        if not isfinite(score):
-            issues.append((reader.line_num, f"non-finite score {text!r}"))
-            continue
-
-        label = label_of.get(row[label_idx].strip().lower())
-        if label is None:
-            issues.append((reader.line_num, f"unrecognized label token {row[label_idx]!r}"))
-            continue
-
-        seen.add(uid)
-        scores.append(score)
-        labels.append(label)
-
-    if issues:
-        raise DatasetError(f"{name}: {len(issues)} invalid row(s)", issues)
-    if not scores:
-        raise DatasetError(f"{name}: dataset has zero instances")
-    return LabeledDataset(name=name, scores=scores, labels=labels)
+#: Characters per column-path block, which then reads on to a line end.
+BLOCK_CHARS = 1 << 15
 
 
-#: Characters (then up to a line end) and, once csv reads the rest, rows per column-path chunk.
-BLOCK_CHARS, CHUNK_ROWS = 1 << 15, 1 << 10
-
-
-def _parse_columns(source: Any, schema: ColumnSchema, name: str) -> LabeledDataset | None:
-    """The dataset if the header is just the configured columns and no row is bad;
-    on a doubt None, or ValueError, KeyError or csv.Error.  Unquoted, csv ends a row
-    at \\r, \\n or \\r\\n and splits it at each delimiter, so str methods split a block
-    of lines with two delimiters each; other blocks are read again row by row.  From a block
-    with a quote, a NUL, an overlong line, or a line end that a stream without universal
-    newlines may leave inside a line, csv reads on."""
+def _parse_columns(source: Any, schema: ColumnSchema, name: str, state: tuple) -> None:
+    """Add to `state` each block of whole lines that str methods prove good; the strict loop
+    reads each other block.  Unquoted, csv ends a row at \\r, \\n or \\r\\n and splits it at
+    each delimiter, so str methods split a block of lines with two delimiters each.  The
+    strict loop reads on from a header that is not just the configured columns, or from a
+    block with a quote, a NUL, an overlong line, or a line end that a stream without
+    universal newlines may leave inside a line: csv alone can split those."""
+    chunks, labels, seen, _ = state
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
+    configured = (schema.id_col, schema.score_col, schema.label_col)
     mark = delim if delim.isascii() else "\0"  # NUL stands in: no block split here holds one
     drop = bytes(range(256)).replace(mark.encode(), b"").replace(b"\n", b"")
-    chunks, labels, seen, order, reader = [], bytearray(), set(), None, None
+    before, order = 0, None
     while True:
-        if not reader:
-            pos = source.tell()
-            text = source.read(BLOCK_CHARS) + source.readline() if order else source.readline()
-            if ('"' in text or "\0" in text or len(text) > limit or not order and "\n" in text[:-1]
-                    or "\r" in text and getattr(source, "newlines", None) is None):
-                source.seek(pos)
-                reader = csv.reader(source, delimiter=delim)
-            body, last = text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n"), not text
-        if order is None:
-            names = list(map(str.strip, next(reader, []) if reader else body.split(delim)))
-            order = list(map(names.index, (schema.id_col, schema.score_col, schema.label_col)))
-            if len(names) != 3:
-                return None
+        pos = source.tell()
+        text = source.read(BLOCK_CHARS) + source.readline() if order else source.readline()
+        lines = text.replace("\r\n", "\n").replace("\r", "\n")
+        body = lines.rstrip("\n")
+        names = None if order else list(map(str.strip, body.split(delim)))
+        if ('"' in text or "\0" in text or len(text) > limit or not order and "\n" in text[:-1]
+                or "\r" in text and getattr(source, "newlines", None) is None
+                or names and sorted(names) != sorted(configured)):
+            source.seek(pos)
+            return _parse_rows(source, schema, name, state, before, order)
+        if names:
+            order, before = list(map(names.index, configured)), 1
             continue
-        if reader:  # Each csv row dies as it is unpacked, so the collector seldom runs.
-            columns: tuple[list[str], ...] = ([], [], [])
-            first, second, third = (column.append for column in columns)
-            for a, b, c in islice(filter(None, reader), CHUNK_ROWS):  # skip blank lines
-                first(a)
-                second(b)
-                third(c)
-            uids, texts, tokens = (columns[i] for i in order)
-            uids, last = list(map(str.strip, uids)), len(uids) < CHUNK_ROWS
+        if not text:
+            return
+        # The probe keeps only the block's delimiters and line ends.
+        probe = body.replace(delim, mark).encode().translate(None, drop)
+        ends = probe.count(b"\n")
+        cells = body.replace("\n", delim).split(delim) if body else []
+        uids, texts, tokens = (cells[i::3] for i in order)
+        if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
+            uids = list(map(str.strip, uids))  # else each id would come back as it is
+        shape = (2 * mark + "\n").encode() * ends + (2 * mark).encode()
+        try:  # A doubt is a ValueError or KeyError: the strict loop reads the block.
+            if body and probe != shape or not all(uids) or "_" in "".join(texts):
+                raise ValueError("not split as csv splits it, or an empty id, or 1_0")
+            scores = array("d", map(float, texts))
+            try:  # Tokens as written first: each str pass costs 5% of a 10^6-row eval.
+                block = bytearray(map(label_of.__getitem__, tokens))
+            except KeyError:
+                block = bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
+            if (not isfinite(sum(scores)) and not all(map(isfinite, scores))
+                    or not seen.isdisjoint(uids)):
+                raise ValueError("a score not finite, or an id seen before")
+            count = len(seen)
+            seen.update(uids)
+            if len(seen) != count + len(uids):
+                seen.difference_update(uids)  # exact: none of them was in `seen` before
+                raise ValueError("an id repeated within the block")
+        except (ValueError, KeyError):
+            _parse_rows(io.StringIO(text, newline=""), schema, name, state, before, order)
         else:
-            for _ in range(2):  # The probe keeps only the block's delimiters and line ends.
-                probe = body.replace(delim, mark).encode().translate(None, drop)
-                cells = body.replace("\n", delim).split(delim) if body else []
-                uids, texts, tokens = (cells[i::3] for i in order)
-                if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
-                    uids = list(map(str.strip, uids))  # else each id would come back as it is
-                shape = (2 * mark + "\n").encode() * probe.count(b"\n") + (2 * mark).encode()
-                if (not body or probe == shape) and all(uids):
-                    break
-                # As in the strict loop: all-blank lines are skipped, cells past the third ignored.
-                body = "\n".join(delim.join(row.split(delim, 3)[:3]) for row in body.split("\n")
-                                 if row.replace(delim, " ").strip())
-            else:
-                return None
-        chunk = array("d", map(float, texts))
-        seen.update(uids)
-        if ("_" in "".join(texts) or reader and not all(uids) or not isfinite(sum(chunk))
-                and not all(map(isfinite, chunk)) or len(seen) != len(labels) + len(uids)):
-            return None
-        chunks.append(chunk)  # joined once: an array grown in place left holes in the heap
-        try:  # Tokens as written first: stripping and lowering each cost 5% of a 10^6-row eval.
-            labels += bytearray(map(label_of.__getitem__, tokens))
-        except KeyError:
-            labels += bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
-        if last:
-            seen.clear()  # first, so that the join adds nothing to the peak
-            return LabeledDataset(name, array("d", b"".join(chunks)), labels) if labels else None
+            chunks.append(scores)  # joined once: an array grown in place left holes in the heap
+            labels += block
+        before += ends + len(lines) - len(body)  # the line ends that rstrip() took
 
 
 class _HashedFile(io.FileIO):

@@ -461,6 +461,27 @@ def strict_loop_only():
     return mock.patch.object(dataset, "_parse_rows", side_effect=AssertionError("strict loop"))
 
 
+def strict_reads(monkeypatch) -> list[tuple[int, int]]:
+    """Spy on the strict loop: for each call, (the lines before its first, the lines it read)."""
+    calls, parse_rows = [], dataset._parse_rows
+
+    def spy(lines, schema, name, state, before=0, order=None):
+        read = 0
+
+        def counted():
+            nonlocal read
+            for read, line in enumerate(lines, 1):
+                yield line
+
+        try:
+            return parse_rows(counted(), schema, name, state, before, order)
+        finally:
+            calls.append((before, read))
+
+    monkeypatch.setattr(dataset, "_parse_rows", spy)
+    return calls
+
+
 @given(
     st.one_of(csv_bytes(True), csv_bytes(False), st.binary(max_size=48)),
     st.sampled_from([1, 2, 3, 7, dataset.BLOCK_CHARS]),
@@ -487,6 +508,19 @@ def strict_loop_only():
 @example(b"id,score,label\na,1,1,b,2,0\n", dataset.BLOCK_CHARS)
 # An id longer than csv.field_size_limit().
 @example(b"id,score,label\na,1,1\n" + b"x" * 140_000 + b",2,0\n", dataset.BLOCK_CHARS)
+# The strict loop reads only the blocks the column path cannot prove, each from its own
+# first line: bad rows in several blocks, under \n, \r\n and \r; a good block with a blank
+# line, then good blocks; a good block that ends in blank lines, then a bad one; a quote in
+# a block after a bad one; and a block whose only fault is an id of an earlier good block,
+# or an id given twice within it, which must leave the ids seen as they were before it.
+@example(b"id,score,label\na,x,1\nb,1,1\nc,2,z\nd,3,0\ne,,1\n", 1)
+@example(b"id,score,label\r\na,1,1\r\nb,x,0\r\nc,2,0\r\nd,3,y\r\ne,4,1\r\n", 3)
+@example(b"id,score,label\ra,1,1\rb,x,0\rc,2,0\rd,3,y\re,4,1\r", 3)
+@example(b"id,score,label\na,1,1\n\nb,2,0\nc,3,1\nd,4,0\ne,5,1\n", 7)
+@example(b"id,score,label\na,1,1\n\n\nb,x,0\n", 7)
+@example(b'id,score,label\na,x,1\nb,1,1\n"c",2,0\nd,3,1\n', 2)
+@example(b"id,score,label\na,1,1\nb,2,0\nc,3,1\na,4,0\nd,5,1\na,6,0\n", 7)
+@example(b"id,score,label\na,1,1\nb,2,0\nc,3,1\nc,4,0\nd,5,1\nc,6,0\n", 7)
 # A byte-order mark cut short is not UTF-8, though a utf-8-sig decoder reads it as no text.
 @example(b"\xef\xbb", dataset.BLOCK_CHARS)
 @settings(max_examples=1000, deadline=None)
@@ -536,6 +570,16 @@ def delimited_files(draw) -> tuple[bytes, str]:
 @example((b"id,score,label\na,1,1,5\n0,1\n", ","), dataset.BLOCK_CHARS)
 # Ids that only str.strip() makes equal.
 @example((b"id;score;label\n\x1ca;1;1\na;2;0\n", ";"), dataset.BLOCK_CHARS)
+# As above: bad rows in several blocks, under each line end; a blank line, then good
+# blocks; a quote after a bad block; an earlier block's id, and an id given twice in a block.
+@example((b"id;score;label\na;x;1\nb;1;1\nc;2;z\nd;3;0\ne;;1\n", ";"), 1)
+@example((b"id\tscore\tlabel\r\na\t1\t1\r\nb\tx\t0\r\nc\t2\t0\r\nd\t3\ty\r\n", "\t"), 3)
+@example((b"id score label\ra 1 1\rb x 0\rc 2 0\rd 3 y\r", " "), 3)
+@example(("id\u00a7score\u00a7label\na\u00a71\u00a71\n\nb\u00a72\u00a70\nc\u00a73\u00a71\n"
+          "d\u00a74\u00a70\n".encode(), "\u00a7"), 7)
+@example((b'id;score;label\na;x;1\nb;1;1\n"c";2;0\nd;3;1\n', ";"), 2)
+@example((b"id;score;label\na;1;1\nb;2;0\nc;3;1\na;4;0\nd;5;1\na;6;0\n", ";"), 7)
+@example((b"id;score;label\na;1;1\nb;2;0\nc;3;1\nc;4;0\nd;5;1\nc;6;0\n", ";"), 7)
 @settings(max_examples=1000, deadline=None)
 def test_column_path_matches_the_strict_loop_in_any_delimiter(file, block_chars):
     """As above, in each delimiter, and with rows whose cell counts cancel out."""
@@ -567,7 +611,7 @@ DOUBTS = [
 
 
 class TestColumnPath:
-    """The column-at-a-time path, and the rewind to the strict loop on doubt."""
+    """The column-at-a-time path, and the strict loop reading only the blocks it doubts."""
 
     @pytest.mark.parametrize("header", [
         "id,score,label", "label,id,score", "id,score", "id,score,label,x", "id,id,score,label",
@@ -579,15 +623,18 @@ class TestColumnPath:
         strict = outcome(lambda: parse_dataset(list(io.StringIO(text, newline=""))))
         assert outcome(lambda: parse_dataset(io.StringIO(text, newline=""))) == strict
 
-    def test_underscore_in_ids_stays_on_the_column_path(self, tmp_path):
-        # `_` is legal in an id; only a score holding one is a doubt.  Padding
-        # and case are folded, and blank lines skipped, on this path too.
+    def test_underscore_in_ids_stays_on_the_column_path(self, tmp_path, monkeypatch):
+        # `_` is legal in an id; only a score holding one is a doubt.  Padding and case
+        # are folded on this path too.  In blocks of a line or two, only the block that
+        # starts with a blank line goes to the strict loop, which skips it.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
         path = tmp_path / "idioms.csv"
         path.write_text("id,score,label\nkick_the_bucket,0.97, True\n\n read_the_paper ,0.40,0\n\n")
-        with strict_loop_only():
-            d, _ = read_dataset_file(path)
+        calls = strict_reads(monkeypatch)
+        d, _ = read_dataset_file(path)
         assert list(d.scores) == [0.97, 0.40]
         assert d.labels == bytearray([1, 0])
+        assert calls == [(2, 2)]
         # Only the stripped id repeats the one above, so the column path must strip it too.
         with path.open("a") as out:
             out.write("read_the_paper,0.1,1\n")
@@ -596,7 +643,7 @@ class TestColumnPath:
         assert exc.value.issues == ((6, "duplicate id 'read_the_paper'"),)
 
     def test_bad_last_row_after_a_byte_order_mark(self, tmp_path):
-        # The rewind must skip the mark again, or the header would not match.
+        # The strict loop reads the last block alone, and counts on from the lines before it.
         rows = "".join(f"r{i},0.5,{i % 2}\n" for i in range(5000))
         path = tmp_path / "bom.csv"
         path.write_bytes(("\ufeffid,score,label\n" + rows + "zz,abc,1\n").encode())
@@ -628,16 +675,23 @@ class TestColumnPath:
         assert exc.value.issues == ((rows + 2, "duplicate id 'r0'"),)
 
     @pytest.mark.parametrize("odd", [" ", " , , ", "b,1,1,x", "b,1e308,1\nc,1e308,0"])
-    def test_odd_rows_the_strict_loop_accepts_stay_on_the_column_path(self, odd):
-        # The strict loop skips an all-blank row and ignores cells past the header's;
-        # scores whose sum overflows are each finite.
-        text = f"id,score,label\na,1,1\n{odd}\n"
+    def test_odd_rows_cost_the_strict_loop_one_block_at_most(self, monkeypatch, odd):
+        # The strict loop skips an all-blank row and ignores cells past the header's; it
+        # reads the first block, which holds the odd row, and no other.  Scores whose sum
+        # overflows are each finite, so their block stays on the column path.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        text = f"id,score,label\n{odd}\n" + "".join(f"r{i},1,{i % 2}\n" for i in range(40))
         strict = parse_dataset(list(io.StringIO(text, newline="")))
-        with strict_loop_only():
-            assert parse_dataset(io.StringIO(text, newline="")) == strict
+        calls = strict_reads(monkeypatch)
+        assert parse_dataset(io.StringIO(text, newline="")) == strict
+        stream = io.StringIO(text, newline="")
+        stream.readline()  # the header, a block of its own
+        block = stream.read(16) + stream.readline()  # the first block of rows
+        assert block.startswith(f"{odd}\n")
+        assert calls == ([] if "e308" in odd else [(1, block.count("\n"))])
 
     def test_stream_read_from_where_it_stands(self):
-        # A rewind returns to where parsing began, not to the start of the stream.
+        # Lines are counted from where parsing began, not from the start of the stream.
         stream = io.StringIO("# scores of run 7\nid,score,label\na,1,1\nb,x,0\n")
         stream.readline()
         with pytest.raises(DatasetError) as exc:
@@ -649,12 +703,19 @@ class TestColumnPath:
         "id,score,label\n" + "".join(f"r{i},{i},1\n" for i in range(40)) + '"r40",1,0\n',
         '"id","score","label"\n"a","1","1"\n\n"b\nc",2,0\r\nd,3,1',
     ], ids=["every-id", "last-row-only", "header-and-line-end-in-a-field"])
-    def test_quoted_fields_stay_on_the_column_path(self, monkeypatch, text):
-        # csv reads on from the first block with a quote; earlier blocks are kept.
+    def test_quoted_fields_are_read_by_csv_from_their_block_on(self, monkeypatch, text):
+        # The strict loop reads on from the block that holds the first quote, to the end;
+        # the blocks before it are the column path's, and are not read again.
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
-        strict = parse_dataset(list(io.StringIO(text, newline="")))
-        with strict_loop_only():
-            assert parse_dataset(io.StringIO(text, newline="")) == strict
+        lines = io.StringIO(text, newline="").readlines()
+        quoted = next(i for i, line in enumerate(lines) if '"' in line)
+        strict = parse_dataset(lines)
+        calls = strict_reads(monkeypatch)
+        assert parse_dataset(io.StringIO(text, newline="")) == strict
+        ((before, read),) = calls
+        assert before + read == len(lines)
+        # A block of these lines is 16 characters and then on to a line end: 3 lines at most.
+        assert 0 <= quoted - before < 3
 
     @pytest.mark.parametrize("delimiter", ["\t", " ", "\u00a7"], ids=["tab", "space", "section"])
     def test_other_delimiters_stay_on_the_column_path(self, monkeypatch, tmp_path, delimiter):
@@ -669,12 +730,14 @@ class TestColumnPath:
         with strict_loop_only():
             assert read_dataset_file(path, schema)[0] == strict
 
-    def test_crlf_stream_without_universal_newlines_stays_on_the_column_path(self):
-        # io.StringIO's default leaves \r\n in its lines, which csv takes as line ends.
+    def test_crlf_stream_without_universal_newlines_is_read_by_csv(self, monkeypatch):
+        # io.StringIO's default leaves \r\n in its lines, which csv takes as line ends;
+        # a stream that does not say how it ends lines is split by csv, from the header on.
         text = "id,score,label\r\na,1,1\r\nb,2,0\r\n"
         strict = parse_dataset(list(io.StringIO(text)))
-        with strict_loop_only():
-            assert parse_dataset(io.StringIO(text)) == strict
+        calls = strict_reads(monkeypatch)
+        assert parse_dataset(io.StringIO(text)) == strict
+        assert calls == [(0, 3)]
 
     @pytest.mark.parametrize("newline, raw", [
         ("\n", b"id,score,label\na,1,1\rb,2,0\n"),
@@ -690,6 +753,29 @@ class TestColumnPath:
             stream.seek(0)
             assert outcome(lambda: parse_dataset(stream)) == strict
         assert "new-line character seen in unquoted field" in strict[0]
+
+    def test_read_error_is_raised(self, monkeypatch):
+        # Only the first tell() may fail, on a text file that next() has started.  A read
+        # that fails mid-file is raised, not taken for an end of input or a doubt.
+        class FailingStream(io.StringIO):
+            """A stream whose reads fail from its second block on."""
+
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                return self.readline() if self.reads > 1 else super().read(size)
+
+            def readline(self, size=-1):
+                if self.reads > 1:
+                    raise OSError(5, "Input/output error")
+                return super().readline(size)
+
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        stream = FailingStream("id,score,label\n" + "".join(f"r{i},1,0\n" for i in range(40)))
+        with pytest.raises(OSError, match="Input/output error"):
+            parse_dataset(stream)
+        assert stream.reads == 2
 
     def test_text_file_that_next_has_started(self, tmp_path):
         # tell() fails on such a file, so only the strict loop reads it.
