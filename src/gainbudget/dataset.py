@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 from array import array
+from itertools import chain
 from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -126,20 +127,15 @@ def parse_dataset(
     a header that lacks a configured column or repeats one.  Blank lines
     are skipped.  Text the csv module cannot split (a field longer than
     csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
-    with the line the reader stopped on.  A seekable source is read once, a
-    block of lines at a time: the column path takes each block it proves
-    good, and the strict loop, the only one that writes error text, reads
-    each other block, or the rest of the source from a block only csv can
-    split.  A list or generator is read by the strict loop alone.
+    with the line the reader stopped on.  A text stream (a file, a pipe, one
+    that next() has started) is read forward once, a block of lines at a
+    time: the column path takes each block it proves good, and the strict
+    loop, the only one that writes error text, reads each other block, or
+    the rest of the source from a block only csv can split.  A list or
+    generator is read by the strict loop alone.
     """
     chunks, labels, seen, issues = state = [], bytearray(), set(), []
-    parse = _parse_rows
-    if getattr(source, "seekable", bool)():  # not a list or generator
-        try:
-            source.tell()
-            parse = _parse_columns
-        except OSError:  # a text file that next() has started
-            pass
+    parse = _parse_columns if isinstance(source, io.TextIOBase) else _parse_rows
     parse(source, schema, name, state)
     if issues:
         raise DatasetError(f"{name}: {len(issues)} invalid row(s)", issues)
@@ -219,13 +215,14 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
 BLOCK_CHARS = 1 << 15
 
 
-def _parse_columns(source: Any, schema: ColumnSchema, name: str, state: tuple) -> None:
+def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state: tuple) -> None:
     """Add to `state` each block of whole lines that str methods prove good; the strict loop
     reads each other block.  Unquoted, csv ends a row at \\r, \\n or \\r\\n and splits it at
-    each delimiter, so str methods split a block of lines with two delimiters each.  The
-    strict loop reads on from a header that is not just the configured columns, or from a
-    block with a quote, a NUL, an overlong line, or a line end that a stream without
-    universal newlines may leave inside a line: csv alone can split those."""
+    each delimiter, so str methods split a block of lines with as many delimiters as the
+    header.  The strict loop reads on, from the text already read and then the source, from
+    a header that lacks a configured column or repeats one, or from a block with a quote, a
+    NUL, an overlong line, or a line end that a stream without universal newlines may leave
+    inside a line: csv alone can split those.  Nothing is read twice, and nothing seeks."""
     chunks, labels, seen, _ = state
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
     configured = (schema.id_col, schema.score_col, schema.label_col)
@@ -233,18 +230,21 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str, state: tuple) -
     drop = bytes(range(256)).replace(mark.encode(), b"").replace(b"\n", b"")
     before, order = 0, None
     while True:
-        pos = source.tell()
         text = source.read(BLOCK_CHARS) + source.readline() if order else source.readline()
         lines = text.replace("\r\n", "\n").replace("\r", "\n")
         body = lines.rstrip("\n")
         names = None if order else list(map(str.strip, body.split(delim)))
         if ('"' in text or "\0" in text or len(text) > limit or not order and "\n" in text[:-1]
-                or "\r" in text and getattr(source, "newlines", None) is None
-                or names and sorted(names) != sorted(configured)):
-            source.seek(pos)
-            return _parse_rows(source, schema, name, state, before, order)
+                or "\r" in text and source.newlines is None
+                or names and list(map(names.count, configured)) != [1, 1, 1]):
+            # The header is one line as the source splits it (none if empty, as csv needs).
+            # Only a stream that splits at \n alone reaches a later block without newlines.
+            read = (io.StringIO(text, newline="" if source.newlines else "\n") if order
+                    else [text] if text else [])
+            return _parse_rows(chain(read, source), schema, name, state, before, order)
         if names:
-            order, before = list(map(names.index, configured)), 1
+            order, width, before = list(map(names.index, configured)), len(names), 1
+            gaps = mark * (width - 1)  # the delimiters of each line
             continue
         if not text:
             return
@@ -252,10 +252,10 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str, state: tuple) -
         probe = body.replace(delim, mark).encode().translate(None, drop)
         ends = probe.count(b"\n")
         cells = body.replace("\n", delim).split(delim) if body else []
-        uids, texts, tokens = (cells[i::3] for i in order)
+        uids, texts, tokens = (cells[i::width] for i in order)
         if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
             uids = list(map(str.strip, uids))  # else each id would come back as it is
-        shape = (2 * mark + "\n").encode() * ends + (2 * mark).encode()
+        shape = (gaps + "\n").encode() * ends + gaps.encode()
         try:  # A doubt is a ValueError or KeyError: the strict loop reads the block.
             if body and probe != shape or not all(uids) or "_" in "".join(texts):
                 raise ValueError("not split as csv splits it, or an empty id, or 1_0")
@@ -281,19 +281,17 @@ def _parse_columns(source: Any, schema: ColumnSchema, name: str, state: tuple) -
 
 
 class _HashedFile(io.FileIO):
-    """A file whose reads feed a sha256, and set `bad` on a NUL, with each byte once however
-    often a seek goes back over it: only the bytes past the furthest offset read are new."""
+    """A file whose reads feed a sha256, and set `bad` on a NUL.  The parse reads forward
+    and never seeks, so each byte is read, hashed and checked once."""
 
     def __init__(self, path: Path) -> None:
         super().__init__(path)
-        self.sha, self.end, self.bad = hashlib.sha256(), 0, False
+        self.sha, self.bad = hashlib.sha256(), False
 
     def readinto(self, buffer: Any) -> int:
-        start, count = self.tell() if self.seekable() else self.end, super().readinto(buffer)
-        if start + count > self.end:
-            new = bytes(buffer[self.end - start:count])
-            self.sha.update(new)
-            self.bad, self.end = self.bad or b"\0" in new, start + count
+        count = super().readinto(buffer)
+        self.sha.update(new := bytes(buffer[:count]))
+        self.bad = self.bad or b"\0" in new
         return count
 
 

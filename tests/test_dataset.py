@@ -258,12 +258,17 @@ class TestReadFile:
     @pytest.mark.parametrize("ending, raw", [
         ("\n", b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"),
         ("\r", b"id,score,label\ra,1,1\rb,2,0\r"),
-        # The column path seeks back to the start of the block that holds the quote,
-        # past the first BLOCK_CHARS characters, and csv reads on past where it had read.
+        # The strict loop reads on from the block that holds the quote, past the first
+        # BLOCK_CHARS characters: the text already read, then the rest of the stream.
         ("\n", ("id,score,label\n" + "".join(f"r{i},0.5,{i % 2}\n" for i in range(5000))
                 + '"q",1,1\n' + "".join(f"s{i},0.5,{i % 2}\n" for i in range(5000))).encode()),
     ], ids=["byte-order-mark", "cr", "quoted-block-past-the-first"])
     def test_digest_is_of_the_bytes_parsed_in_one_read(self, tmp_path, monkeypatch, ending, raw):
+        # Neither the parse nor the text layer under it seeks or asks where it stands, so
+        # the digest, fed by each read, is of each byte once.
+        for method in ("seek", "tell"):
+            monkeypatch.setattr(dataset._HashedFile, method,
+                                mock.Mock(side_effect=AssertionError(method)))
         monkeypatch.setattr(Path, "read_bytes", mock.Mock(side_effect=AssertionError("whole")))
         path = tmp_path / "m.csv"
         path.write_bytes(raw)
@@ -273,17 +278,6 @@ class TestReadFile:
         path.write_bytes(raw + f"zz,abc,1{ending}".encode())
         with pytest.raises(DatasetError, match="1 invalid row"):
             read_dataset_file(path)
-
-    def test_a_read_back_over_taken_bytes_takes_only_the_new_ones(self, tmp_path):
-        # The text layer seeks back only to the start of a chunk it read, so it never
-        # reads across the furthest offset read; a direct read does.
-        raw = bytes(range(250)) * 4
-        (tmp_path / "b").write_bytes(raw)
-        with dataset._HashedFile(tmp_path / "b") as f:
-            counts = [f.readinto(bytearray(600)), f.seek(100), f.readinto(bytearray(950))]
-            taken = f.sha.hexdigest(), f.end, f.bad
-        assert counts == [600, 100, 900]
-        assert taken == (hashlib.sha256(raw).hexdigest(), 1000, True)  # byte 0 is a NUL
 
     @pytest.mark.parametrize("bad", [b"\0", b"\xff"])
     def test_bad_byte_gone_when_looked_for(self, tmp_path, monkeypatch, bad):
@@ -296,9 +290,10 @@ class TestReadFile:
         assert (str(exc.value), exc.value.issues) == ("m: input changed while it was read", ())
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
-    def test_pipe(self):
-        # A pipe cannot seek, so only the strict loop reads it; the digest is of its bytes.
-        # A bad byte in it is named, but its line is not: the pipe cannot be read again.
+    def test_pipe(self, monkeypatch):
+        # A pipe is read forward once, as a file is, so a clean one never reaches the strict
+        # loop, and the digest is of its bytes.  A bad byte in it is named, but its line is
+        # not: the pipe cannot be read again.
         def read_pipe(raw):
             read_end, write_end = os.pipe()
             os.write(write_end, raw)  # at most 64 KiB, which a pipe holds with no reader
@@ -309,9 +304,11 @@ class TestReadFile:
                 os.close(read_end)
 
         raw = b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"
+        strict = strict_reads(monkeypatch)
         d, digest = read_pipe(raw)
         assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [1, 0])
         assert digest == hashlib.sha256(raw).hexdigest()
+        assert strict == []
         for last, message, byte in [
             (b"zz,\0,1\n", "input holds a NUL byte", "NUL"),
             (b"zz,\xff,1\n", "input is not valid UTF-8", "undecodable"),
@@ -493,7 +490,7 @@ def strict_reads(monkeypatch) -> list[tuple[int, int]]:
 @example(b"id,score,label\r\na,1,1\r\nb,2,0\r\n", 6)
 # A block read that stops mid-line, lines that end at \r alone, and quoted fields,
 # which csv reads from the block that holds the first one: a later block (after a
-# byte-order mark, which the seek back must not read again), the header's, and one
+# byte-order mark, which the hand-off must not read again), the header's, and one
 # cut by the block read.
 @example(b"id,score,label\na,1,1\nb,2,0\n", 7)
 @example(b"id,score,label\ra,1,1\rb,2,0\r", 7)
@@ -523,6 +520,11 @@ def strict_reads(monkeypatch) -> list[tuple[int, int]]:
 @example(b"id,score,label\na,1,1\nb,2,0\nc,3,1\nc,4,0\nd,5,1\nc,6,0\n", 7)
 # A byte-order mark cut short is not UTF-8, though a utf-8-sig decoder reads it as no text.
 @example(b"\xef\xbb", dataset.BLOCK_CHARS)
+# A header wider than the configured columns, then rows of 3, 4 and 5 cells: the strict
+# loop ignores cells past the configured ones, and reads the rows of other widths.
+@example(b"id,score,label,note\na,1,1\nb,2,0,x\nc,3,1,y,z\nd,4,0,w\n", 1)
+@example(b"id,score,label,note\na,1,1\nb,2,0,x\nc,3,1,y,z\nd,4,0,w\n", dataset.BLOCK_CHARS)
+@example(b"note,label,id,score\nx,1,a\ny,0,b,2\nz,1,c,3,w\n", 3)
 @settings(max_examples=1000, deadline=None)
 def test_column_path_matches_the_strict_loop(raw, block_chars):
     """A file (read in blocks of 1, 2, 3 and 7 characters too) parses as its
@@ -739,6 +741,33 @@ class TestColumnPath:
         assert parse_dataset(io.StringIO(text)) == strict
         assert calls == [(0, 3)]
 
+    @pytest.mark.parametrize("block_chars", [1, 3, 16])
+    @pytest.mark.parametrize("row", ["g,7,1\rh,8,0", '"g",7,1'], ids=["cr", "quote"])
+    def test_later_block_from_a_stream_without_universal_newlines(self, monkeypatch,
+                                                                  block_chars, row):
+        # io.StringIO's default splits lines at \n alone, so the strict loop must too when
+        # it reads on from a block past the first: the \r makes a csv error, not two rows.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", block_chars)
+        text = "id,score,label\n" + "".join(f"r{i},{i},{i % 2}\n" for i in range(6)) + row + "\n"
+        strict = outcome(lambda: parse_dataset(list(io.StringIO(text))))
+        calls = strict_reads(monkeypatch)
+        assert outcome(lambda: parse_dataset(io.StringIO(text))) == strict
+        ((before, read),) = calls
+        assert before > 1 and before + read == 8
+        assert ("new-line character" in strict[0]) == ("\r" in row)
+
+    def test_a_wider_header_stays_on_the_column_path(self, tmp_path, monkeypatch):
+        # Each configured column appears once; the others, wherever they stand, are skipped.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        path = tmp_path / "m.csv"
+        path.write_text("id,score,label,note\n"
+                        + "".join(f"r{i},{i / 7!r},{i % 2},seen by {i % 3}\n" for i in range(40)))
+        with path.open(newline="") as lines:
+            strict = parse_dataset(list(lines), name="m")
+        assert strict.size == 40
+        with strict_loop_only():
+            assert read_dataset_file(path)[0] == strict
+
     @pytest.mark.parametrize("newline, raw", [
         ("\n", b"id,score,label\na,1,1\rb,2,0\n"),
         ("\r", b"id,score,label\na,1,1\nb,2,0\n"),
@@ -755,8 +784,7 @@ class TestColumnPath:
         assert "new-line character seen in unquoted field" in strict[0]
 
     def test_read_error_is_raised(self, monkeypatch):
-        # Only the first tell() may fail, on a text file that next() has started.  A read
-        # that fails mid-file is raised, not taken for an end of input or a doubt.
+        # A read that fails mid-file is raised, not taken for an end of input or a doubt.
         class FailingStream(io.StringIO):
             """A stream whose reads fail from its second block on."""
 
@@ -777,11 +805,13 @@ class TestColumnPath:
             parse_dataset(stream)
         assert stream.reads == 2
 
-    def test_text_file_that_next_has_started(self, tmp_path):
-        # tell() fails on such a file, so only the strict loop reads it.
+    def test_text_file_that_next_has_started(self, tmp_path, monkeypatch):
+        # tell() fails on such a file, but the parse never asks: the column path reads it.
         path = tmp_path / "m.csv"
         path.write_text("# scores of run 7\nid,score,label\na,1,1\n")
+        calls = strict_reads(monkeypatch)
         with open(path, newline="") as stream:
             next(stream)
             d = parse_dataset(stream)
         assert (list(d.scores), list(d.labels)) == ([1.0], [1])
+        assert calls == []
