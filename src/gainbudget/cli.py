@@ -231,16 +231,18 @@ def _model_names(args: argparse.Namespace) -> list[str]:
     if len(given) > len(args.inputs):
         args.usage_error(f"{len(given)} --name values for {len(args.inputs)} input file(s)")
     names = given + [Path(path).stem for path in args.inputs[len(given):]]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        args.usage_error(f"argument --name: repeated model name(s) "
-                         f"{', '.join(map(repr, repeated))}; give each input a distinct --name")
+    scored = [name for name, _ in getattr(args, "fscore", ())]
+    for flag, listed, fix in (("--name", names, "give each input a distinct --name"),
+                              ("--fscore", scored, "give each model one --fscore")):
+        if repeated := sorted({name for name in listed if listed.count(name) > 1}):
+            args.usage_error(f"argument {flag}: repeated model name(s) "
+                             f"{', '.join(map(repr, repeated))}; {fix}")
     for problem, bad in (("blank", [n for n in names if not n.strip()]),
                          ("control character in", list(filter(_CONTROL.search, names)))):
         if bad:
             args.usage_error(f"argument --name: {problem} model name(s) "
                              f"{', '.join(map(repr, bad))}; give each a printable --name")
-    for name, _ in getattr(args, "fscore", ()):
+    for name in scored:
         if name not in names:
             args.usage_error(
                 f"argument --fscore: unknown model {name!r} (models: {', '.join(names)})")

@@ -16,25 +16,20 @@ import csv
 import hashlib
 import io
 from array import array
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence
 
 DEFAULT_POSITIVE_TOKENS = frozenset({"1", "true"})
 DEFAULT_NEGATIVE_TOKENS = frozenset({"0", "false"})
 
 
-class _ColumnSchema(NamedTuple):
-    id_col: str = "id"
-    score_col: str = "score"
-    label_col: str = "label"
-    positive_tokens: frozenset[str] = DEFAULT_POSITIVE_TOKENS
-    negative_tokens: frozenset[str] = DEFAULT_NEGATIVE_TOKENS
-    delimiter: str = ","
-
-
-class ColumnSchema(_ColumnSchema):
+class ColumnSchema(namedtuple("ColumnSchema", "id_col score_col label_col positive_tokens "
+                                              "negative_tokens delimiter",
+                              defaults=["id", "score", "label", DEFAULT_POSITIVE_TOKENS,
+                                        DEFAULT_NEGATIVE_TOKENS, ","])):
     """Maps file columns onto the (id, score, label) triple.
 
     Label tokens match case-insensitively; any other token is a parse error,
@@ -44,7 +39,7 @@ class ColumnSchema(_ColumnSchema):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> ColumnSchema:
+    def __new__(cls, *args: object, **kwargs: object) -> ColumnSchema:
         self = super().__new__(cls, *args, **kwargs)
         pos, neg = self.positive_tokens, self.negative_tokens
         columns = {"id_col": self.id_col, "score_col": self.score_col, "label_col": self.label_col}
@@ -71,17 +66,15 @@ class ColumnSchema(_ColumnSchema):
         return self
 
 
-class LabeledDataset(NamedTuple):
+class LabeledDataset(namedtuple("LabeledDataset", "name scores labels")):
     """One model's output file as columns, in input-file order.
 
-    Row i is (scores[i], labels[i]); a label byte is 1 for a positive and 0
-    for a negative.  The class itself is permissive; `parse_dataset`
-    enforces unique ids and at least one row.
+    Row i is (scores[i], labels[i]), from an array('d') and a bytearray whose byte is 1
+    for a positive and 0 for a negative.  The class itself is permissive;
+    `parse_dataset` enforces unique ids and at least one row.
     """
 
-    name: str
-    scores: array  # array('d')
-    labels: bytearray
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -127,16 +120,37 @@ def parse_dataset(
     a header that lacks a configured column or repeats one.  Blank lines
     are skipped.  Text the csv module cannot split (a field longer than
     csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
-    with the line the reader stopped on.  A text stream (a file, a pipe, one
-    that next() has started) is read forward once, a block of lines at a
-    time: the column path takes each block it proves good, and the strict
-    loop, the only one that writes error text, reads each other block, or
-    the rest of the source from a block only csv can split.  A list or
-    generator is read by the strict loop alone.
+    with the line the reader stopped on.  csv reads the header.  A text
+    stream (a file, a pipe, one that next() has started) is then read forward
+    once, a block of lines at a time: the column path takes each block it
+    proves good, and the strict loop, the only one that writes error text,
+    reads each other block, or the rest from a block only csv can split.  A
+    list or generator is read by the strict loop alone.
     """
     chunks, labels, seen, issues = state = [], bytearray(), set(), []
-    parse = _parse_columns if isinstance(source, io.TextIOBase) else _parse_rows
-    parse(source, schema, name, state)
+    lines, head = iter(source), []  # head: the header's lines, as the source splits them
+    reader = csv.reader((head.append(line) or line for line in lines), delimiter=schema.delimiter)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        issue = (reader.line_num, str(exc))
+        raise DatasetError(f"{name}: malformed delimited text", [issue]) from None
+    if header is None:
+        raise DatasetError(f"{name}: empty input, expected a header row")
+    configured = (schema.id_col, schema.score_col, schema.label_col)
+    names = [col.strip() for col in header]
+    missing = [col for col in configured if col not in names]
+    repeated = [col for col in configured if names.count(col) > 1]  # 3 distinct names
+    if missing or repeated:
+        fault = (f"missing configured column(s) {', '.join(missing)}" if missing
+                 else f"configured column(s) {', '.join(repeated)} appear more than once")
+        raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
+    order = list(map(names.index, configured))
+    # A stream without universal newlines whose header ends in \r may split lines there.
+    if isinstance(source, io.TextIOBase) and (source.newlines or "\r" not in head[-1]):
+        _parse_columns(source, schema, name, state, reader.line_num, order, len(header))
+    else:
+        _parse_rows(lines, schema, name, state, reader.line_num, order)
     if issues:
         raise DatasetError(f"{name}: {len(issues)} invalid row(s)", issues)
     if not labels:
@@ -146,34 +160,21 @@ def parse_dataset(
 
 
 def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tuple,
-                before: int = 0, order: list[int] | None = None) -> None:
+                before: int, order: list[int]) -> None:
     """The strict loop: add each row of `lines` to `state` (score arrays, labels, the ids
-    seen, issues), a bad one as an issue on its line plus `before`.  The header comes
-    first, unless `order` holds the columns' indices."""
+    seen, issues), a bad one as an issue on its line plus `before`.  `order` holds the
+    configured columns' indices."""
     reader = csv.reader(lines, delimiter=schema.delimiter)
+    id_idx, score_idx, label_idx = order
+    width = max(order) + 1
+    label_of = _label_of(schema)
+    chunks, labels, seen, issues = state
+    chunks.append(scores := array("d"))
+
+    def bad(reason: str) -> None:
+        issues.append((before + reader.line_num, reason))
+
     try:
-        if order is None:
-            if (header := next(reader, None)) is None:
-                raise DatasetError(f"{name}: empty input, expected a header row")
-            configured = (schema.id_col, schema.score_col, schema.label_col)
-            names = [col.strip() for col in header]
-            missing = [col for col in configured if col not in names]
-            repeated = [col for col in configured if names.count(col) > 1]  # 3 distinct names
-            if missing or repeated:
-                fault = (f"missing configured column(s) {', '.join(missing)}" if missing
-                         else f"configured column(s) {', '.join(repeated)} appear more than once")
-                raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
-            order = list(map(names.index, configured))
-        id_idx, score_idx, label_idx = order
-        width = max(order) + 1
-
-        label_of = _label_of(schema)
-        chunks, labels, seen, issues = state
-        chunks.append(scores := array("d"))
-
-        def bad(reason: str) -> None:
-            issues.append((before + reader.line_num, reason))
-
         for row in reader:
             # A blank row is short or has an empty id, so only those are tested.
             if len(row) < width or not (uid := row[id_idx].strip()):
@@ -215,37 +216,28 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
 BLOCK_CHARS = 1 << 15
 
 
-def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state: tuple) -> None:
+def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state: tuple,
+                   before: int, order: list[int], width: int) -> None:
     """Add to `state` each block of whole lines that str methods prove good; the strict loop
     reads each other block.  Unquoted, csv ends a row at \\r, \\n or \\r\\n and splits it at
-    each delimiter, so str methods split a block of lines with as many delimiters as the
-    header.  The strict loop reads on, from the text already read and then the source, from
-    a header that lacks a configured column or repeats one, or from a block with a quote, a
-    NUL, an overlong line, or a line end that a stream without universal newlines may leave
-    inside a line: csv alone can split those.  Nothing is read twice, and nothing seeks."""
+    each delimiter, so str methods split a block whose lines each hold `width` cells.  The
+    strict loop reads on, from the text already read and then the source, from a block with
+    a quote, a NUL, an overlong line, or a line end that a stream without universal newlines
+    may leave inside a line: csv alone splits those.  Nothing is read twice, or seeks."""
     chunks, labels, seen, _ = state
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
-    configured = (schema.id_col, schema.score_col, schema.label_col)
     mark = delim if delim.isascii() else "\0"  # NUL stands in: no block split here holds one
     drop = bytes(range(256)).replace(mark.encode(), b"").replace(b"\n", b"")
-    before, order = 0, None
+    gaps = mark * (width - 1)  # the delimiters of each line
     while True:
-        text = source.read(BLOCK_CHARS) + source.readline() if order else source.readline()
+        text = source.read(BLOCK_CHARS) + source.readline()
         lines = text.replace("\r\n", "\n").replace("\r", "\n")
         body = lines.rstrip("\n")
-        names = None if order else list(map(str.strip, body.split(delim)))
-        if ('"' in text or "\0" in text or len(text) > limit or not order and "\n" in text[:-1]
-                or "\r" in text and source.newlines is None
-                or names and list(map(names.count, configured)) != [1, 1, 1]):
-            # The header is one line as the source splits it (none if empty, as csv needs).
-            # Only a stream that splits at \n alone reaches a later block without newlines.
-            read = (io.StringIO(text, newline="" if source.newlines else "\n") if order
-                    else [text] if text else [])
+        if ('"' in text or "\0" in text or len(text) > limit
+                or "\r" in text and source.newlines is None):
+            # A stream without universal newlines gets here only if it splits at \n alone.
+            read = io.StringIO(text, newline="" if source.newlines else "\n")
             return _parse_rows(chain(read, source), schema, name, state, before, order)
-        if names:
-            order, width, before = list(map(names.index, configured)), len(names), 1
-            gaps = mark * (width - 1)  # the delimiters of each line
-            continue
         if not text:
             return
         # The probe keeps only the block's delimiters and line ends.
@@ -288,7 +280,7 @@ class _HashedFile(io.FileIO):
         super().__init__(path)
         self.sha, self.bad = hashlib.sha256(), False
 
-    def readinto(self, buffer: Any) -> int:
+    def readinto(self, buffer: memoryview) -> int:
         count = super().readinto(buffer)
         self.sha.update(new := bytes(buffer[:count]))
         self.bad = self.bad or b"\0" in new

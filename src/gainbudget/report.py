@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from decimal import Context
-from typing import Any, Callable, NamedTuple, Sequence
 
 from .budget import _MONEY, BudgetPlan, CostModel, MarginalReport, TargetPlan
-from .metrics import ClassMetrics, GainProfile, ideal_profile
+from .metrics import GainProfile, ideal_profile
 from .ranking import TiePolicy
 
 _SERIES_COLORS = (
@@ -64,41 +65,30 @@ def _shared_quantile_count(profiles: Sequence[GainProfile], across: str) -> int:
     return profiles[0].quantile_count
 
 
-class ModelResult(NamedTuple):
+class ModelResult(namedtuple("ModelResult", "profile class_metrics budget_plan target_plan "
+                                            "marginal supplied_fscore path sha256",
+                             defaults=[None] * 7)):
     """Everything computed for one model, and its input file; optional parts stay None."""
 
-    profile: GainProfile
-    class_metrics: ClassMetrics | None = None
-    budget_plan: BudgetPlan | None = None
-    target_plan: TargetPlan | None = None
-    marginal: MarginalReport | None = None
-    supplied_fscore: float | None = None
-    path: str | None = None
-    sha256: str | None = None
+    __slots__ = ()
 
     @property
     def name(self) -> str:
         return self.profile.model_name
 
 
-class _EvaluationReport(NamedTuple):
-    models: tuple[ModelResult, ...]
-    tie_policy: TiePolicy
-    cost_model: CostModel | None = None
-
-
-class EvaluationReport(_EvaluationReport):
+class EvaluationReport(namedtuple("EvaluationReport", "models tie_policy cost_model")):
     """Per-model results plus the run settings they share; the quantile count is theirs."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> EvaluationReport:
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.models:
+    def __new__(cls, models: tuple[ModelResult, ...], tie_policy: TiePolicy,
+                cost_model: CostModel | None = None) -> EvaluationReport:
+        if not models:
             raise ValueError("report needs at least one model")
-        _shared_quantile_count([m.profile for m in self.models], "models")
-        return self
+        _shared_quantile_count([m.profile for m in models], "models")
+        return super().__new__(cls, models, tie_policy, cost_model)
 
     @property
     def quantile_count(self) -> int:
@@ -123,7 +113,7 @@ class EvaluationReport(_EvaluationReport):
         by_fscore = self._order(fscores, highest_first=True)
         return self._order(costs, highest_first=False), by_fscore, source if by_fscore else None
 
-    def _order(self, keys: list[Any], highest_first: bool) -> tuple[str, ...] | None:
+    def _order(self, keys: list[float | None], highest_first: bool) -> tuple[str, ...] | None:
         """Names of the models with a key, sorted on it with equal keys in run order
         (a stable sort keeps them so, reversed too); None when under two have one."""
         held = [i for i, key in enumerate(keys) if key is not None]
@@ -133,7 +123,7 @@ class EvaluationReport(_EvaluationReport):
         return tuple(self.models[i].name for i in held)
 
 
-def _plan_cell(value: Any) -> str:
+def _plan_cell(value: object) -> str:
     """One `_plan_doc` value as table text: money, yes/no, a ratio, "inf" or an integer."""
     if isinstance(value, dict):  # minor units (cents) as a decimal amount with two places
         return f"{value['minor_units'] // 100}.{value['minor_units'] % 100:02d}"
@@ -263,11 +253,11 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
 
 def _plan_doc(
     plan: BudgetPlan | TargetPlan | MarginalReport | None, currency: str | None
-) -> dict[str, Any] | None:
+) -> dict[str, object] | None:
     """A plan's fields in declaration order; money as minor units, inf as "inf"."""
     if plan is None:
         return None
-    doc: dict[str, Any] = plan._asdict()
+    doc: dict[str, object] = plan._asdict()
     for field, value in doc.items():
         if field in _MONEY:
             doc[field] = {"minor_units": value, "currency": currency}
@@ -276,7 +266,7 @@ def _plan_doc(
     return doc
 
 
-def _document(r: EvaluationReport, gains: bool) -> dict[str, Any]:
+def _document(r: EvaluationReport, gains: bool) -> dict[str, object]:
     """The report as the JSON document's value; every renderer but the chart prints it.
 
     Counts are integers, gains are decimal strings with 12 significant digits (only
@@ -285,7 +275,7 @@ def _document(r: EvaluationReport, gains: bool) -> dict[str, Any]:
     """
     currency = r.cost_model.currency_label if r.cost_model is not None else None
     by_cost, by_fscore, source = r.rankings()
-    models: list[dict[str, Any]] = []
+    models: list[dict[str, object]] = []
     for m in r.models:
         profile = m.profile
         cm = m.class_metrics
@@ -331,7 +321,7 @@ def _document(r: EvaluationReport, gains: bool) -> dict[str, Any]:
     }
 
 
-def _json(value: Any, newline: str) -> str:
+def _json(value: object, newline: str) -> str:
     """`json.dumps(value, indent=2)` at the indent `newline` ends with, for str-keyed dicts,
     lists and scalars.  A list of scalars is one C encoder call; `indent` encodes in Python."""
     inner = newline + "  "

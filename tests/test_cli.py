@@ -159,6 +159,18 @@ class TestCompare:
         assert out == ""
         assert "not finite" in err
 
+    def test_repeated_fscore_is_usage_error(self, capsys):
+        # A second value for one model is refused, not kept in place of the first.
+        code, out, err = invoke(
+            capsys, "compare", str(worked_path("s1m1")), str(worked_path("s1m2")),
+            "--quantiles", "3", "--fscore", "worked_s1m1=0.1", "--fscore", "worked_s1m2=0.5",
+            "--fscore", "worked_s1m1=0.9",
+        )
+        assert code == 2
+        assert out == ""
+        assert "argument --fscore: repeated model name(s) 'worked_s1m1';" in err
+        assert_usage_error(err, "compare")
+
     def test_fscore_splits_at_the_last_equals_sign(self, capsys, tmp_path):
         shutil.copy(worked_path("s1m1"), tmp_path / "a=b.csv")
         code, out, err = invoke(
@@ -557,10 +569,11 @@ class TestDeterminism:
 
 def test_cli_import_loads_no_xml_or_network_package():
     # Every run and every --help pays for these imports; xml.sax.saxutils alone pulled in
-    # urllib.request, http, email and ssl, and dataclasses pulled in inspect, ast, dis and
-    # tokenize.  -S keeps a site .pth file's imports out of the check.
+    # urllib.request, http, email and ssl, dataclasses pulled in inspect, ast, dis and
+    # tokenize, and typing.NamedTuple pulled in typing.  -S keeps a site .pth file's
+    # imports out of the check.
     names = ("{'xml', 'urllib.request', 'http', 'email', 'ssl', "
-             "'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}")
+             "'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'}")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gainbudget.cli; "
              f"print(*sorted({names} & set(sys.modules)))")
     done = subprocess.run(

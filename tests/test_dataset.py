@@ -525,6 +525,10 @@ def strict_reads(monkeypatch) -> list[tuple[int, int]]:
 @example(b"id,score,label,note\na,1,1\nb,2,0,x\nc,3,1,y,z\nd,4,0,w\n", 1)
 @example(b"id,score,label,note\na,1,1\nb,2,0,x\nc,3,1,y,z\nd,4,0,w\n", dataset.BLOCK_CHARS)
 @example(b"note,label,id,score\nx,1,a\ny,0,b,2\nz,1,c,3,w\n", 3)
+# A header split over two lines by a quoted line end, then a bad row: csv reads the header,
+# and both readers count on from its two lines.
+@example(b'id,"score\n",label\na,1,1\nb,x,0\n', 1)
+@example(b'id,"score\r\n",label\r\na,1,1\r\nb,x,0\r\n', dataset.BLOCK_CHARS)
 @settings(max_examples=1000, deadline=None)
 def test_column_path_matches_the_strict_loop(raw, block_chars):
     """A file (read in blocks of 1, 2, 3 and 7 characters too) parses as its
@@ -706,11 +710,12 @@ class TestColumnPath:
         '"id","score","label"\n"a","1","1"\n\n"b\nc",2,0\r\nd,3,1',
     ], ids=["every-id", "last-row-only", "header-and-line-end-in-a-field"])
     def test_quoted_fields_are_read_by_csv_from_their_block_on(self, monkeypatch, text):
-        # The strict loop reads on from the block that holds the first quote, to the end;
-        # the blocks before it are the column path's, and are not read again.
+        # The strict loop reads on from the block that holds the first quote after the header
+        # (csv reads the header), to the end; the blocks before it are the column path's, and
+        # are not read again.
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
         lines = io.StringIO(text, newline="").readlines()
-        quoted = next(i for i, line in enumerate(lines) if '"' in line)
+        quoted = next(i for i, line in enumerate(lines) if i and '"' in line)
         strict = parse_dataset(lines)
         calls = strict_reads(monkeypatch)
         assert parse_dataset(io.StringIO(text, newline="")) == strict
@@ -734,12 +739,12 @@ class TestColumnPath:
 
     def test_crlf_stream_without_universal_newlines_is_read_by_csv(self, monkeypatch):
         # io.StringIO's default leaves \r\n in its lines, which csv takes as line ends;
-        # a stream that does not say how it ends lines is split by csv, from the header on.
+        # a stream that does not say how it ends lines is split by csv after its header.
         text = "id,score,label\r\na,1,1\r\nb,2,0\r\n"
         strict = parse_dataset(list(io.StringIO(text)))
         calls = strict_reads(monkeypatch)
         assert parse_dataset(io.StringIO(text)) == strict
-        assert calls == [(0, 3)]
+        assert calls == [(1, 2)]
 
     @pytest.mark.parametrize("block_chars", [1, 3, 16])
     @pytest.mark.parametrize("row", ["g,7,1\rh,8,0", '"g",7,1'], ids=["cr", "quote"])
@@ -767,6 +772,36 @@ class TestColumnPath:
         assert strict.size == 40
         with strict_loop_only():
             assert read_dataset_file(path)[0] == strict
+
+    def test_a_quoted_header_stays_on_the_column_path(self, tmp_path, monkeypatch):
+        # csv reads the header, so its quotes send no row to the strict loop.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        path = tmp_path / "m.csv"
+        path.write_text('"id","score","label"\n'
+                        + "".join(f"r{i},{i / 7!r},{i % 2}\n" for i in range(40)))
+        with path.open(newline="") as lines:
+            strict = parse_dataset(list(lines), name="m")
+        assert strict.size == 40
+        with strict_loop_only():
+            assert read_dataset_file(path)[0] == strict
+
+    @pytest.mark.parametrize("newline, raw", [
+        ("\r", b"id,score,label\ra,1,1\rb,2,0\r"),
+        ("\r", b"id,score,label\ra,1,1\nb,2,0\r"),
+        ("\r\n", b"id,score,label\r\na,1,1\r\nb,2,0\r\n"),
+        ("\r\n", b"id,score,label\r\na,1,1\nb,2,0\r\n"),
+        ("\r\n", b"id,score,label\r\na,1,1\nb,2,0"),
+    ])
+    def test_stream_that_splits_lines_at_cr(self, tmp_path, newline, raw):
+        # Such a stream ends its header with \r, and the strict loop reads the rest as the
+        # stream splits it; a \n split would make two rows of "a,1,1\nb,2,0", or one of
+        # "a,1,1\rb,2,0\r".
+        path = tmp_path / "m.csv"
+        path.write_bytes(raw)
+        with open(path, newline=newline) as stream:
+            strict = outcome(lambda: parse_dataset(list(stream)))
+        with open(path, newline=newline) as stream:
+            assert outcome(lambda: parse_dataset(stream)) == strict
 
     @pytest.mark.parametrize("newline, raw", [
         ("\n", b"id,score,label\na,1,1\rb,2,0\n"),
