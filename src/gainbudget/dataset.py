@@ -7,7 +7,7 @@ reported with its 1-based line number, and nothing is silently coerced.
 
 A parsed dataset is held as two parallel columns (scores, labels): however
 many rows a file has, the garbage collector tracks two containers.  The ids
-are read only to check that they are unique, and are not kept.
+are held, as UTF-8 bytes, only while they are read, to check that they are unique.
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
     configured columns' indices."""
     reader = csv.reader(lines, delimiter=schema.delimiter)
     id_idx, score_idx, label_idx = order
-    width = max(order) + 1
-    label_of = _label_of(schema)
+    width, label_of = max(order) + 1, _label_of(schema)
     chunks, labels, seen, issues = state
     chunks.append(scores := array("d"))
 
@@ -183,7 +182,7 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
                 bad(f"row has {len(row)} fields, expected at least {width}" if len(row) < width
                     else "empty id")
                 continue
-            if uid in seen:
+            if (key := uid.encode("utf-8", "surrogatepass")) in seen:  # exact, and less heap
                 bad(f"duplicate id {uid!r}")
                 continue
 
@@ -204,7 +203,7 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
                 bad(f"unrecognized label token {row[label_idx]!r}")
                 continue
 
-            seen.add(uid)
+            seen.add(key)
             scores.append(score)
             labels.append(label)
     except csv.Error as exc:
@@ -241,12 +240,13 @@ def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state
         if not text:
             return
         # The probe keeps only the block's delimiters and line ends.
-        probe = body.replace(delim, mark).encode().translate(None, drop)
+        probe = body.replace(delim, mark).encode("utf-8", "surrogatepass").translate(None, drop)
         ends = probe.count(b"\n")
         cells = body.replace("\n", delim).split(delim) if body else []
         uids, texts, tokens = (cells[i::width] for i in order)
         if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
-            uids = list(map(str.strip, uids))  # else each id would come back as it is
+            uids = map(str.strip, uids)  # else each id would come back as it is
+        uids = "\n".join(uids).encode("utf-8", "surrogatepass").split(b"\n") if body else []
         shape = (gaps + "\n").encode() * ends + gaps.encode()
         try:  # A doubt is a ValueError or KeyError: the strict loop reads the block.
             if body and probe != shape or not all(uids) or "_" in "".join(texts):

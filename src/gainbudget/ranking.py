@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import floordiv, ne, sub
+from operator import eq, floordiv, sub
 
 from .dataset import LabeledDataset
 
@@ -69,12 +69,12 @@ def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> R
     # The j-th highest positive has rank j plus the negatives ranked above it:
     # under optimistic those of a higher score, else those of an equal score too.
     side = bisect_right if policy is TiePolicy.OPTIMISTIC else bisect_left
-    lower = list(map(side, repeat(neg), reversed(pos)))  # the negatives below each positive
-    ranks = list(map(sub, count(len(neg)), lower))
-    # Input order decides only where a positive and a negative share a score, which is
-    # where the two bisections differ; only the rows of such a score are read again.
-    if policy is TiePolicy.STABLE and (blocks := {score: bytearray() for score in compress(
-            reversed(pos), map(ne, lower, map(bisect_right, repeat(neg), reversed(pos))))}):
+    cut = list(map(sub, map(side, repeat(neg), reversed(pos)), repeat(len(neg))))  # -k, k above it
+    ranks = list(map(sub, count(), cut))
+    # Input order decides only where a positive and a negative share a score: where neg[-k],
+    # the lowest of the k negatives above a positive (or neg[0], below it, if k is 0), equals it.
+    if policy is TiePolicy.STABLE and neg and (blocks := {score: bytearray() for score in compress(
+            reversed(pos), map(eq, map(neg.__getitem__, cut), reversed(pos)))}):
         for score, label in compress(zip(d.scores, d.labels), map(blocks.__contains__, d.scores)):
             blocks[score].append(label)
         for score, labels in blocks.items():

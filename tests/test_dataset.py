@@ -529,6 +529,13 @@ def strict_reads(monkeypatch) -> list[tuple[int, int]]:
 # and both readers count on from its two lines.
 @example(b'id,"score\n",label\na,1,1\nb,x,0\n', 1)
 @example(b'id,"score\r\n",label\r\na,1,1\r\nb,x,0\r\n', dataset.BLOCK_CHARS)
+# An id of a column-path block given again after a quote, in the strict loop: both readers
+# key ids alike, so both report its line.  Non-ASCII, padded with spaces and with \x1c-\x1f
+# (which only str.strip() drops), and equal to the first only once stripped.
+@example(b'id,score,label\n\xc3\xa9,1,1\n"b",2,0\n\xc3\xa9,3,1\n', 1)
+@example(b'id,score,label\n a ,1,1\n"b",2,0\n  a\t,3,1\n', 1)
+@example(b'id,score,label\n\x1ca\x1d,1,1\n"b",2,0\n\x1ea\x1f,3,1\n', 1)
+@example(b'id,score,label\na,1,1\n"b",2,0\n \x1ca ,3,1\n', 1)
 @settings(max_examples=1000, deadline=None)
 def test_column_path_matches_the_strict_loop(raw, block_chars):
     """A file (read in blocks of 1, 2, 3 and 7 characters too) parses as its
@@ -656,6 +663,17 @@ class TestColumnPath:
         with pytest.raises(DatasetError) as exc:
             read_dataset_file(path)
         assert exc.value.issues == ((5002, "non-numeric score 'abc'"),)
+
+    def test_lone_surrogates_in_ids(self):
+        # A str may hold a lone surrogate, which no UTF-8 file decodes to; a stream of it is
+        # read as a list of its lines is, and a repeated one is the same duplicate.
+        text = "id,score,label\n\ud800,1,1\n\udfff,2,0\n"
+        assert parse_dataset(io.StringIO(text)) == parse_dataset(text.splitlines(True))
+        text += "\ud800,3,1\n"
+        for source in [io.StringIO(text), text.splitlines(True)]:
+            with pytest.raises(DatasetError) as exc:
+                parse_dataset(source)
+            assert exc.value.issues == ((4, "duplicate id '\\ud800'"),)
 
     def test_generator_source(self):
         lines = (line for line in ["id,score,label\n", "a,1,1\n", "b,2,0\n"])
