@@ -16,8 +16,8 @@ import csv
 import hashlib
 import io
 from array import array
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from math import isfinite
 from pathlib import Path
@@ -121,15 +121,14 @@ def parse_dataset(
     are skipped.  Text the csv module cannot split (a field longer than
     csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
     with the line the reader stopped on.  csv reads the header.  A text
-    stream (a file, a pipe, one that next() has started) is then read forward
-    once, a block of lines at a time: the column path takes each block it
-    proves good, and the strict loop, the only one that writes error text,
-    reads each other block, or the rest from a block only csv can split.  A
-    list or generator is read by the strict loop alone.
+    stream whose `newlines` says it splits lines as csv does is then read
+    forward once, a block of lines at a time: the column path takes each
+    block it proves good, and the strict loop, the only one that writes error
+    text, reads each other block, or the rest from a block only csv can
+    split.  Any other source is read by the strict loop alone, as a list.
     """
     chunks, labels, seen, issues = state = [], bytearray(), set(), []
-    lines, head = iter(source), []  # head: the header's lines, as the source splits them
-    reader = csv.reader((head.append(line) or line for line in lines), delimiter=schema.delimiter)
+    reader = csv.reader(lines := iter(source), delimiter=schema.delimiter)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -146,8 +145,7 @@ def parse_dataset(
                  else f"configured column(s) {', '.join(repeated)} appear more than once")
         raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
     order = list(map(names.index, configured))
-    # A stream without universal newlines whose header ends in \r may split lines there.
-    if isinstance(source, io.TextIOBase) and (source.newlines or "\r" not in head[-1]):
+    if isinstance(source, io.TextIOBase) and source.newlines:
         _parse_columns(source, schema, name, state, reader.line_num, order, len(header))
     else:
         _parse_rows(lines, schema, name, state, reader.line_num, order)
@@ -211,7 +209,7 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
         raise DatasetError(f"{name}: malformed delimited text", [issue]) from None
 
 
-#: Characters per column-path block, which then reads on to a line end.
+#: Bytes per file read, and characters per column-path block read from a stream.
 BLOCK_CHARS = 1 << 15
 
 
@@ -221,8 +219,7 @@ def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state
     reads each other block.  Unquoted, csv ends a row at \\r, \\n or \\r\\n and splits it at
     each delimiter, so str methods split a block whose lines each hold `width` cells.  The
     strict loop reads on, from the text already read and then the source, from a block with
-    a quote, a NUL, an overlong line, or a line end that a stream without universal newlines
-    may leave inside a line: csv alone splits those.  Nothing is read twice, or seeks."""
+    a quote, a NUL or an overlong line: csv alone splits those.  Nothing is read twice."""
     chunks, labels, seen, _ = state
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
     mark = delim if delim.isascii() else "\0"  # NUL stands in: no block split here holds one
@@ -232,10 +229,8 @@ def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state
         text = source.read(BLOCK_CHARS) + source.readline()
         lines = text.replace("\r\n", "\n").replace("\r", "\n")
         body = lines.rstrip("\n")
-        if ('"' in text or "\0" in text or len(text) > limit
-                or "\r" in text and source.newlines is None):
-            # A stream without universal newlines gets here only if it splits at \n alone.
-            read = io.StringIO(text, newline="" if source.newlines else "\n")
+        if '"' in text or "\0" in text or len(text) > limit:
+            read = io.StringIO(text, newline="")
             return _parse_rows(chain(read, source), schema, name, state, before, order)
         if not text:
             return
@@ -272,19 +267,58 @@ def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state
         before += ends + len(lines) - len(body)  # the line ends that rstrip() took
 
 
-class _HashedFile(io.FileIO):
-    """A file whose reads feed a sha256, and set `bad` on a NUL.  The parse reads forward
-    and never seeks, so each byte is read, hashed and checked once."""
+def _read_blocks(raw: io.RawIOBase, sha: hashlib._Hash, name: str) -> Iterator[str]:
+    """Yield the text of `raw`, read once and fed to `sha`, in blocks: BLOCK_CHARS-byte reads
+    cut after their last line end, each decoded once, the first without a byte-order mark.
+    A NUL, else the first undecodable byte, is raised with its line and byte offset."""
+    lines = offset = 0  # the line ends and the bytes before `held`
+    held, fault = bytearray(), None  # held: the bytes read since the last cut
+    for data in chain(iter(lambda: raw.read(BLOCK_CHARS), b""), [b""]):  # b"" cuts at the end
+        sha.update(data)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1  # \r\n may span two reads
+        if data and not cut:
+            held += data  # scanned once: a long line costs time in step with its length
+            continue
+        block, held = held + data[:cut], bytearray(data[cut:])
+        if (at := block.find(0)) >= 0:
+            issue = (lines + _ends(block[:at]) + 1, f"NUL byte at byte offset {offset + at}")
+            raise DatasetError(f"{name}: input holds a NUL byte", [issue])
+        try:
+            text = "" if fault else block.decode()
+        except UnicodeDecodeError as exc:
+            text, fault = "", (lines + _ends(block[:exc.start]) + 1, f"undecodable byte "
+                               f"0x{block[exc.start]:02x} at byte offset {offset + exc.start}")
+        text = text if offset else text.removeprefix("\ufeff")
+        lines, offset, block = lines + _ends(block), offset + len(block), b""  # drop the bytes
+        yield text
+    if fault:
+        raise DatasetError(f"{name}: input is not valid UTF-8", [fault])
 
-    def __init__(self, path: Path) -> None:
-        super().__init__(path)
-        self.sha, self.bad = hashlib.sha256(), False
 
-    def readinto(self, buffer: memoryview) -> int:
-        count = super().readinto(buffer)
-        self.sha.update(new := bytes(buffer[:count]))
-        self.bad = self.bad or b"\0" in new
-        return count
+def _ends(data: bytes) -> int:  # the line ends: each \n, \r\n and lone \r
+    return data.count(b"\n") + (data.count(b"\r") - data.count(b"\r\n") if b"\r" in data else 0)
+
+
+class _Text(io.TextIOBase):
+    """`_read_blocks` as a stream: lines split as csv splits them, or the rest of a block."""
+
+    newlines = ("\r", "\n", "\r\n")
+
+    def __init__(self, blocks: Iterator[str]) -> None:
+        self._blocks, self._rest = filter(None, blocks), io.StringIO()  # "" would end it
+
+    def read(self, size: int | None = -1) -> str:
+        return self._rest.read() or next(self._blocks, "")
+
+    def readline(self, size: int | None = -1) -> str:
+        return ""  # the rest of the line that read() stopped in: it stops at line ends
+
+    def __iter__(self) -> Iterator[str]:  # chained in C: no Python frame runs per line
+        return chain.from_iterable(map(self._lines, iter(self.read, "")))
+
+    def _lines(self, text: str) -> io.StringIO:
+        self._rest = io.StringIO(text, newline="")
+        return self._rest
 
 
 def read_dataset_file(
@@ -294,55 +328,20 @@ def read_dataset_file(
 ) -> tuple[LabeledDataset, str]:
     """Load a dataset from disk; returns (dataset, sha256 of the bytes parsed).
 
-    The file is read once, as a stream, and no copy of it is held.  A leading UTF-8
-    byte-order mark is skipped.  A NUL or undecodable byte is reported ahead of any
-    other fault, with its line: only then is the file read whole, to find that byte.
-    A pipe cannot be read again, so its bad byte is reported on line 0.
+    The file, or pipe, is read forward once in blocks of whole lines, and no copy of it is
+    held.  A leading UTF-8 byte-order mark is skipped.  A NUL, or else the first
+    undecodable byte, is reported ahead of any other fault, with its line and byte offset.
     """
     path = Path(path)
     name = path.stem if name is None else name
     try:
-        raw = _HashedFile(path)
+        raw = open(path, "rb", buffering=0)
     except OSError as exc:
         raise DatasetError(f"{name}: cannot read {path}: {exc.strerror or exc}") from exc
-    undecodable, seekable = False, raw.seekable()
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as stream:
-        # Skipped here: a utf-8-sig decoder would take a file of b"\xef" for an empty one.
-        stream.buffer.read(3 if stream.buffer.peek(3).startswith(b"\xef\xbb\xbf") else 0)
+    with raw:
+        blocks = _read_blocks(raw, sha := hashlib.sha256(), name)
         try:  # A parse that returns has read the text to its end, so the digest has every byte.
-            try:
-                dataset = parse_dataset(stream, schema, name=name)
-            except DatasetError:
-                while stream.read(1 << 16):  # A bad byte past the fault is reported instead.
-                    pass
-                if not raw.bad:
-                    raise
-        except UnicodeDecodeError:
-            undecodable = True
-            while not seekable and stream.buffer.read(1 << 16):  # as below, a NUL comes first
-                pass
-    if not (raw.bad or undecodable):
-        return dataset, raw.sha.hexdigest()
-    if not seekable:  # A pipe cannot be read again, so the bad byte's line is not known.
-        fault, byte = (("holds a NUL byte", "NUL") if raw.bad
-                       else ("is not valid UTF-8", "undecodable"))
-        issue = (0, f"{byte} byte on an unknown line: the input cannot be read again")
-        raise DatasetError(f"{name}: input {fault}", [issue])
-    # csv rejects NUL before Python 3.11 and keeps it in a field after; it is rejected here.
-    data = path.read_bytes()
-    if (offset := data.find(b"\0")) >= 0:
-        bad = f"NUL byte at byte offset {offset}"
-        raise DatasetError(f"{name}: input holds a NUL byte", [(_line_at(data, offset), bad)])
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = f"undecodable byte 0x{data[exc.start]:02x} at byte offset {exc.start}"
-        line = _line_at(data, exc.start)
-        raise DatasetError(f"{name}: input is not valid UTF-8", [(line, bad)]) from None
-    raise DatasetError(f"{name}: input changed while it was read")
-
-
-def _line_at(raw: bytes, offset: int) -> int:
-    """1-based line of byte `offset` under \\n, \\r\\n and \\r line endings."""
-    before = raw[:offset]
-    return before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+            return parse_dataset(_Text(blocks), schema, name=name), sha.hexdigest()
+        except DatasetError:
+            deque(blocks, 0)  # read to the end: a bad byte further on is reported instead
+            raise
