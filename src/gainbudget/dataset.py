@@ -276,7 +276,7 @@ def _read_blocks(raw: io.RawIOBase, sha: hashlib._Hash, name: str) -> Iterator[s
     for data in chain(iter(lambda: raw.read(BLOCK_CHARS), b""), [b""]):  # b"" cuts at the end
         sha.update(data)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1  # \r\n may span two reads
-        if data and not cut:
+        if data and not cut and not held.endswith(b"\r"):  # else cut after the held lone \r
             held += data  # scanned once: a long line costs time in step with its length
             continue
         block, held = held + data[:cut], bytearray(data[cut:])

@@ -684,6 +684,21 @@ class TestColumnPath:
         assert exc.value.issues == ((6, "duplicate id 'read_the_paper'"),)
         assert calls == [(5, 1)]
 
+    def test_lone_cr_line_ends_cut_at_each_read(self, tmp_path, monkeypatch):
+        # Each one-byte read that is a lone \r ends a line, as the next read shows: the file
+        # is cut there, a line a block, and no block goes to the strict loop.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 1)
+        blocks, read_blocks = [], dataset._read_blocks
+        monkeypatch.setattr(dataset, "_read_blocks",
+                            lambda *args: (blocks.append(b) or b for b in read_blocks(*args)))
+        path = tmp_path / "cr.csv"
+        text = "id,score,label\r" + "".join(f"r{i},{i},1\r" for i in range(40))
+        path.write_text(text, newline="")
+        calls = strict_reads(monkeypatch)
+        d, _ = read_dataset_file(path)
+        assert (list(d.scores), calls) == (list(range(40)), [])
+        assert blocks == text.splitlines(True)
+
     def test_bad_last_row_after_a_byte_order_mark(self, tmp_path):
         # The strict loop reads the last block alone, and counts on from the lines before it.
         rows = "".join(f"r{i},0.5,{i % 2}\n" for i in range(5000))
@@ -693,16 +708,21 @@ class TestColumnPath:
             read_dataset_file(path)
         assert exc.value.issues == ((5002, "non-numeric score 'abc'"),)
 
-    def test_lone_surrogates_in_ids(self):
-        # A str may hold a lone surrogate, which no UTF-8 file decodes to; a stream of it is
-        # read as a list of its lines is, and a repeated one is the same duplicate.
+    def test_lone_surrogates_in_ids(self, monkeypatch):
+        # A str may hold a lone surrogate, which no UTF-8 file decodes to; the column path
+        # reads a stream of it as the strict loop reads a list of its lines, and a repeated
+        # one is the same duplicate.
         text = "id,score,label\n\ud800,1,1\n\udfff,2,0\n"
-        assert parse_dataset(io.StringIO(text)) == parse_dataset(text.splitlines(True))
+        strict = parse_dataset(text.splitlines(True))
+        calls = strict_reads(monkeypatch)
+        assert parse_dataset(io.StringIO(text, newline="")) == strict
+        assert calls == []
         text += "\ud800,3,1\n"
-        for source in [io.StringIO(text), text.splitlines(True)]:
+        for source in [io.StringIO(text, newline=""), text.splitlines(True)]:
             with pytest.raises(DatasetError) as exc:
                 parse_dataset(source)
             assert exc.value.issues == ((4, "duplicate id '\\ud800'"),)
+        assert calls == [(1, 3), (1, 3)]  # the column path's block, then the list
 
     def test_generator_source(self):
         lines = (line for line in ["id,score,label\n", "a,1,1\n", "b,2,0\n"])
@@ -743,13 +763,18 @@ class TestColumnPath:
         assert block.startswith(f"{odd}\n")
         assert calls == ([] if "e308" in odd else [(1, block.count("\n"))])
 
-    def test_stream_read_from_where_it_stands(self):
-        # Lines are counted from where parsing began, not from the start of the stream.
-        stream = io.StringIO("# scores of run 7\nid,score,label\na,1,1\nb,x,0\n")
+    def test_stream_read_from_where_it_stands(self, monkeypatch):
+        # Lines are counted from where parsing began, not from the start of the stream.  The
+        # started stream has read a line end, so the column path reads it: a line a block,
+        # the strict loop only the bad one.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 1)
+        stream = io.StringIO("# scores of run 7\nid,score,label\na,1,1\nb,x,0\n", newline="")
         stream.readline()
+        calls = strict_reads(monkeypatch)
         with pytest.raises(DatasetError) as exc:
             parse_dataset(stream)
         assert exc.value.issues == ((3, "non-numeric score 'x'"),)
+        assert calls == [(2, 1)]
 
     @pytest.mark.parametrize("text", [
         "id,score,label\n" + "".join(f'"r{i}",{i},1\n' for i in range(40)),
