@@ -79,6 +79,11 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     # last one always: 47 quantiles label 0, 5, ..., 45 and 47.
     cases["case-chart-q47.svg"] = (
         "case", ["chart", *CASE, "--quantiles", "47", "--baseline", "--ideal"])
+    # More quantiles (500) than positives (414): the quantile counts are taken
+    # from the positives' side, and the rows and the x grid are 500 wide.
+    add("case-eval-q500", "case", ["eval", "m1.csv", "--quantiles", "500", "--cutoff-k", "414"])
+    cases["case-chart-q500.svg"] = (
+        "case", ["chart", *CASE, "--quantiles", "500", "--baseline", "--ideal"])
 
     for policy in ("stable", "pessimistic", "optimistic"):
         add(f"tied-eval-{policy}", "data",
