@@ -34,13 +34,12 @@ class GainProfile(namedtuple("GainProfile", "model_name per_quantile_positive po
             raise ValueError(f"{model_name}: gain undefined, dataset has no positive instances")
         if min(per_quantile_positive, default=0) < 0:
             raise ValueError("negative per-quantile count")
-        if sum(per_quantile_positive) != positive_total:
-            raise ValueError(
-                "per-quantile positives must sum to positive_total "
-                f"({sum(per_quantile_positive)} != {positive_total})"
-            )
+        cumulative = tuple(accumulate(per_quantile_positive, initial=0))
+        if cumulative[-1] != positive_total:
+            raise ValueError("per-quantile positives must sum to positive_total "
+                             f"({cumulative[-1]} != {positive_total})")
         return super().__new__(cls, model_name, per_quantile_positive, positive_total, size,
-                               tuple(accumulate(per_quantile_positive)))
+                               cumulative[1:])
 
     def __getnewargs__(self) -> tuple:  # copy and pickle pass the arguments, not the counts
         return self[:4]

@@ -2,7 +2,8 @@
 
 A ranking is the ascending list of its positives' ranks, rank 0 being the
 top.  The positives in the top k are `bisect_left(positive_ranks, k)`, so a
-count over any stretch of ranks (a quantile, a cutoff) takes two bisections.
+cutoff's count takes one bisection.  Quantile counts walk the shorter side:
+Q <= P quantiles bisect at each edge, and past that the P ranks are counted.
 
 Ties are ordered as one stable descending sort over a pre-ordered row list
 would order them: input order for `stable`, negatives before positives for
@@ -13,10 +14,10 @@ input order.  Equal scores (including 0.0 and -0.0) keep that pre-order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import eq, floordiv, sub
+from operator import add, eq, floordiv, mul, sub
 
 from .dataset import LabeledDataset
 
@@ -85,16 +86,16 @@ def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> R
 
 
 def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition:
-    """Split the ranked order into `quantile_count` groups by the floor rule."""
-    n = r.size
-    if quantile_count < 1 or quantile_count > n:
-        raise ValueError(
-            f"{r.name}: quantile count must be between 1 and {n}, got {quantile_count}"
-        )
-    boundaries = tuple(map(floordiv, range(0, n * quantile_count + 1, n), repeat(quantile_count)))
-    above = list(map(bisect_left, repeat(r.positive_ranks), boundaries))
-    return QuantilePartition(
-        ranked=r,
-        boundaries=boundaries,
-        per_quantile_positive=tuple(map(sub, above[1:], above)),
-    )
+    """Split the ranked order into `quantile_count` groups by the floor rule.
+
+    Up to P quantiles bisect the P positives' ranks at each edge; past P, rank i lies in
+    quantile (i*Q + Q - 1) // N, so the counts are one Counter over the P ranks."""
+    n, q, ranks = r.size, quantile_count, r.positive_ranks
+    if q < 1 or q > n:
+        raise ValueError(f"{r.name}: quantile count must be between 1 and {n}, got {q}")
+    boundaries = tuple(map(floordiv, range(0, n * q + 1, n), repeat(q)))
+    if q <= len(ranks):
+        above = list(map(bisect_left, repeat(ranks), boundaries))
+        return QuantilePartition(r, boundaries, tuple(map(sub, above[1:], above)))
+    held = Counter(map(floordiv, map(add, map(mul, ranks, repeat(q)), repeat(q - 1)), repeat(n)))
+    return QuantilePartition(r, boundaries, tuple(map(held.get, range(q), repeat(0))))

@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from decimal import Context
+from itertools import chain, repeat
 
 from .budget import _MONEY, BudgetPlan, CostModel, MarginalReport, TargetPlan
 from .metrics import GainProfile, ideal_profile
@@ -134,13 +135,13 @@ def _plan_cell(value: object) -> str:
     return str(value)
 
 
-def _each_once(fmt: Callable[[int], str], counts: Sequence[int]) -> list[str]:
+def _each_once(fmt: Callable[[int], str], counts: Sequence[int]) -> tuple[str, ...]:
     """`fmt(c)` for each count, once per distinct count: P positives give at most P + 1."""
     text = {c: fmt(c) for c in set(counts)}
-    return list(map(text.__getitem__, counts))
+    return tuple(map(text.__getitem__, counts))
 
 
-def _sig12(counts: Sequence[int], total: int) -> list[str]:
+def _sig12(counts: Sequence[int], total: int) -> tuple[str, ...]:
     """Each count / total as a decimal string with 12 significant digits."""
     divide = Context(prec=12).divide
     return _each_once(lambda c: str(divide(c, total)), counts)
@@ -166,9 +167,10 @@ def _text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[s
 
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
     lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in headers) + "|")
+    lines.append("|" + " --- |" * len(headers))
     # A bare "|" in a cell (a model name) would end the cell early.
-    lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
+    lines += ["| " + " | ".join(map(str.replace, row, repeat("|"), repeat("\\|"))) + " |"
+              for row in rows]
     return lines
 
 
@@ -272,6 +274,7 @@ def _document(r: EvaluationReport, gains: bool) -> dict[str, object]:
     Counts are integers, gains are decimal strings with 12 significant digits (only
     with `gains`: no table prints them), money is minor-unit integers with the
     currency label.  Optional sections are always present, null when not requested.
+    A list of scalars is a tuple, which `_json` encodes in one call.
     """
     currency = r.cost_model.currency_label if r.cost_model is not None else None
     by_cost, by_fscore, source = r.rankings()
@@ -284,14 +287,14 @@ def _document(r: EvaluationReport, gains: bool) -> dict[str, object]:
             "accuracy": cm.accuracy,
             **{group: {name: getattr(cm, f"{group}_{name}") for name in _CLASS_MEASURES}
                for group in _CLASS_GROUPS},
-            "conventions": list(cm.conventions),
+            "conventions": cm.conventions,
         }
         models.append({
             "name": m.name,
             "instances": profile.size,
             "positive_total": profile.positive_total,
-            "per_quantile_positive": list(profile.per_quantile_positive),
-            "cumulative_positive_count": list(profile.cumulative_positive_count),
+            "per_quantile_positive": profile.per_quantile_positive,
+            "cumulative_positive_count": profile.cumulative_positive_count,
             **({"gain": _sig12(profile.per_quantile_positive, profile.positive_total),
                 "cumulative": _sig12(profile.cumulative_positive_count, profile.positive_total)}
                if gains else {}),
@@ -314,8 +317,8 @@ def _document(r: EvaluationReport, gains: bool) -> dict[str, object]:
         },
         "models": models,
         "rankings": {
-            "by_cost_to_target": list(by_cost) if by_cost else None,
-            "by_fscore": list(by_fscore) if by_fscore else None,
+            "by_cost_to_target": by_cost,
+            "by_fscore": by_fscore,
             "fscore_source": source,
         },
     }
@@ -323,17 +326,15 @@ def _document(r: EvaluationReport, gains: bool) -> dict[str, object]:
 
 def _json(value: object, newline: str) -> str:
     """`json.dumps(value, indent=2)` at the indent `newline` ends with, for str-keyed dicts,
-    lists and scalars.  A list of scalars is one C encoder call; `indent` encodes in Python."""
+    lists, tuples of scalars and scalars.  A tuple is one C encoder call, with no scan of
+    its items; a list is laid out item by item.  `indent` would encode all of it in Python."""
     inner = newline + "  "
     if isinstance(value, dict) and value:
         items = [json.dumps(key) + ": " + _json(item, inner) for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list) and value:
-        # One check per distinct item type: an isinstance per item costs as much as the encoding.
-        if any(issubclass(kind, (dict, list)) for kind in set(map(type, value))):
-            body = ("," + inner).join([_json(item, inner) for item in value])
-        else:
-            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    if isinstance(value, (list, tuple)) and value:
+        body = (json.dumps(value, separators=("," + inner, ": "))[1:-1] if isinstance(value, tuple)
+                else ("," + inner).join([_json(item, inner) for item in value]))
         return "[" + inner + body + newline + "]"
     return json.dumps(value)
 
@@ -390,12 +391,10 @@ def render_chart(
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
 
-    # Gridlines: vertical at every quantile boundary, horizontal every 25%.
-    out += [
-        f'<line class="xgrid" x1="{x}" y1="{y0:.2f}" x2="{x}" y2="{y1:.2f}" '
-        f'stroke="#dddddd" stroke-width="1"/>'
-        for x in xtext
-    ]
+    # Gridlines: vertical at every quantile boundary (one string), horizontal every 25%.
+    head, tail = '<line class="xgrid" x1="', f'" y2="{y1:.2f}" stroke="#dddddd" stroke-width="1"/>'
+    out.append(head + (tail + "\n" + head).join(
+        map(f'" y1="{y0:.2f}" x2="'.join, zip(xtext, xtext))) + tail)
     out += [line("ygrid", x0, y, x1, y, "#dddddd") for y in ys]
 
     out.append(line("", x0, y0, x0, y1, "#333333"))
@@ -415,9 +414,9 @@ def render_chart(
 
     def points(profile: GainProfile) -> str:
         total = profile.positive_total
-        ytext = _each_once(lambda c: f",{py(c / total):.2f}",
+        ytext = _each_once(lambda c: f",{py(c / total):.2f} ",
                            (0, *profile.cumulative_positive_count))
-        return " ".join(map(str.__add__, xtext, ytext))
+        return "".join(chain.from_iterable(zip(xtext, ytext)))[:-1]  # no string per point
 
     # (name, color, stroke width, dasharray or "", polyline points)
     curves: list[tuple[str, str, str, str, str]] = []

@@ -156,6 +156,19 @@ class TestPartition:
         assert sum(quantile_sizes(part)) == 7
         assert max(quantile_sizes(part)) - min(quantile_sizes(part)) <= 1
 
+    @pytest.mark.parametrize("labels, q, expected", [
+        ([0, 1, 1, 0, 0, 1, 0], 3, (1, 1, 1)),  # Q = P: bisected at each edge
+        ([0, 1, 1, 0, 0, 1, 0], 4, (0, 2, 0, 1)),  # Q = P + 1: counted by quantile
+        ([1, 1, 0, 1, 1, 0, 0], 7, (1, 1, 0, 1, 1, 0, 0)),  # one row per quantile
+        ([0] * 5, 3, (0, 0, 0)),  # P = 0
+        ([0] * 5, 5, (0,) * 5),
+        ([1], 1, (1,)),  # N = 1
+        ([0], 1, (0,)),
+    ])
+    def test_counts_either_side_of_q_equals_p(self, labels, q, expected):
+        ranked = rank_instances(numbered_dataset(labels, range(len(labels), 0, -1)))
+        assert partition_quantiles(ranked, q).per_quantile_positive == expected
+
     @pytest.mark.parametrize("bad_q", [0, -1, 7])
     def test_quantile_count_bounds(self, bad_q):
         d = numbered_dataset([True] * 6, range(6))
@@ -226,3 +239,23 @@ def test_counts_match_brute_force(d, data):
         expected[bucket] += d.labels[row]
     part = partition_quantiles(ranked, q)
     assert part.per_quantile_positive == tuple(expected)
+
+
+#: Up to 200 rows and any Q in 1..N, so Q falls on both sides of P.
+rows_and_quantiles = st.lists(st.booleans(), min_size=1, max_size=200).flatmap(
+    lambda labels: st.tuples(st.just(labels), st.integers(min_value=1, max_value=len(labels))))
+
+
+@given(rows_and_quantiles)
+@example(([False] * 200, 200))
+@example(([True] + [False] * 199, 200))
+@settings(max_examples=300)
+def test_counts_match_a_recount_up_to_200_rows(case):
+    """Both count paths (Q <= P bisects, Q > P counts by quantile) against a recount of
+    the labels between the floor-rule edges; row i has rank i."""
+    labels, q = case
+    n = len(labels)
+    ranked = rank_instances(numbered_dataset(labels, range(n, 0, -1)))
+    edges = [k * n // q for k in range(q + 1)]
+    expected = tuple(sum(labels[a:b]) for a, b in zip(edges, edges[1:]))
+    assert partition_quantiles(ranked, q).per_quantile_positive == expected

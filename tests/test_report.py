@@ -351,9 +351,12 @@ class TestChart:
 
 #: Text with non-ASCII characters and lone surrogates, which json escapes as \uXXXX.
 ANY_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT
+#: Lists and dicts of any values; tuples, which `_json` encodes in one call, of scalars.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ANY_TEXT, inner, max_size=4),
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(ANY_TEXT, inner, max_size=4)
+                   | st.lists(JSON_SCALARS, max_size=4).map(tuple)),
     max_leaves=12,
 )
 
