@@ -97,5 +97,5 @@ def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition
     if q <= len(ranks):
         above = list(map(bisect_left, repeat(ranks), boundaries))
         return QuantilePartition(r, boundaries, tuple(map(sub, above[1:], above)))
-    held = Counter(map(floordiv, map(add, map(mul, ranks, repeat(q)), repeat(q - 1)), repeat(n)))
-    return QuantilePartition(r, boundaries, tuple(map(held.get, range(q), repeat(0))))
+    counts = Counter(map(floordiv, map(add, map(mul, ranks, repeat(q)), repeat(q - 1)), repeat(n)))
+    return QuantilePartition(r, boundaries, tuple(map(counts.get, range(q), repeat(0))))
