@@ -19,14 +19,8 @@ import sys
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from pathlib import Path
 
-from .budget import (
-    FULL_RECALL,
-    CostModel,
-    CostRule,
-    cost_to_target,
-    fixed_budget_plan,
-    marginal_analysis,
-)
+from .budget import (FULL_RECALL, CostModel, CostRule, cost_to_target, fixed_budget_plan,
+                     marginal_analysis)
 from .dataset import (DEFAULT_NEGATIVE_TOKENS, DEFAULT_POSITIVE_TOKENS, ColumnSchema,
                       read_dataset_file)
 from .metrics import class_metrics, confusion_at_cutoff, gain_profile
@@ -176,11 +170,8 @@ def _add_cost_flags(p: argparse.ArgumentParser, with_plans: bool, required: bool
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gainbudget",
-        description="Budget-aware evaluation of ranking models via gain and "
-                    "cumulative gain.",
-    )
+    parser = argparse.ArgumentParser(prog="gainbudget", description="Budget-aware evaluation "
+                                     "of ranking models via gain and cumulative gain.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="gain profile (and cutoff metrics) for one model")
@@ -314,10 +305,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     cm = None if unit_cost is None else CostModel(unit_cost, args.currency,
                                                   CostRule(args.cost_rule))
 
-    # One input at a time: its dataset and ranking are freed before the next read.
-    results = []
-    for path, name in zip(args.inputs, names):
-        dataset, sha = read_dataset_file(path, schema, name=name)
+    # One input at a time: its dataset and ranking are freed before the next read.  The first
+    # input's ids are kept until the last read: later inputs that repeat them build no id set.
+    results, ids = [], bytearray() if len(args.inputs) > 1 else None
+    for count, (path, name) in enumerate(zip(args.inputs, names), 1):
+        dataset, sha = read_dataset_file(path, schema, name=name, ids=ids)
+        ids = None if count == len(args.inputs) else ids
         ranked = rank_instances(dataset, policy)
         profile = gain_profile(partition_quantiles(ranked, args.quantiles))
         k = _cutoff_for(args, ranked)

@@ -5,9 +5,9 @@ header row.  Each data row carries an opaque identifier, a finite confidence
 score, and a binary gold label.  Parsing is strict: every malformed row is
 reported with its 1-based line number, and nothing is silently coerced.
 
-A parsed dataset is held as two parallel columns (scores, labels): however
-many rows a file has, the garbage collector tracks two containers.  The ids
-are held, as UTF-8 bytes, only while they are read, to check that they are unique.
+A parsed dataset is two columns (scores, labels), so the garbage collector tracks two
+containers.  Ids are held as UTF-8 bytes only while read, in a set that finds a duplicate,
+which a run's later inputs skip while they repeat the first input's ids in order.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class LabeledDataset(namedtuple("LabeledDataset", "name scores labels")):
 
     Row i is (scores[i], labels[i]), from an array('d') and a bytearray whose byte is 1
     for a positive and 0 for a negative.  The class itself is permissive;
-    `parse_dataset` enforces unique ids and at least one row.
+    `parse_dataset` enforces unique ids and at least one row, and keeps no ids.
     """
 
     __slots__ = ()
@@ -108,24 +108,19 @@ def _label_of(schema: ColumnSchema) -> dict[str, int]:
             **dict.fromkeys(map(str.lower, schema.positive_tokens), 1)}
 
 
-def parse_dataset(
-    source: Iterable[str],
-    schema: ColumnSchema = ColumnSchema(),
-    name: str = "dataset",
-) -> LabeledDataset:
+def parse_dataset(source: Iterable[str], schema: ColumnSchema = ColumnSchema(),
+                  name: str = "dataset", *, ids: bytearray | None = None) -> LabeledDataset:
     """Parse delimited text into a dataset, preserving row order.
 
-    Raises DatasetError listing every bad row (non-numeric or non-finite
-    score, unrecognized label token, empty or duplicate id, short row), or
-    a header that lacks a configured column or repeats one.  Blank lines
-    are skipped.  Text the csv module cannot split (a field longer than
-    csv.field_size_limit(), or a NUL byte before Python 3.11) is reported
-    with the line the reader stopped on.  csv reads the header.  A text
-    stream whose `newlines` says it splits lines as csv does is then read
-    forward once, a block of lines at a time: the column path takes each
-    block it proves good, and the strict loop, the only one that writes error
-    text, reads each other block, or the rest from a block only csv can
-    split.  Any other source is read by the strict loop alone, as a list.
+    Raises DatasetError listing every bad row (non-numeric or non-finite score, unrecognized
+    label token, empty or duplicate id, short row, text csv cannot split), or a header that
+    lacks a configured column or repeats one.  Blank lines are skipped.  A text stream whose
+    `newlines` says it splits lines as csv does is read a block of lines at a time; any other
+    source, row by row (the README's "Input format" tells how).  `ids` is a bytearray of the
+    ids that the column path took, each followed by \n: an empty one is filled, and a parse
+    whose ids repeat a filled one in order keeps no id set while they do.  Only a buffer
+    that an earlier parse filled may be passed: its ids are trusted to be distinct, and are
+    not checked again.
     """
     chunks, labels, seen, issues = state = [], bytearray(), set(), []
     reader = csv.reader(lines := iter(source), delimiter=schema.delimiter)
@@ -146,7 +141,7 @@ def parse_dataset(
         raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
     order = list(map(names.index, configured))
     if isinstance(source, io.TextIOBase) and source.newlines:
-        _parse_columns(source, schema, name, state, reader.line_num, order, len(header))
+        _parse_columns(source, schema, name, state, reader.line_num, order, len(header), ids)
     else:
         _parse_rows(lines, schema, name, state, reader.line_num, order)
     if issues:
@@ -214,53 +209,66 @@ BLOCK_CHARS = 1 << 15
 
 
 def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state: tuple,
-                   before: int, order: list[int], width: int) -> None:
+                   before: int, order: list[int], width: int, ids: bytearray | None) -> None:
     """Add to `state` each block of whole lines that str methods prove good; the strict loop
     reads each other block.  Unquoted, csv ends a row at \\r, \\n or \\r\\n and splits it at
-    each delimiter, so str methods split a block whose lines each hold `width` cells.  The
-    strict loop reads on, from the text already read and then the source, from a block with
-    a quote, a NUL or an overlong line: csv alone splits those.  Nothing is read twice."""
+    each delimiter, so str methods split a block whose lines each hold `width` cells.  From a
+    block with a quote, a NUL or an overlong line, which csv alone splits, the strict loop
+    reads on to the end.  Nothing is read twice.  Ids that repeat `ids` in order are distinct
+    as those are: `seen` takes the ids so far at the first block that strays, or is doubted."""
     chunks, labels, seen, _ = state
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
     mark = delim if delim.isascii() else "\0"  # NUL stands in: no block split here holds one
     drop = bytes(range(256)).replace(mark.encode(), b"").replace(b"\n", b"")
     gaps = mark * (width - 1)  # the delimiters of each line
+    fill, follow, at = ids == b"", ids or b"", 0  # follow[:at]: the ids so far, while followed
     while True:
-        text = source.read(BLOCK_CHARS) + source.readline()
+        if not (text := source.read(BLOCK_CHARS) + source.readline()):
+            return
         lines = text.replace("\r\n", "\n").replace("\r", "\n")
         body = lines.rstrip("\n")
-        if '"' in text or "\0" in text or len(text) > limit:
-            read = io.StringIO(text, newline="")
-            return _parse_rows(chain(read, source), schema, name, state, before, order)
-        if not text:
-            return
-        # The probe keeps only the block's delimiters and line ends.
-        probe = body.replace(delim, mark).encode("utf-8", "surrogatepass").translate(None, drop)
-        ends = probe.count(b"\n")
-        cells = body.replace("\n", delim).split(delim) if body else []
-        uids, texts, tokens = (cells[i::width] for i in order)
-        if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
-            uids = map(str.strip, uids)  # else each id would come back as it is
-        uids = "\n".join(uids).encode("utf-8", "surrogatepass").split(b"\n") if body else []
-        shape = (gaps + "\n").encode() * ends + gaps.encode()
+        strict = '"' in text or "\0" in text or len(text) > limit
         try:  # A doubt is a ValueError or KeyError: the strict loop reads the block.
-            if body and probe != shape or not all(uids) or "_" in "".join(texts):
-                raise ValueError("not split as csv splits it, or an empty id, or 1_0")
+            if strict:
+                raise ValueError("csv alone splits a quote, a NUL or an overlong line")
+            # The probe keeps only the block's delimiters and line ends.
+            probe = body.replace(delim, mark).encode("utf-8", "surrogatepass").translate(None, drop)
+            ends = probe.count(b"\n")
+            cells = body.replace("\n", delim).split(delim) if body else []
+            uids, texts, tokens = (cells[i::width] for i in order)
+            if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
+                uids = map(str.strip, uids)  # else each id would come back as it is
+            joined = ("\n".join(uids) + "\n" if body else "").encode("utf-8", "surrogatepass")
+            shape = (gaps + "\n").encode() * ends + gaps.encode()
+            if body and probe != shape or "_" in "".join(texts):
+                raise ValueError("not split as csv splits it, or 1_0")
             scores = array("d", map(float, texts))
             try:  # Tokens as written first: each str pass costs 5% of a 10^6-row eval.
                 block = bytearray(map(label_of.__getitem__, tokens))
             except KeyError:
                 block = bytearray(map(label_of.__getitem__, map(str.lower, map(str.strip, tokens))))
-            if (not isfinite(sum(scores)) and not all(map(isfinite, scores))
-                    or not seen.isdisjoint(uids)):
-                raise ValueError("a score not finite, or an id seen before")
-            count = len(seen)
-            seen.update(uids)
-            if len(seen) != count + len(uids):
-                seen.difference_update(uids)  # exact: none of them was in `seen` before
-                raise ValueError("an id repeated within the block")
+            if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
+                raise ValueError("a score not finite")
+            if follow.startswith(joined, at):
+                at += len(joined)  # and none is empty, as none in `follow` is
+            else:
+                seen.update(bytes(follow[:at]).splitlines())  # no id holds \r or \n
+                follow, uids = b"", joined.splitlines()
+                if not all(uids) or not seen.isdisjoint(uids):
+                    raise ValueError("an empty id, or an id seen before")
+                count = len(seen)
+                seen.update(uids)
+                if len(seen) != count + len(uids):
+                    seen.difference_update(uids)  # exact: none of them was in `seen` before
+                    raise ValueError("an id repeated within the block")
+                if fill:
+                    ids += joined
         except (ValueError, KeyError):
-            _parse_rows(io.StringIO(text, newline=""), schema, name, state, before, order)
+            seen.update(bytes(follow[:at]).splitlines())
+            follow, read = b"", chain(io.StringIO(text, newline=""), source if strict else ())
+            _parse_rows(read, schema, name, state, before, order)
+            if strict:
+                return
         else:
             chunks.append(scores)  # joined once: an array grown in place left holes in the heap
             labels += block
@@ -321,16 +329,15 @@ class _Text(io.TextIOBase):
         return self._rest
 
 
-def read_dataset_file(
-    path: str | Path,
-    schema: ColumnSchema = ColumnSchema(),
-    name: str | None = None,
-) -> tuple[LabeledDataset, str]:
+def read_dataset_file(path: str | Path, schema: ColumnSchema = ColumnSchema(),
+                      name: str | None = None, *,
+                      ids: bytearray | None = None) -> tuple[LabeledDataset, str]:
     """Load a dataset from disk; returns (dataset, sha256 of the bytes parsed).
 
     The file, or pipe, is read forward once in blocks of whole lines, and no copy of it is
     held.  A leading UTF-8 byte-order mark is skipped.  A NUL, or else the first
     undecodable byte, is reported ahead of any other fault, with its line and byte offset.
+    `ids` is parse_dataset's: only a buffer that an earlier parse filled may be passed.
     """
     path = Path(path)
     name = path.stem if name is None else name
@@ -341,7 +348,7 @@ def read_dataset_file(
     with raw:
         blocks = _read_blocks(raw, sha := hashlib.sha256(), name)
         try:  # A parse that returns has read the text to its end, so the digest has every byte.
-            return parse_dataset(_Text(blocks), schema, name=name), sha.hexdigest()
+            return parse_dataset(_Text(blocks), schema, name=name, ids=ids), sha.hexdigest()
         except DatasetError:
             deque(blocks, 0)  # read to the end: a bad byte further on is reported instead
             raise

@@ -215,6 +215,37 @@ class TestOnePass:
         assert len(refs) == 6
         assert alive_at_read == [0, 0, 0]
 
+    @pytest.mark.parametrize("command, models, flags", [
+        ("eval", ["m1"], []), ("compare", ["m1"], []), ("chart", ["m1"], []),
+        ("budget", ["m1"], ["--unit-cost", "0.04", "--full-recall"]),
+        ("compare", ["m1", "m2", "m3"], []),
+        ("chart", ["m3", "m3"], ["--name", "a", "--name", "b"]),
+        ("stop", ["m1", "m2"], ["--unit-cost", "0.04", "--annotated-quantiles", "1"]),
+    ])
+    def test_only_a_run_of_two_or_more_inputs_keeps_the_first_ones_ids(
+            self, capsys, monkeypatch, case_study_dir, command, models, flags):
+        """The first read fills an empty buffer that each later read follows; a run of one
+        input passes none."""
+        buffers, read = [], cli.read_dataset_file
+
+        def traced_read(*args, ids=None, **kwargs):
+            buffers.append((ids, None if ids is None else bytes(ids)))
+            return read(*args, ids=ids, **kwargs)
+
+        monkeypatch.setattr(cli, "read_dataset_file", traced_read)
+        paths = [str(case_study_dir / f"{model}.csv") for model in models]
+        code, _, err = invoke(capsys, command, *paths, *flags)
+        assert code == 0, err
+        if len(buffers) == 1:
+            assert buffers == [(None, None)]
+            return
+        (first, before), *later = buffers
+        assert before == b""
+        ids = "".join(f"vnic{i:04d}\n" for i in range(1, 415))
+        ids += "".join(f"pair{i:04d}\n" for i in range(415, 2092))
+        assert sorted(first.splitlines()) == sorted(ids.encode().splitlines())
+        assert later == [(first, bytes(first))] * len(later)
+
 
 class TestBudget:
     def test_fixed_budget_plan(self, capsys, case_study_dir):

@@ -4,6 +4,7 @@ import io
 import os
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,7 @@ from gainbudget import (
 )
 
 from conftest import make_dataset, worked_path
-from test_fuzz import csv_bytes
+from test_fuzz import csv_bytes, edited_inputs
 
 
 def parse_text(text: str, schema: ColumnSchema = ColumnSchema(), name: str = "t"):
@@ -924,3 +925,102 @@ class TestColumnPath:
             d = parse_dataset(stream)
         assert (list(d.scores), list(d.labels)) == ([1.0], [1])
         assert calls == []
+
+
+def stream_outcome(text: str, **kwargs) -> tuple:
+    return outcome(lambda: parse_dataset(io.StringIO(text, newline=""), name="m", **kwargs))
+
+
+@given(edited_inputs(surrogates=True), st.sampled_from([1, 2, 3, 7, 16, dataset.BLOCK_CHARS]))
+# The same ids in order, at block edges of their own; one renamed at the end, where only a
+# block's last id differs; a prefix of the first id, which must not be taken for it, then
+# that id again; one that repeats an id of an earlier block; and a fault after a followed
+# prefix, which the strict loop reads against the ids so far.
+@example(["id,score,label\na,1,1\nb,2,0\nc,3,1\n", "id,score,label\na,10,1\nb,2,0\nc,30,1\n"], 7)
+@example(["id,score,label\na,1,1\nb,2,0\nc,3,1\n", "id,score,label\na,1,1\nb,2,0\ncc,3,1\n"],
+         dataset.BLOCK_CHARS)
+@example(["id,score,label\nab,1,1\nc,2,0\nd,3,1\n", "id,score,label\na,1,1\nc,2,0\na,3,1\n"], 1)
+@example(["id,score,label\na,1,1\nb,2,0\nc,3,1\n", "id,score,label\na,1,1\nb,2,0\na,3,1\n"], 7)
+@example(["id,score,label\na,1,1\nb,2,0\nc,3,1\n", "id,score,label\na,1,1\nb,x,0\na,3,1\n"], 1)
+@settings(max_examples=500, deadline=None)
+def test_later_inputs_parse_as_they_do_alone(texts, block_chars):
+    """A later input read with the ids of the first gives what it gives alone (its dataset,
+    or its error and issues), and filling the buffer changes nothing of the first's."""
+    first, *later = texts
+    ids = bytearray()
+    with mock.patch.object(dataset, "BLOCK_CHARS", block_chars):
+        assert stream_outcome(first, ids=ids) == stream_outcome(first)
+        rows = first.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:-1]
+        held = "".join(row.rsplit(",", 2)[0].strip() + "\n" for row in rows)
+        assert ids == held.encode("utf-8", "surrogatepass")  # the column path took every row
+        for text in later:
+            assert stream_outcome(text, ids=ids) == stream_outcome(text)
+            assert ids == held.encode("utf-8", "surrogatepass")
+
+
+class TestRepeatedIds:
+    """Later inputs that repeat the first input's ids in order need no id set."""
+
+    def test_the_buffer_is_a_keyword_that_one_input_fills(self):
+        text = "id,score,label\n a ,1,1\nb,2,0\n"
+        with pytest.raises(TypeError):
+            parse_dataset(io.StringIO(text, newline=""), ColumnSchema(), "m", bytearray())
+        ids = bytearray()
+        parse_dataset(io.StringIO(text, newline=""), ids=ids)
+        assert ids == b"a\nb\n"
+        parse_dataset(io.StringIO("id,score,label\nc,1,1\n", newline=""), ids=ids)
+        assert ids == b"a\nb\n"  # later inputs follow the first and add nothing
+        parse_dataset(io.StringIO("id,score,label\nc,1,1\n", newline=""), ids=None)
+
+    def test_a_first_input_read_row_by_row_leaves_the_buffer_to_the_next(self, monkeypatch):
+        ids = bytearray()
+        parse_dataset(io.StringIO('id,score,label\n"a",1,1\nb,2,0\n', newline=""), ids=ids)
+        assert ids == b""
+        parse_dataset(["id,score,label\n", "a,1,1\n"], ids=ids)  # a list: the strict loop
+        assert ids == b""
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 1)
+        with pytest.raises(DatasetError):
+            parse_dataset(io.StringIO("id,score,label\na,1,1\nb,x,0\nc,2,0\n", newline=""),
+                          ids=ids)
+        assert ids == b"a\nc\n"  # the strict loop's block is skipped: c is still distinct
+
+    @pytest.mark.parametrize("line", ["r1,5,0", "r1,x,0", '"r1",5,0'])
+    def test_an_earlier_id_after_a_followed_prefix(self, monkeypatch, line):
+        # The blocks before it follow the buffer; its block is the first that does not, or
+        # a doubted one, so the ids so far go into the set that finds it, on its line.  The
+        # strict loop checks ids first, so a bad score or a quote is found as a duplicate.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        rows = [f"r{i},{i},{i % 2}\n" for i in range(40)]
+        ids = bytearray()
+        parse_dataset(io.StringIO("id,score,label\n" + "".join(rows), newline=""), ids=ids)
+        rows.insert(30, line + "\n")
+        text = "id,score,label\n" + "".join(rows)
+        calls = strict_reads(monkeypatch)
+        with pytest.raises(DatasetError) as exc:
+            parse_dataset(io.StringIO(text, newline=""), ids=ids)
+        assert exc.value.issues == ((32, "duplicate id 'r1'"),)
+        assert outcome(lambda: parse_dataset(io.StringIO(text, newline=""))) == outcome(
+            lambda: parse_dataset(io.StringIO(text, newline=""), ids=ids))
+        (before, read), = calls[:1]
+        assert 0 < before < 32 <= before + read
+
+    def test_a_later_input_that_repeats_the_ids_builds_no_set(self, tmp_path):
+        # Traced, a read that follows the buffer makes no id bytes and no set: it peaks at
+        # under half of the read that makes them.
+        path = tmp_path / "m.csv"
+        path.write_text("id,score,label\n" + "".join(f"r{i:07d},{i % 997 / 997},{i % 2}\n"
+                                                     for i in range(10**5)))
+        ids = bytearray()
+        alone = read_dataset_file(path, ids=ids)
+        assert len(ids) == 9 * 10**5
+
+        def traced(**kwargs) -> int:
+            tracemalloc.start()
+            try:
+                assert read_dataset_file(path, **kwargs) == alone
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain, following = traced(), traced(ids=ids)
+        assert following < plain / 2, (following, plain)

@@ -12,10 +12,11 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gainbudget import cli
+from gainbudget import cli, dataset
 
 #: flag -> (values some input makes valid, values no input makes valid).
 FLAG_VALUES = {
@@ -127,11 +128,15 @@ def csv_bytes(draw, well_formed: bool, with_positive: bool = False, delimiter: s
 any_bytes = st.one_of(csv_bytes(True), csv_bytes(False), st.binary(max_size=48))
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
+def run_cli_with_err(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    return run_cli_with_err(argv)[:2]
 
 
 def report_format(argv: list[str]) -> str | None:
@@ -231,3 +236,74 @@ def test_each_model_of_a_report_matches_its_one_input_run(command, data):
             code, out = run_cli(single)
             assert code == 0, single
             assert json.loads(out)["models"] == [models[i]], single
+
+
+#: Characters of the ids that `edited_inputs` draws: ASCII, non-ASCII, a 4-byte one, a
+#: space (so padded ids), \x1c (which only str.strip() drops) and `_`.
+ID_CHARS = ["a", "b", "7", "é", "\U0001f600", " ", "\x1c", "_"]
+#: Lines a later input may carry after a prefix of the first input's rows.
+FAULTS = ['"q",1,1', "x,abc,1", "", "x,1", " , , ", "y,1,maybe"]
+
+
+@st.composite
+def edited_inputs(draw, surrogates: bool = False) -> list[str]:
+    """The text of a first input with unique ids, then of one to three later inputs, each
+    an edit of the first: the same ids in order with scores of other widths (so block
+    edges fall elsewhere), cut short, extended, its rows reordered, one id renamed or
+    padded, or an earlier id, or a fault line or a blank line and maybe the id before it,
+    given after a prefix."""
+    chars = ID_CHARS + ["\ud800"] * surrogates
+    uid = st.text(st.sampled_from(chars), min_size=1, max_size=4).filter(str.strip)
+    ids = draw(st.lists(uid, min_size=2, max_size=24, unique_by=str.strip))
+    score = st.sampled_from(["1", "0.5", "-2", "0.123456789", "1e3", "3"])
+    label = st.sampled_from(["0", "1", "true"])
+
+    def rows(ids: list[str]) -> list[str]:  # the first row is a positive
+        return [f"{uid},{draw(score)},{draw(label) if i else 1}" for i, uid in enumerate(ids)]
+
+    texts = [rows(ids)]
+    for _ in range(draw(st.integers(1, 3))):
+        cut = draw(st.integers(1, len(ids)))
+        edit = draw(st.sampled_from(["same", "cut", "extend", "permute", "rename", "pad",
+                                     "repeat", "fault"]))
+        later = {
+            "same": lambda: rows(ids),
+            "cut": lambda: rows(ids[:cut]),
+            "extend": lambda: rows(ids + draw(st.lists(uid, min_size=1, max_size=6))),
+            "permute": lambda: rows(draw(st.permutations(ids))),
+            "rename": lambda: rows(ids[:cut - 1] + [draw(uid)] + ids[cut:]),
+            "pad": lambda: rows(ids[:cut - 1] + [f" {ids[cut - 1]}\x1c"] + ids[cut:]),
+            "repeat": lambda: rows(ids[:cut] + [draw(st.sampled_from(ids[:cut]))] + ids[cut:]),
+            "fault": lambda: rows(ids[:cut]) + [draw(st.sampled_from(FAULTS))]
+            + rows(ids[cut - draw(st.integers(0, 1)):]),  # then, maybe, the last id again
+        }[edit]()
+        texts.append(later)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return [ending.join(["id,score,label", *text, ""]) for text in texts]
+
+
+@given(st.sampled_from(sorted(LAW_FLAGS)), edited_inputs(), st.sampled_from([1, 7, 32768]),
+       st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_each_model_of_a_report_on_edited_inputs_matches_its_one_input_run(
+        command, texts, block_chars, data):
+    """As above, with later inputs drawn as edits of the first, so that they repeat its ids
+    in order for a while, or to the end: a run reports what each input gives alone, and
+    fails as the first input that fails alone fails."""
+    names = [f"m{i}" for i in range(len(texts))]
+    base, groups = LAW_FLAGS[command]
+    flags = [base, ["--quantiles", "2", "--format", "json"]]
+    flags += [data.draw(at_most_one(*group)) for group in groups + _SHARED]
+    options = [token for tokens in flags for token in tokens]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataset, "BLOCK_CHARS",
+                                                                 block_chars):
+        argv = argv_for(command, tmp, [text.encode() for text in texts], flags)
+        code, out, err = run_cli_with_err(argv)
+        singles = [run_cli_with_err([command, argv[1 + i], *options, "--name", name])
+                   for i, name in enumerate(names)]
+    failed = [(one_code, one_err) for one_code, _, one_err in singles if one_code]
+    if failed:
+        assert (code, err) == failed[0], argv
+        return
+    assert code == 0, argv
+    assert json.loads(out)["models"] == [json.loads(one)["models"][0] for _, one, _ in singles]
