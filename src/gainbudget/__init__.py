@@ -36,7 +36,6 @@ from .metrics import (
     ideal_profile,
 )
 from .ranking import (
-    QuantilePartition,
     RankedList,
     TiePolicy,
     partition_quantiles,
@@ -66,7 +65,6 @@ __all__ = [
     "LabeledDataset",
     "MarginalReport",
     "ModelResult",
-    "QuantilePartition",
     "RankedList",
     "TargetPlan",
     "TiePolicy",

@@ -312,7 +312,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         dataset, sha = read_dataset_file(path, schema, name=name, ids=ids)
         ids = None if count == len(args.inputs) else ids
         ranked = rank_instances(dataset, policy)
-        profile = gain_profile(partition_quantiles(ranked, args.quantiles))
+        profile = gain_profile(ranked, partition_quantiles(ranked, args.quantiles))
         k = _cutoff_for(args, ranked)
         results.append(
             ModelResult(

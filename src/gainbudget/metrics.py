@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate
 
-from .ranking import QuantilePartition, RankedList, partition_quantiles
+from .ranking import RankedList, partition_quantiles
 
 
 class GainProfile(namedtuple("GainProfile", "model_name per_quantile_positive positive_total "
@@ -69,17 +69,12 @@ class ClassMetrics(namedtuple("ClassMetrics", (
     __slots__ = ()
 
 
-def gain_profile(p: QuantilePartition) -> GainProfile:
-    """Build the gain profile of a quantile partition.
+def gain_profile(r: RankedList, per_quantile_positive: tuple[int, ...]) -> GainProfile:
+    """Build the gain profile of a ranking from its per-quantile positive counts.
 
     Raises ValueError when the ranking holds no positives (division by zero).
     """
-    return GainProfile(
-        model_name=p.ranked.name,
-        per_quantile_positive=p.per_quantile_positive,
-        positive_total=p.ranked.positive_total,
-        size=p.ranked.size,
-    )
+    return GainProfile(r.name, per_quantile_positive, r.positive_total, r.size)
 
 
 def ideal_profile(size: int, positive_total: int, quantile_count: int) -> GainProfile:
@@ -88,7 +83,7 @@ def ideal_profile(size: int, positive_total: int, quantile_count: int) -> GainPr
         raise ValueError(f"positive_total must be in 1..{size}, got {positive_total}")
     # A list, not a range: bisecting a range builds an int object at every probe.
     ideal = RankedList("ideal", size, list(range(positive_total)))
-    return gain_profile(partition_quantiles(ideal, quantile_count))
+    return gain_profile(ideal, partition_quantiles(ideal, quantile_count))
 
 
 def confusion_at_cutoff(r: RankedList, k: int) -> ConfusionMatrix:

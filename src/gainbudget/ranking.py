@@ -1,9 +1,9 @@
 """Ordering instances by score and splitting the order into quantiles.
 
-A ranking is the ascending list of its positives' ranks, rank 0 being the
-top.  The positives in the top k are `bisect_left(positive_ranks, k)`, so a
-cutoff's count takes one bisection.  Quantile counts walk the shorter side:
-Q <= P quantiles bisect at each edge, and past that the P ranks are counted.
+A ranking is the ascending list of its positives' ranks, rank 0 being the top.  The positives
+in the top k are `bisect_left(positive_ranks, k)`, so a cutoff's count takes one bisection.
+`partition_quantiles` returns each quantile's positive count as a tuple of ints, walking the
+shorter side: Q <= P quantiles bisect at each edge, and past that the P ranks are counted.
 
 Ties are ordered as one stable descending sort over a pre-ordered row list
 would order them: input order for `stable`, negatives before positives for
@@ -50,17 +50,6 @@ class RankedList(namedtuple("RankedList", "name size positive_ranks")):
         return bisect_left(self.positive_ranks, k)
 
 
-class QuantilePartition(namedtuple("QuantilePartition", "ranked boundaries per_quantile_positive")):
-    """The ranked order cut into Q contiguous groups of near-equal size.
-
-    Quantile q covers order indices [boundaries[q], boundaries[q+1]) with
-    boundaries[q] = floor(q * N / Q), so sizes differ by at most one.  Both
-    tuples hold ints; `per_quantile_positive[q]` counts quantile q's positives.
-    """
-
-    __slots__ = ()
-
-
 def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> RankedList:
     """Sort descending by score; ties resolved per policy, then input order."""
     if not d.size:
@@ -85,17 +74,17 @@ def rank_instances(d: LabeledDataset, policy: TiePolicy = TiePolicy.STABLE) -> R
     return RankedList(d.name, d.size, ranks)
 
 
-def partition_quantiles(r: RankedList, quantile_count: int) -> QuantilePartition:
-    """Split the ranked order into `quantile_count` groups by the floor rule.
+def partition_quantiles(r: RankedList, quantile_count: int) -> tuple[int, ...]:
+    """Count the positives in each of Q quantiles; quantile q starts at rank floor(q * N / Q).
 
     Up to P quantiles bisect the P positives' ranks at each edge; past P, rank i lies in
     quantile (i*Q + Q - 1) // N, so the counts are one Counter over the P ranks."""
     n, q, ranks = r.size, quantile_count, r.positive_ranks
     if q < 1 or q > n:
         raise ValueError(f"{r.name}: quantile count must be between 1 and {n}, got {q}")
-    boundaries = tuple(map(floordiv, range(0, n * q + 1, n), repeat(q)))
     if q <= len(ranks):
-        above = list(map(bisect_left, repeat(ranks), boundaries))
-        return QuantilePartition(r, boundaries, tuple(map(sub, above[1:], above)))
+        edges = map(floordiv, range(0, n * q + 1, n), repeat(q))
+        above = list(map(bisect_left, repeat(ranks), edges))
+        return tuple(map(sub, above[1:], above))
     counts = Counter(map(floordiv, map(add, map(mul, ranks, repeat(q)), repeat(q - 1)), repeat(n)))
-    return QuantilePartition(r, boundaries, tuple(map(counts.get, range(q), repeat(0))))
+    return tuple(map(counts.get, range(q), repeat(0)))

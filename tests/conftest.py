@@ -97,5 +97,5 @@ def case_study_profiles(case_study_dir) -> dict[str, GainProfile]:
     for model in DECILE_POSITIVES:
         dataset, _ = read_dataset_file(case_study_dir / f"{model}.csv")
         ranked = rank_instances(dataset)
-        profiles[model] = gain_profile(partition_quantiles(ranked, 10))
+        profiles[model] = gain_profile(ranked, partition_quantiles(ranked, 10))
     return profiles

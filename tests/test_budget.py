@@ -102,7 +102,7 @@ class TestFixedBudget:
         # Payment is in whole cents: two quantiles of two candidates at $0.001
         # cost $0.004 exactly, which rounds to 0.00, so a zero budget buys them.
         ranked = rank_instances(worked_datasets["s1m1"])
-        profile = gain_profile(partition_quantiles(ranked, 3))
+        profile = gain_profile(ranked, partition_quantiles(ranked, 3))
         plan = fixed_budget_plan(profile, CostModel(unit_cost=Decimal("0.001")), Decimal("0"))
         assert plan.affordable_quantiles == 2
         assert plan.spend == 0

@@ -246,6 +246,35 @@ class TestOnePass:
         assert sorted(first.splitlines()) == sorted(ids.encode().splitlines())
         assert later == [(first, bytes(first))] * len(later)
 
+    @pytest.mark.parametrize("command, models, flags", [
+        ("compare", ["m1", "m2", "m3"], []), ("chart", ["m1"], ["--ideal"]),
+    ])
+    def test_each_input_is_partitioned_and_profiled_through_the_cli_globals(
+            self, capsys, monkeypatch, case_study_dir, command, models, flags):
+        """`cli.partition_quantiles` and `cli.gain_profile` are called once per input, in argv
+        order; the benchmark's layer timers wrap these two names.  The chart's ideal curve is
+        partitioned through `metrics`, so the `cli` global does not see it."""
+        calls = []
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(ranked, *args):
+                calls.append((module.__name__, name, ranked.name))
+                return function(ranked, *args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("partition_quantiles", "gain_profile"):
+            counted(cli, name)
+        counted(gainbudget.metrics, "partition_quantiles")
+        paths = [str(case_study_dir / f"{model}.csv") for model in models]
+        code, _, err = invoke(capsys, command, *paths, *flags)
+        assert code == 0, err
+        per_input = [("gainbudget.cli", name, model)
+                     for model in models for name in ("partition_quantiles", "gain_profile")]
+        ideal = [("gainbudget.metrics", "partition_quantiles", "ideal")] if flags else []
+        assert calls == per_input + ideal
+
 
 class TestBudget:
     def test_fixed_budget_plan(self, capsys, case_study_dir):

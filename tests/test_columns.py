@@ -48,7 +48,7 @@ def test_prefix_sum_counts_match_recounts(rows, policy):
     for q in range(1, n + 1):
         cuts = [i * n // q for i in range(q + 1)]
         expected = tuple(sum(ranked_labels[a:b]) for a, b in zip(cuts, cuts[1:]))
-        assert partition_quantiles(ranked, q).per_quantile_positive == expected
+        assert partition_quantiles(ranked, q) == expected
 
 
 

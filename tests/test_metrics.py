@@ -32,26 +32,29 @@ def perfect_dataset(n=10, positives=5):
 
 class TestGainProfile:
     def test_worked_example(self, worked_datasets):
-        g = gain_profile(partition_quantiles(ranked_fixture(worked_datasets, "s1m1"), 6))
+        ranked = ranked_fixture(worked_datasets, "s1m1")
+        g = gain_profile(ranked, partition_quantiles(ranked, 6))
         assert g.per_quantile_positive == (1, 0, 0, 1, 0, 1)
         assert g.cumulative_positive_count == (1, 1, 1, 2, 2, 3)
         assert g.positive_total == 3
         assert g.size == 6
 
     def test_single_quantile(self, worked_datasets):
-        g = gain_profile(partition_quantiles(ranked_fixture(worked_datasets, "s2m1"), 1))
+        ranked = ranked_fixture(worked_datasets, "s2m1")
+        g = gain_profile(ranked, partition_quantiles(ranked, 1))
         assert g.per_quantile_positive == g.cumulative_positive_count == (g.positive_total,)
 
     def test_perfect_ranking(self):
         ranked = rank_instances(perfect_dataset())
-        g = gain_profile(partition_quantiles(ranked, 10))
+        g = gain_profile(ranked, partition_quantiles(ranked, 10))
         assert g.per_quantile_positive == (1,) * 5 + (0,) * 5
         assert g.positive_total == 5
 
     def test_zero_positives_rejected(self):
         d = make_dataset("nopos", [1.0], [False])
+        ranked = rank_instances(d)
         with pytest.raises(ValueError, match="no positive"):
-            gain_profile(partition_quantiles(rank_instances(d), 1))
+            gain_profile(ranked, partition_quantiles(ranked, 1))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sum"):
@@ -232,7 +235,7 @@ def profiles(draw):
     d = make_dataset("prop", map(float, scores), lab)
     ranked = rank_instances(d)
     q = draw(st.integers(min_value=1, max_value=ranked.size))
-    return gain_profile(partition_quantiles(ranked, q)), ranked, d
+    return gain_profile(ranked, partition_quantiles(ranked, q)), ranked, d
 
 
 @given(profiles())
@@ -294,7 +297,8 @@ def test_ideal_is_the_perfect_ranker(built):
     n, p, q, d = built
     ideal = ideal_profile(n, p, q)
     for policy in TiePolicy:
-        g = gain_profile(partition_quantiles(rank_instances(d, policy), q))
+        ranked = rank_instances(d, policy)
+        g = gain_profile(ranked, partition_quantiles(ranked, q))
         assert g.per_quantile_positive == ideal.per_quantile_positive, policy
         assert g.cumulative_positive_count == ideal.cumulative_positive_count, policy
         assert (g.size, g.positive_total) == (ideal.size, ideal.positive_total) == (n, p)

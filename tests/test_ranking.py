@@ -27,8 +27,9 @@ def assert_ranks_follow_scores(d, ranked):
         assert sum(s > score for s in d.scores) <= rank < sum(s >= score for s in d.scores)
 
 
-def quantile_sizes(part):
-    return tuple(b - a for a, b in zip(part.boundaries, part.boundaries[1:]))
+def floor_edges(n, q):
+    """The floor rule's quantile edges: quantile k covers ranks [edges[k], edges[k + 1])."""
+    return [k * n // q for k in range(q + 1)]
 
 
 @pytest.mark.parametrize("policy", list(TiePolicy))
@@ -64,9 +65,9 @@ def test_ranking_law(d, policy, q):
     cum = reference_cum(d, policy)
     assert [r.positives_above(k) for k in range(d.size + 1)] == cum
     q = min(q, d.size)
-    cuts = [i * d.size // q for i in range(q + 1)]
+    cuts = floor_edges(d.size, q)
     expected = tuple(cum[b] - cum[a] for a, b in zip(cuts, cuts[1:]))
-    assert partition_quantiles(r, q).per_quantile_positive == expected
+    assert partition_quantiles(r, q) == expected
 
 
 def tie_blocks_dataset(rows=20_000, seed=11):
@@ -127,15 +128,14 @@ class TestRankInstances:
 class TestPartition:
     def test_one_instance_per_quantile(self, worked_datasets):
         ranked = rank_instances(worked_datasets["s1m1"])
-        part = partition_quantiles(ranked, 6)
-        assert quantile_sizes(part) == (1, 1, 1, 1, 1, 1)
-        assert part.per_quantile_positive == (1, 0, 0, 1, 0, 1)
+        edges = floor_edges(6, 6)
+        assert [b - a for a, b in zip(edges, edges[1:])] == [1] * 6
+        assert partition_quantiles(ranked, 6) == (1, 0, 0, 1, 0, 1)
 
     def test_single_bucket(self, worked_datasets):
         ranked = rank_instances(worked_datasets["s1m2"])
-        part = partition_quantiles(ranked, 1)
-        assert quantile_sizes(part) == (6,)
-        assert part.per_quantile_positive == (3,)
+        assert floor_edges(6, 1) == [0, 6]
+        assert partition_quantiles(ranked, 1) == (3,)
 
     def test_case_study_decile_sizes(self, case_study_profiles):
         # floor rule on 2091: the remainder lands in the final decile
@@ -150,11 +150,13 @@ class TestPartition:
         assert sum(sizes) == 2091
 
     def test_boundaries_structure(self):
+        # With every row positive, each quantile's count is its size between the floor-rule edges.
         d = numbered_dataset([True] * 7, range(7))
-        part = partition_quantiles(rank_instances(d), 3)
-        assert part.boundaries == (0, 2, 4, 7)
-        assert sum(quantile_sizes(part)) == 7
-        assert max(quantile_sizes(part)) - min(quantile_sizes(part)) <= 1
+        counts = partition_quantiles(rank_instances(d), 3)
+        assert floor_edges(7, 3) == [0, 2, 4, 7]
+        assert counts == (2, 2, 3)
+        assert sum(counts) == 7
+        assert max(counts) - min(counts) <= 1
 
     @pytest.mark.parametrize("labels, q, expected", [
         ([0, 1, 1, 0, 0, 1, 0], 3, (1, 1, 1)),  # Q = P: bisected at each edge
@@ -167,7 +169,9 @@ class TestPartition:
     ])
     def test_counts_either_side_of_q_equals_p(self, labels, q, expected):
         ranked = rank_instances(numbered_dataset(labels, range(len(labels), 0, -1)))
-        assert partition_quantiles(ranked, q).per_quantile_positive == expected
+        counts = partition_quantiles(ranked, q)
+        assert counts == expected
+        assert type(counts) is tuple and all(type(c) is int for c in counts)
 
     @pytest.mark.parametrize("bad_q", [0, -1, 7])
     def test_quantile_count_bounds(self, bad_q):
@@ -189,14 +193,14 @@ def test_partition_reconstructs_order(d, data):
     # The quantiles tile the ranks 0..N-1, and each positive counts in the one holding its rank.
     ranked = rank_instances(d)
     q = data.draw(st.integers(min_value=1, max_value=ranked.size))
-    part = partition_quantiles(ranked, q)
-    assert part.boundaries[0] == 0 and part.boundaries[-1] == ranked.size
-    assert all(a <= b for a, b in zip(part.boundaries, part.boundaries[1:]))
+    edges = floor_edges(ranked.size, q)
+    assert edges[0] == 0 and edges[-1] == ranked.size
+    assert all(a <= b for a, b in zip(edges, edges[1:]))
     rebuilt = tuple(
         sum(a <= rank < b for rank in ranked.positive_ranks)
-        for a, b in zip(part.boundaries, part.boundaries[1:])
+        for a, b in zip(edges, edges[1:])
     )
-    assert rebuilt == part.per_quantile_positive
+    assert rebuilt == partition_quantiles(ranked, q)
 
 
 @given(small_datasets)
@@ -237,8 +241,7 @@ def test_counts_match_brute_force(d, data):
     for i, row in enumerate(reference_order(d)):
         bucket = -(-(i + 1) * q // n) - 1
         expected[bucket] += d.labels[row]
-    part = partition_quantiles(ranked, q)
-    assert part.per_quantile_positive == tuple(expected)
+    assert partition_quantiles(ranked, q) == tuple(expected)
 
 
 #: Up to 200 rows and any Q in 1..N, so Q falls on both sides of P.
@@ -256,6 +259,6 @@ def test_counts_match_a_recount_up_to_200_rows(case):
     labels, q = case
     n = len(labels)
     ranked = rank_instances(numbered_dataset(labels, range(n, 0, -1)))
-    edges = [k * n // q for k in range(q + 1)]
+    edges = floor_edges(n, q)
     expected = tuple(sum(labels[a:b]) for a, b in zip(edges, edges[1:]))
-    assert partition_quantiles(ranked, q).per_quantile_positive == expected
+    assert partition_quantiles(ranked, q) == expected

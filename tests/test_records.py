@@ -21,13 +21,11 @@ from gainbudget import (
     LabeledDataset,
     MarginalReport,
     ModelResult,
-    QuantilePartition,
     RankedList,
     TargetPlan,
     TiePolicy,
 )
 
-RANKED = RankedList(name="m", size=4, positive_ranks=[0, 2])
 PROFILE = GainProfile(model_name="m", per_quantile_positive=(1, 1), positive_total=2, size=4)
 CONFUSION = ConfusionMatrix(tp=1, fp=1, tn=1, fn=1, cutoff_k=2)
 
@@ -42,8 +40,6 @@ RECORDS = [
     (LabeledDataset, {"name": "m", "scores": array("d", [0.5, -1.0]),
                       "labels": bytearray(b"\1\0")}, {}),
     (RankedList, {"name": "m", "size": 4, "positive_ranks": [0, 2]}, {}),
-    (QuantilePartition, {"ranked": RANKED, "boundaries": (0, 2, 4),
-                         "per_quantile_positive": (1, 1)}, {}),
     (GainProfile, {"model_name": "m", "per_quantile_positive": (1, 1), "positive_total": 2,
                    "size": 4}, {"cumulative_positive_count": (1, 2)}),
     (ConfusionMatrix, {"tp": 1, "fp": 1, "tn": 1, "fn": 1, "cutoff_k": 2}, {}),

@@ -37,7 +37,7 @@ SVG = "{http://www.w3.org/2000/svg}"
 
 def worked_profile(worked_datasets, key="s1m1", quantiles=6):
     ranked = rank_instances(worked_datasets[key])
-    return ranked, gain_profile(partition_quantiles(ranked, quantiles))
+    return ranked, gain_profile(ranked, partition_quantiles(ranked, quantiles))
 
 
 def uniform_profile(quantile_count):
@@ -151,8 +151,9 @@ class TestTable:
     def test_mismatched_quantile_counts_rejected(self, worked_datasets):
         # The quantile count is read from the models, so they must agree on it.
         models = tuple(
-            ModelResult(profile=gain_profile(partition_quantiles(rank_instances(d), q)))
-            for d, q in ((worked_datasets["s1m1"], 3), (worked_datasets["s1m2"], 2))
+            ModelResult(profile=gain_profile(r, partition_quantiles(r, q)))
+            for r, q in ((rank_instances(worked_datasets["s1m1"]), 3),
+                         (rank_instances(worked_datasets["s1m2"]), 2))
         )
         with pytest.raises(ValueError, match="mismatched quantile counts across models"):
             EvaluationReport(models=models, tie_policy=TiePolicy.STABLE)
