@@ -6,6 +6,8 @@ yields, the cheapest route to a target number of positives, and whether
 annotating one more quantile is worth the money.
 """
 
+from types import ModuleType as _Module
+
 from .budget import (
     FULL_RECALL,
     BudgetPlan,
@@ -51,37 +53,6 @@ from .report import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FULL_RECALL",
-    "BudgetPlan",
-    "ClassMetrics",
-    "ColumnSchema",
-    "ConfusionMatrix",
-    "CostModel",
-    "CostRule",
-    "DatasetError",
-    "EvaluationReport",
-    "GainProfile",
-    "LabeledDataset",
-    "MarginalReport",
-    "ModelResult",
-    "RankedList",
-    "TargetPlan",
-    "TiePolicy",
-    "class_metrics",
-    "confusion_at_cutoff",
-    "cost_to_target",
-    "fixed_budget_plan",
-    "gain_profile",
-    "ideal_profile",
-    "marginal_analysis",
-    "parse_dataset",
-    "partition_quantiles",
-    "profit_ratio",
-    "quantile_cost",
-    "rank_instances",
-    "read_dataset_file",
-    "render_chart",
-    "render_json",
-    "render_table",
-]
+#: Every name imported above, each written once; the submodules are not among them.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

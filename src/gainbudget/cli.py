@@ -13,7 +13,9 @@ one at a time, in argv order.  A check that spans flags or inputs calls
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import re
 import sys
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
@@ -341,5 +343,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     return 0
 
 
+def main() -> int:
+    """The program: `run` over sys.argv, in a process set up for one short run (README,
+    "CLI").  A library's `run(argv)` leaves the collector as it finds it."""
+    gc.disable()  # a run frees by refcount and makes no cycle per row: collections free nothing
+    gc.freeze()  # and the collection at exit does not walk the import-time objects again
+    code = run()
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed: only --out can succeed then
+            sys.stdout.flush()  # a small report or --help; a larger report failed in run
+    except OSError as exc:  # the bytes stay held: the flush at exit would fail on them too
+        print(f"gainbudget: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())

@@ -7,10 +7,9 @@ embedded, so it can be archived and diffed.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from decimal import Context
 from itertools import chain, repeat
 
@@ -250,7 +249,7 @@ def render_table(r: EvaluationReport, style: str = "text") -> str:
             label = "supplied F-score" if source == "supplied" else "weighted F1"
             lines.append(f"by {label} (highest first): " + " > ".join(by_fscore))
 
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])  # the last line's end, with no copy of the text
 
 
 def _plan_doc(
@@ -324,24 +323,33 @@ def _document(r: EvaluationReport, gains: bool) -> dict[str, object]:
     }
 
 
-def _json(value: object, newline: str) -> str:
-    """`json.dumps(value, indent=2)` at the indent `newline` ends with, for str-keyed dicts,
-    lists, tuples of scalars and scalars.  A tuple is one C encoder call, with no scan of
-    its items; a list is laid out item by item.  `indent` would encode all of it in Python."""
+def _json(value: object, newline: str = "\n") -> Iterator[str]:
+    """The parts of `json.dumps(value, indent=2)`, at the indent `newline` ends with, for
+    str-keyed dicts, lists, tuples of scalars and scalars, to be joined once.  A tuple is one
+    C encoder call, with no scan of its items; a list is laid out item by item.  `indent`
+    would encode all of it in Python."""
+    import json  # only this renderer needs it: every other run is spared the import
     inner = newline + "  "
-    if isinstance(value, dict) and value:
-        items = [json.dumps(key) + ": " + _json(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)) and value:
-        body = (json.dumps(value, separators=("," + inner, ": "))[1:-1] if isinstance(value, tuple)
-                else ("," + inner).join([_json(item, inner) for item in value]))
-        return "[" + inner + body + newline + "]"
-    return json.dumps(value)
+    if isinstance(value, tuple) and value:
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        yield from ("[", inner, body, newline, "]")
+    elif isinstance(value, dict) and value:
+        for sep, (key, item) in zip(chain("{", repeat(",")), value.items()):
+            yield from (sep, inner, json.dumps(key), ": ")
+            yield from _json(item, inner)
+        yield from (newline, "}")
+    elif isinstance(value, list) and value:
+        for sep, item in zip(chain("[", repeat(",")), value):
+            yield from (sep, inner)
+            yield from _json(item, inner)
+        yield from (newline, "]")
+    else:
+        yield json.dumps(value)
 
 
 def render_json(r: EvaluationReport) -> str:
     """Render the report as a stable, versioned JSON document (see `_document`), indent 2."""
-    return _json(_document(r, gains=True), "\n") + "\n"
+    return "".join(chain(_json(_document(r, gains=True)), "\n"))
 
 
 def render_chart(
@@ -442,5 +450,5 @@ def render_chart(
         legend.append(line("", x0 + 12, y - 4, x0 + 34, y - 4, color, "2", dash_attr))
         legend.append(text("legend", x0 + 40, y, _escape(name)))
     out += legend
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

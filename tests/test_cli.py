@@ -1,3 +1,5 @@
+import errno
+import gc
 import json
 import os
 import shutil
@@ -641,3 +643,114 @@ def test_cli_import_loads_no_xml_or_network_package():
         capture_output=True, text=True, timeout=30,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = str(Path(gainbudget.__file__).parents[1])
+#: The program's stdout as a user gets it: PYTHONUNBUFFERED left out, so it is buffered.
+BUFFERED_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                "PYTHONPATH": SRC_DIR}
+#: A program run as `python -m gainbudget.cli` (through runpy, as -m does) and as the
+#: installed `gainbudget` script runs it, with a spy on the table renderer that prints the
+#: collector's state inside the run.  The spy goes in before `cli` imports the renderer.
+PROCESS_PROBE = """
+import gc, sys
+import gainbudget.report as report
+render = report.render_table
+def spy(*args, **kwargs):
+    print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+    return render(*args, **kwargs)
+report.render_table = spy
+route = sys.argv[1]
+sys.argv[1:] = ["eval", "worked_s1m1.csv", "--quantiles", "6", "--cutoff-k", "4"]
+if route == "-m":
+    import runpy
+    runpy.run_module("gainbudget.cli", run_name="__main__", alter_sys=True)
+from gainbudget.cli import main
+sys.exit(main())
+"""
+
+
+class TestProgramProcess:
+    @pytest.mark.parametrize("route", ["-m", "script"])
+    def test_program_entry_turns_the_collector_off_and_freezes_the_imports(self, route):
+        done = subprocess.run(
+            [sys.executable, "-c", PROCESS_PROBE, route],
+            cwd=DATA_DIR, env=BUFFERED_ENV, capture_output=True, text=True, timeout=30,
+        )
+        assert (done.returncode, done.stderr) == (0, "False True\n")
+        assert done.stdout == (GOLDEN_DIR / "worked-eval-s1m1.txt").read_text(encoding="utf-8")
+
+    def test_the_installed_script_is_the_program_entry(self):
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        assert 'gainbudget = "gainbudget.cli:main"\n' in pyproject.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_in_process_leaves_the_collector_as_it_was(self, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            before = gc.isenabled(), gc.get_freeze_count()
+            assert invoke(capsys, "eval", str(worked_path("s1m1")), "--quantiles", "6")[0] == 0
+            assert invoke(capsys, "eval", "--help")[0] == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_json_is_loaded_by_the_json_renderer_alone(self, fmt):
+        # -S keeps a site .pth file's imports out of the check.
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gainbudget.cli; "
+                 "loaded = 'json' in sys.modules; code = gainbudget.cli.run(sys.argv[2:]); "
+                 "print(loaded, 'json' in sys.modules, file=sys.stderr); sys.exit(code)")
+        argv = ["eval", "worked_s1m1.csv", "--quantiles", "6", "--cutoff-k", "4", "--format", fmt]
+        done = subprocess.run([sys.executable, "-S", "-c", probe, SRC_DIR, *argv],
+                              cwd=DATA_DIR, capture_output=True, timeout=30)
+        assert (done.returncode, done.stderr) == (0, f"False {fmt == 'json'}\n".encode())
+        ext = {"text": "txt", "json": "json"}[fmt]
+        assert done.stdout == (GOLDEN_DIR / f"worked-eval-s1m1.{ext}").read_bytes()
+
+
+#: A report that fits in stdout's 8 KiB buffer, one of 29 KB that does not (read from the
+#: case-study files), and --help's text.
+UNTAKEN_OUTPUT = {
+    "small report": ["eval", "worked_s1m1.csv", "--quantiles", "6"],
+    "large report": ["eval", "m1.csv", "--quantiles", "500", "--format", "json"],
+    "help": ["compare", "--help"],
+}
+
+
+@pytest.fixture(params=UNTAKEN_OUTPUT.values(), ids=UNTAKEN_OUTPUT)
+def untaken(request, case_study_dir):
+    """Exit code and stderr of a program run that writes to a given stdout, buffered as by
+    default."""
+    argv = request.param
+    cwd = case_study_dir if "m1.csv" in argv else DATA_DIR
+
+    def run_to(stdout):
+        done = subprocess.run([sys.executable, "-m", "gainbudget.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, cwd=cwd, env=BUFFERED_ENV, text=True,
+                              timeout=30)
+        return done.returncode, done.stderr
+
+    return run_to
+
+
+class TestOutputStdoutDoesNotTake:
+    """Output that stdout does not take is one input/output error, exit 1, under the default
+    buffering too: the interpreter's own flush at exit neither fails nor prints."""
+
+    def test_closed_pipe(self, untaken):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = untaken(write_end)
+        finally:
+            os.close(write_end)
+        assert result == (1, f"gainbudget: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self, untaken):
+        with open("/dev/full", "wb") as full:
+            result = untaken(full)
+        assert result == (1, f"gainbudget: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")

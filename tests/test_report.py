@@ -365,7 +365,7 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 @settings(max_examples=300)
 def test_json_lays_out_as_indent_2(value):
-    assert _json(value, "\n") == json.dumps(value, indent=2)
+    assert "".join(_json(value)) == json.dumps(value, indent=2)
 
 
 @given(st.text(st.sampled_from("&<>\"'\n\r\t") | st.characters()))
