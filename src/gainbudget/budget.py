@@ -4,12 +4,12 @@ Three decisions are covered: how many positives a fixed budget buys, the
 cheapest route to a target number of positives, and whether one more
 quantile of annotation is worth paying for.
 
-All money is exact: unit costs and budgets are decimals, intermediate
-arithmetic uses rationals, and every amount leaves this module as an int of
-minor units (whole cents), rounded half-up once from the exact rational;
-renderers only format it.  The default cost of annotating q of Q quantiles
-is the fractional rule unit_cost * N * q / Q; the `integer` rule instead
-prices the instances actually contained in the first q floor-rule quantiles.
+All money is exact: a decimal amount (a unit cost or a budget) is read once as
+integers a/b, and a/b times units/per leaves this module as an int of minor
+units (whole cents), (200*a*units + b*per) // (2*b*per), rounded half-up once
+from the exact rational; renderers only format it.  Under the default
+fractional rule q of Q quantiles cost unit_cost * N * q / Q; the `integer`
+rule prices the instances in the first q floor-rule quantiles.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from decimal import Decimal
 from enum import Enum
-from fractions import Fraction
 
 from .metrics import GainProfile
 
@@ -77,16 +76,17 @@ class MarginalReport(namedtuple("MarginalReport", "annotated_quantiles next_quan
     __slots__ = ()
 
 
-def _exact_cost(cm: CostModel, size: int, q: int, quantile_count: int) -> Fraction:
-    unit = Fraction(cm.unit_cost)
+def _to_minor(amount: Decimal, units: int = 1, per: int = 1) -> int:
+    """amount * units / per, rounded half-up to whole minor units (cents)."""
+    a, b = amount.as_integer_ratio()
+    return (200 * a * units + b * per) // (2 * b * per)
+
+
+def _span_cost(cm: CostModel, size: int, done: int, q: int, quantile_count: int) -> int:
+    """Price in minor units of quantiles done+1 to q: their exact price, rounded once."""
     if cm.cost_rule is CostRule.INTEGER:
-        return unit * (q * size // quantile_count)
-    return unit * size * q / quantile_count
-
-
-def _to_minor(value: Fraction) -> int:
-    """Round an exact amount half-up to whole minor units (cents)."""
-    return math.floor(value * 100 + Fraction(1, 2))
+        return _to_minor(cm.unit_cost, q * size // quantile_count - done * size // quantile_count)
+    return _to_minor(cm.unit_cost, size * (q - done), quantile_count)
 
 
 def quantile_cost(cm: CostModel, size: int, q: int, quantile_count: int) -> int:
@@ -95,7 +95,7 @@ def quantile_cost(cm: CostModel, size: int, q: int, quantile_count: int) -> int:
         raise ValueError(f"quantile count must be positive, got {quantile_count}")
     if not 0 <= q <= quantile_count:
         raise ValueError(f"q must be in 0..{quantile_count}, got {q}")
-    return _to_minor(_exact_cost(cm, size, q, quantile_count))
+    return _span_cost(cm, size, 0, q, quantile_count)
 
 
 def profit_ratio(tp: int, cost: int) -> float:
@@ -109,7 +109,7 @@ def profit_ratio(tp: int, cost: int) -> float:
         return 0.0
     if cost == 0:
         return math.inf
-    return float(Decimal(tp * 100) / Decimal(cost))
+    return tp * 100 / cost  # int / int is the float nearest the exact ratio
 
 
 def fixed_budget_plan(g: GainProfile, cm: CostModel, budget: Decimal) -> BudgetPlan:
@@ -122,9 +122,9 @@ def fixed_budget_plan(g: GainProfile, cm: CostModel, budget: Decimal) -> BudgetP
         budget = Decimal(str(budget))
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    exact = Fraction(budget)
+    a, b = budget.as_integer_ratio()
     # A whole-cent cost is within the budget iff it is at most this many cents.
-    limit = math.floor(exact * 100)
+    limit = 100 * a // b
     quantile_count = g.quantile_count
     # Prefix costs never decrease with q, so the affordable prefix is a bisection.
     affordable = bisect_right(
@@ -136,7 +136,7 @@ def fixed_budget_plan(g: GainProfile, cm: CostModel, budget: Decimal) -> BudgetP
     spend = quantile_cost(cm, g.size, affordable, quantile_count)
     # Rounding the budget and subtracting whole cents equals rounding the
     # exact leftover, so the leftover is rounded once as well.
-    rounded = _to_minor(exact)
+    rounded = _to_minor(budget)
     return BudgetPlan(
         budget=rounded,
         affordable_quantiles=affordable,
@@ -178,10 +178,7 @@ def marginal_analysis(g: GainProfile, cm: CostModel, annotated: int) -> Marginal
     cumulative = g.cumulative_positive_count
     done = cumulative[annotated - 1] if annotated else 0
     next_tp = cumulative[annotated] - done
-    next_cost = _to_minor(
-        _exact_cost(cm, g.size, annotated + 1, quantile_count)
-        - _exact_cost(cm, g.size, annotated, quantile_count)
-    )
+    next_cost = _span_cost(cm, g.size, annotated, annotated + 1, quantile_count)
     return MarginalReport(
         annotated_quantiles=annotated,
         next_quantile_tp=next_tp,

@@ -13,6 +13,7 @@ one at a time, in argv order.  A check that spans flags or inputs calls
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import math
 import os
@@ -255,10 +256,12 @@ def _cutoff_for(args: argparse.Namespace, ranked: RankedList) -> int | None:
 
 
 def _emit(content: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(content)
-    else:
+    if out is not None:
         Path(out).write_bytes(content.encode("utf-8"))
+    elif sys.stdout is None:  # fd 1 was closed at start
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    else:
+        sys.stdout.write(content)
 
 
 def run(argv: list[str] | None = None) -> int:

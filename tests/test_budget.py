@@ -1,8 +1,11 @@
 import math
 import random
+from bisect import bisect_right
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gainbudget import (
     FULL_RECALL,
@@ -19,6 +22,7 @@ from gainbudget import (
     quantile_cost,
     rank_instances,
 )
+from gainbudget.cli import MAX_MONEY_EXPONENT
 
 CM = CostModel(unit_cost=Decimal("0.04"))
 
@@ -247,3 +251,70 @@ class TestProfitRatio:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             profit_ratio(1, -1)
+
+
+# The money rules as budget.py computed them with Fraction, kept as the reference for its
+# integer arithmetic.
+def _reference_cost(cm, size, q, quantile_count):
+    unit = Fraction(cm.unit_cost)
+    if cm.cost_rule is CostRule.INTEGER:
+        return unit * (q * size // quantile_count)
+    return unit * size * q / quantile_count
+
+
+def _reference_minor(value):
+    return math.floor(value * 100 + Fraction(1, 2))
+
+
+def _reference_plan(cm, size, quantile_count, budget):
+    """(budget, affordable_quantiles, spend, leftover) of a fixed-budget plan, in cents."""
+    exact = Fraction(budget)
+    affordable = bisect_right(
+        range(1, quantile_count + 1), math.floor(exact * 100),
+        key=lambda q: _reference_minor(_reference_cost(cm, size, q, quantile_count)),
+    )
+    spend = _reference_minor(_reference_cost(cm, size, affordable, quantile_count))
+    rounded = _reference_minor(exact)
+    return rounded, affordable, spend, rounded - spend
+
+
+#: Amounts across the CLI's money range: 1 to 12 significant digits, the adjusted exponent
+#: from -MAX_MONEY_EXPONENT to MAX_MONEY_EXPONENT (1e-100 up to below 1e101).
+AMOUNTS = st.builds(
+    lambda digits, adjusted: Decimal(f"{digits}E{adjusted - len(str(digits)) + 1}"),
+    st.integers(1, 10**12 - 1), st.integers(-MAX_MONEY_EXPONENT, MAX_MONEY_EXPONENT),
+)
+RULES = st.sampled_from(CostRule)
+
+
+class TestMoneyMatchesTheFractionReference:
+    @settings(max_examples=400, derandomize=True)
+    @given(unit=AMOUNTS, rule=RULES, data=st.data())
+    def test_prefix_cost(self, unit, rule, data):
+        size = data.draw(st.integers(1, 10**7), label="N")
+        quantile_count = data.draw(st.integers(1, size), label="Q")
+        q = data.draw(st.integers(0, quantile_count), label="q")
+        cm = CostModel(unit, cost_rule=rule)
+        expected = _reference_minor(_reference_cost(cm, size, q, quantile_count))
+        assert quantile_cost(cm, size, q, quantile_count) == expected
+
+    # A profile holds one count per quantile, so Q stays at 10^4 here to keep it small.
+    @settings(max_examples=300, derandomize=True)
+    @given(unit=AMOUNTS, budget=st.just(Decimal(0)) | AMOUNTS, rule=RULES, data=st.data())
+    def test_plans(self, unit, budget, rule, data):
+        size = data.draw(st.integers(1, 10**7), label="N")
+        quantile_count = data.draw(st.integers(1, min(size, 10**4)), label="Q")
+        annotated = data.draw(st.integers(0, quantile_count - 1), label="annotated")
+        cm = CostModel(unit, cost_rule=rule)
+        profile = GainProfile("r", (1,) * quantile_count, quantile_count, size)
+        plan = fixed_budget_plan(profile, cm, budget)
+        assert (plan.budget, plan.affordable_quantiles, plan.spend, plan.leftover) == \
+            _reference_plan(cm, size, quantile_count, budget)
+        expected = _reference_minor(_reference_cost(cm, size, annotated + 1, quantile_count)
+                                    - _reference_cost(cm, size, annotated, quantile_count))
+        assert marginal_analysis(profile, cm, annotated).next_quantile_cost == expected
+
+    @settings(max_examples=400, derandomize=True)
+    @given(tp=st.integers(1, 10**7), cost=st.integers(1, 10**112))
+    def test_profit_ratio_is_the_float_nearest_the_exact_ratio(self, tp, cost):
+        assert profit_ratio(tp, cost) == float(Fraction(tp * 100, cost))

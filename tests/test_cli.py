@@ -632,10 +632,10 @@ class TestDeterminism:
 def test_cli_import_loads_no_xml_or_network_package():
     # Every run and every --help pays for these imports; xml.sax.saxutils alone pulled in
     # urllib.request, http, email and ssl, dataclasses pulled in inspect, ast, dis and
-    # tokenize, and typing.NamedTuple pulled in typing.  -S keeps a site .pth file's
-    # imports out of the check.
+    # tokenize, typing.NamedTuple pulled in typing, and Fraction money pulled in fractions.
+    # -S keeps a site .pth file's imports out of the check.
     names = ("{'xml', 'urllib.request', 'http', 'email', 'ssl', "
-             "'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'}")
+             "'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing', 'fractions'}")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gainbudget.cli; "
              f"print(*sorted({names} & set(sys.modules)))")
     done = subprocess.run(
@@ -754,3 +754,24 @@ class TestOutputStdoutDoesNotTake:
         with open("/dev/full", "wb") as full:
             result = untaken(full)
         assert result == (1, f"gainbudget: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("argv, out_flag, golden", [
+        (["eval", "worked_s1m1.csv", "--quantiles", "6", "--cutoff-k", "4"], "--out",
+         "worked-eval-s1m1.txt"),
+        (["chart", *(f"worked_{case}.csv" for case in ("s1m1", "s1m2", "s2m1", "s2m2")),
+          "--quantiles", "6", "--baseline", "--ideal"], "--svg-out", "worked-chart.svg"),
+    ], ids=["report", "chart"])
+    def test_closed_stdout(self, tmp_path, argv, out_flag, golden):
+        # sh closes fd 1 before the program starts, so sys.stdout is None.
+        def closed(*extra):
+            done = subprocess.run(
+                ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "gainbudget.cli",
+                 *argv, *extra],
+                stderr=subprocess.PIPE, cwd=DATA_DIR, env=BUFFERED_ENV, text=True, timeout=30,
+            )
+            return done.returncode, done.stderr
+
+        bad = f"gainbudget: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+        assert closed() == (1, bad)
+        assert closed(out_flag, str(tmp_path / golden)) == (0, "")
+        assert (tmp_path / golden).read_bytes() == (GOLDEN_DIR / golden).read_bytes()

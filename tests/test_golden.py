@@ -85,6 +85,9 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     cases["case-chart-q500.svg"] = (
         "case", ["chart", *CASE, "--quantiles", "500", "--baseline", "--ideal"])
 
+    # One positive in each of 8 quantiles: the gains 1/8, 3/8, 5/8 and 7/8 lie halfway
+    # between two hundredths, so these files show how a two-place cell rounds a half.
+    add("halves-eval", "data", ["eval", "halves.csv", "--quantiles", "8"])
     for policy in ("stable", "pessimistic", "optimistic"):
         add(f"tied-eval-{policy}", "data",
             ["eval", "tied.csv", "--quantiles", "4", "--cutoff-k", "5", "--tie-policy", policy])
