@@ -172,9 +172,14 @@ def _add_cost_flags(p: argparse.ArgumentParser, with_plans: bool, required: bool
                             help="target every positive instance")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file: object = None) -> None:  # --help: to stdout as a report goes
+        _emit(self.format_help(), None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gainbudget", description="Budget-aware evaluation "
-                                     "of ranking models via gain and cumulative gain.")
+    parser = _Parser(prog="gainbudget", description="Budget-aware evaluation "
+                     "of ranking models via gain and cumulative gain.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="gain profile (and cutoff metrics) for one model")

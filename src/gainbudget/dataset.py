@@ -109,18 +109,13 @@ def _label_of(schema: ColumnSchema) -> dict[str, int]:
 
 
 def parse_dataset(source: Iterable[str], schema: ColumnSchema = ColumnSchema(),
-                  name: str = "dataset", *, ids: bytearray | None = None) -> LabeledDataset:
+                  name: str = "dataset") -> LabeledDataset:
     """Parse delimited text into a dataset, preserving row order.
 
     Raises DatasetError listing every bad row (non-numeric or non-finite score, unrecognized
     label token, empty or duplicate id, short row, text csv cannot split), or a header that
-    lacks a configured column or repeats one.  Blank lines are skipped.  A text stream whose
-    `newlines` says it splits lines as csv does is read a block of lines at a time; any other
-    source, row by row (the README's "Input format" tells how).  `ids` is a bytearray of the
-    ids that the column path took, each followed by \n: an empty one is filled, and a parse
-    whose ids repeat a filled one in order keeps no id set while they do.  Only a buffer
-    that an earlier parse filled may be passed: its ids are trusted to be distinct, and are
-    not checked again.
+    lacks a configured column or repeats one.  Blank lines are skipped.  Rows are read one by
+    one, as iterating over `source` splits them; read_dataset_file's, in blocks of lines.
     """
     chunks, labels, seen, issues = state = [], bytearray(), set(), []
     reader = csv.reader(lines := iter(source), delimiter=schema.delimiter)
@@ -140,8 +135,8 @@ def parse_dataset(source: Iterable[str], schema: ColumnSchema = ColumnSchema(),
                  else f"configured column(s) {', '.join(repeated)} appear more than once")
         raise DatasetError(f"{name}: {fault}", [(1, f"header is {header!r}")])
     order = list(map(names.index, configured))
-    if isinstance(source, io.TextIOBase) and source.newlines:
-        _parse_columns(source, schema, name, state, reader.line_num, order, len(header), ids)
+    if isinstance(source, _Text):
+        _parse_columns(source, schema, name, state, reader.line_num, order, len(header))
     else:
         _parse_rows(lines, schema, name, state, reader.line_num, order)
     if issues:
@@ -204,41 +199,41 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
         raise DatasetError(f"{name}: malformed delimited text", [issue]) from None
 
 
-#: Bytes per file read, and characters per column-path block read from a stream.
+#: Bytes per raw read of a file or pipe.
 BLOCK_CHARS = 1 << 15
 
 
-def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state: tuple,
-                   before: int, order: list[int], width: int, ids: bytearray | None) -> None:
+def _parse_columns(source: _Text, schema: ColumnSchema, name: str, state: tuple,
+                   before: int, order: list[int], width: int) -> None:
     """Add to `state` each block of whole lines that str methods prove good; the strict loop
     reads each other block.  Unquoted, csv ends a row at \\r, \\n or \\r\\n and splits it at
     each delimiter, so str methods split a block whose lines each hold `width` cells.  From a
-    block with a quote, a NUL or an overlong line, which csv alone splits, the strict loop
-    reads on to the end.  Nothing is read twice.  Ids that repeat `ids` in order are distinct
+    block with a quote or an overlong line, which csv alone splits, the strict loop reads on
+    to the end.  Nothing is read twice.  Ids that repeat `source.ids` in order are distinct
     as those are: `seen` takes the ids so far at the first block that strays, or is doubted."""
     chunks, labels, seen, _ = state
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
-    mark = delim if delim.isascii() else "\0"  # NUL stands in: no block split here holds one
+    mark = delim if delim.isascii() else "\0"  # NUL stands in: _read_blocks lets none through
     drop = bytes(range(256)).replace(mark.encode(), b"").replace(b"\n", b"")
     gaps = mark * (width - 1)  # the delimiters of each line
-    fill, follow, at = ids == b"", ids or b"", 0  # follow[:at]: the ids so far, while followed
+    fill, follow, at = source.ids == b"", source.ids or b"", 0  # follow[:at]: the ids so far
     while True:
-        if not (text := source.read(BLOCK_CHARS) + source.readline()):
+        if not (text := source.read()):
             return
         lines = text.replace("\r\n", "\n").replace("\r", "\n")
         body = lines.rstrip("\n")
-        strict = '"' in text or "\0" in text or len(text) > limit
+        strict = '"' in text or len(text) > limit
         try:  # A doubt is a ValueError or KeyError: the strict loop reads the block.
             if strict:
-                raise ValueError("csv alone splits a quote, a NUL or an overlong line")
+                raise ValueError("csv alone splits a quote or an overlong line")
             # The probe keeps only the block's delimiters and line ends.
-            probe = body.replace(delim, mark).encode("utf-8", "surrogatepass").translate(None, drop)
+            probe = body.replace(delim, mark).encode().translate(None, drop)
             ends = probe.count(b"\n")
             cells = body.replace("\n", delim).split(delim) if body else []
             uids, texts, tokens = (cells[i::width] for i in order)
             if not body.isascii() or any(map(body.__contains__, " \t\v\f\x1c\x1d\x1e\x1f")):
                 uids = map(str.strip, uids)  # else each id would come back as it is
-            joined = ("\n".join(uids) + "\n" if body else "").encode("utf-8", "surrogatepass")
+            joined = ("\n".join(uids) + "\n" if body else "").encode()
             shape = (gaps + "\n").encode() * ends + gaps.encode()
             if body and probe != shape or "_" in "".join(texts):
                 raise ValueError("not split as csv splits it, or 1_0")
@@ -262,7 +257,7 @@ def _parse_columns(source: io.TextIOBase, schema: ColumnSchema, name: str, state
                     seen.difference_update(uids)  # exact: none of them was in `seen` before
                     raise ValueError("an id repeated within the block")
                 if fill:
-                    ids += joined
+                    source.ids += joined
         except (ValueError, KeyError):
             seen.update(bytes(follow[:at]).splitlines())
             follow, read = b"", chain(io.StringIO(text, newline=""), source if strict else ())
@@ -307,19 +302,15 @@ def _ends(data: bytes) -> int:  # the line ends: each \n, \r\n and lone \r
     return data.count(b"\n") + (data.count(b"\r") - data.count(b"\r\n") if b"\r" in data else 0)
 
 
-class _Text(io.TextIOBase):
-    """`_read_blocks` as a stream: lines split as csv splits them, or the rest of a block."""
+class _Text:
+    """`_read_blocks` as the column path's source: lines split as csv splits them, or the
+    rest of a block, and "" only at the end.  `ids` is read_dataset_file's id buffer."""
 
-    newlines = ("\r", "\n", "\r\n")
+    def __init__(self, blocks: Iterator[str], ids: bytearray | None) -> None:
+        self._blocks, self._rest, self.ids = filter(None, blocks), io.StringIO(), ids
 
-    def __init__(self, blocks: Iterator[str]) -> None:
-        self._blocks, self._rest = filter(None, blocks), io.StringIO()  # "" would end it
-
-    def read(self, size: int | None = -1) -> str:
+    def read(self) -> str:
         return self._rest.read() or next(self._blocks, "")
-
-    def readline(self, size: int | None = -1) -> str:
-        return ""  # the rest of the line that read() stopped in: it stops at line ends
 
     def __iter__(self) -> Iterator[str]:  # chained in C: no Python frame runs per line
         return chain.from_iterable(map(self._lines, iter(self.read, "")))
@@ -337,7 +328,9 @@ def read_dataset_file(path: str | Path, schema: ColumnSchema = ColumnSchema(),
     The file, or pipe, is read forward once in blocks of whole lines, and no copy of it is
     held.  A leading UTF-8 byte-order mark is skipped.  A NUL, or else the first
     undecodable byte, is reported ahead of any other fault, with its line and byte offset.
-    `ids` is parse_dataset's: only a buffer that an earlier parse filled may be passed.
+    `ids` holds the ids that the column path took, each followed by \\n: an empty bytearray is
+    filled, and a read whose ids repeat a filled one in order keeps no id set while they do.
+    Only a buffer that an earlier read filled may be passed: its ids are not checked again.
     """
     path = Path(path)
     name = path.stem if name is None else name
@@ -348,7 +341,7 @@ def read_dataset_file(path: str | Path, schema: ColumnSchema = ColumnSchema(),
     with raw:
         blocks = _read_blocks(raw, sha := hashlib.sha256(), name)
         try:  # A parse that returns has read the text to its end, so the digest has every byte.
-            return parse_dataset(_Text(blocks), schema, name=name, ids=ids), sha.hexdigest()
+            return parse_dataset(_Text(blocks, ids), schema, name=name), sha.hexdigest()
         except DatasetError:
             deque(blocks, 0)  # read to the end: a bad byte further on is reported instead
             raise

@@ -762,16 +762,39 @@ class TestOutputStdoutDoesNotTake:
           "--quantiles", "6", "--baseline", "--ideal"], "--svg-out", "worked-chart.svg"),
     ], ids=["report", "chart"])
     def test_closed_stdout(self, tmp_path, argv, out_flag, golden):
-        # sh closes fd 1 before the program starts, so sys.stdout is None.
-        def closed(*extra):
-            done = subprocess.run(
-                ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "gainbudget.cli",
-                 *argv, *extra],
-                stderr=subprocess.PIPE, cwd=DATA_DIR, env=BUFFERED_ENV, text=True, timeout=30,
-            )
-            return done.returncode, done.stderr
-
-        bad = f"gainbudget: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
-        assert closed() == (1, bad)
-        assert closed(out_flag, str(tmp_path / golden)) == (0, "")
+        assert run_with_stdout_closed(*argv) == (1, CLOSED_STDOUT)
+        assert run_with_stdout_closed(*argv, out_flag, str(tmp_path / golden)) == (0, "")
         assert (tmp_path / golden).read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["chart", "-h"]],
+                             ids=["program", "eval", "chart"])
+    def test_closed_stdout_help(self, argv):
+        # argparse would print the help on stderr, where sys.stdout is None, and exit 0.
+        assert run_with_stdout_closed(*argv) == (1, CLOSED_STDOUT)
+
+    def test_help_to_a_closed_pipe_unbuffered(self):
+        # Unbuffered, the write itself fails, which argparse would pass over and exit 0.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "gainbudget.cli", "eval", "--help"],
+                                  stdout=write_end, stderr=subprocess.PIPE, cwd=DATA_DIR,
+                                  env={**BUFFERED_ENV, "PYTHONUNBUFFERED": "1"}, text=True,
+                                  timeout=30)
+        finally:
+            os.close(write_end)
+        broken = f"gainbudget: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        assert (done.returncode, done.stderr) == (1, broken)
+
+
+CLOSED_STDOUT = f"gainbudget: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+
+
+def run_with_stdout_closed(*argv: str) -> tuple[int, str]:
+    """Exit code and stderr of the program run with fd 1 closed before it starts, so that
+    sys.stdout is None."""
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "gainbudget.cli", *argv],
+        stderr=subprocess.PIPE, cwd=DATA_DIR, env=BUFFERED_ENV, text=True, timeout=30,
+    )
+    return done.returncode, done.stderr

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -24,8 +25,13 @@ from conftest import make_dataset, worked_path
 from test_fuzz import csv_bytes, edited_inputs
 
 
-def parse_text(text: str, schema: ColumnSchema = ColumnSchema(), name: str = "t"):
-    return parse_dataset(io.StringIO(text, newline=""), schema, name=name)
+def parse_text(text: str, schema: ColumnSchema = ColumnSchema(), name: str = "t", *,
+               ids: bytearray | None = None) -> LabeledDataset:
+    """Read `text` from a file, as the CLI reads its inputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(text.encode())
+        return read_dataset_file(path, schema, name=name, ids=ids)[0]
 
 
 def render_csv(ids, d: LabeledDataset) -> str:
@@ -494,6 +500,26 @@ def strict_reads(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
+def column_blocks(monkeypatch) -> list[list[str]]:
+    """Spy on the column path: for each call, the text of each read from its source, to the
+    "" that ends it.  The strict loop reads on through the same reads after a quote."""
+    calls, parse_columns = [], dataset._parse_columns
+
+    def spy(source, *args):
+        calls.append(blocks := [])
+        read = source.read
+
+        def recorded():
+            blocks.append(read())
+            return blocks[-1]
+
+        source.read = recorded  # iterating over the source reads through it too
+        return parse_columns(source, *args)
+
+    monkeypatch.setattr(dataset, "_parse_columns", spy)
+    return calls
+
+
 @given(
     st.one_of(csv_bytes(True), csv_bytes(False), st.binary(max_size=48)),
     st.sampled_from([1, 2, 3, 7, dataset.BLOCK_CHARS]),
@@ -659,10 +685,14 @@ class TestColumnPath:
         " id , score,label",
     ])
     @pytest.mark.parametrize("row", DOUBTS)
-    def test_doubts_match_the_strict_loop(self, header, row):
+    def test_doubts_match_the_strict_loop(self, monkeypatch, header, row):
         text = f"{header}\na,1,1\n{row}\n"
         strict = outcome(lambda: parse_dataset(list(io.StringIO(text, newline=""))))
-        assert outcome(lambda: parse_dataset(io.StringIO(text, newline=""))) == strict
+        columns = column_blocks(monkeypatch)
+        assert outcome(lambda: parse_text(text, name="dataset")) == strict
+        # Two headers fail before a row is read; after any other, the column path reads on.
+        rest = [] if header in ("id,score", "id,id,score,label") else [text.partition("\n")[2]]
+        assert ["".join(blocks) for blocks in columns] == rest
 
     def test_underscore_in_ids_stays_on_the_column_path(self, tmp_path, monkeypatch):
         # `_` is legal in an id; only a score holding one is a doubt.  Padding and case
@@ -710,20 +740,18 @@ class TestColumnPath:
         assert exc.value.issues == ((5002, "non-numeric score 'abc'"),)
 
     def test_lone_surrogates_in_ids(self, monkeypatch):
-        # A str may hold a lone surrogate, which no UTF-8 file decodes to; the column path
-        # reads a stream of it as the strict loop reads a list of its lines, and a repeated
-        # one is the same duplicate.
+        # A str may hold a lone surrogate, which no UTF-8 file decodes to, so only the strict
+        # loop meets one: it reads a stream of it as a list of its lines, and a repeated one
+        # is a duplicate.
         text = "id,score,label\n\ud800,1,1\n\udfff,2,0\n"
-        strict = parse_dataset(text.splitlines(True))
-        calls = strict_reads(monkeypatch)
-        assert parse_dataset(io.StringIO(text, newline="")) == strict
-        assert calls == []
+        calls, columns = strict_reads(monkeypatch), column_blocks(monkeypatch)
+        assert parse_dataset(io.StringIO(text, newline="")) == parse_dataset(text.splitlines(True))
         text += "\ud800,3,1\n"
         for source in [io.StringIO(text, newline=""), text.splitlines(True)]:
             with pytest.raises(DatasetError) as exc:
                 parse_dataset(source)
             assert exc.value.issues == ((4, "duplicate id '\\ud800'"),)
-        assert calls == [(1, 3), (1, 3)]  # the column path's block, then the list
+        assert (calls, columns) == ([(1, 2), (1, 2), (1, 3), (1, 3)], [])
 
     def test_generator_source(self):
         lines = (line for line in ["id,score,label\n", "a,1,1\n", "b,2,0\n"])
@@ -732,18 +760,22 @@ class TestColumnPath:
 
     def test_duplicate_in_a_later_chunk(self, monkeypatch):
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 8)
+        columns = column_blocks(monkeypatch)
         with pytest.raises(DatasetError) as exc:
             parse_text("id,score,label\na,1,1\nb,2,0\nc,3,1\na,4,0\n")
         assert exc.value.issues == ((5, "duplicate id 'a'"),)
+        assert ["".join(blocks) for blocks in columns] == ["a,1,1\nb,2,0\nc,3,1\na,4,0\n"]
 
     @pytest.mark.parametrize("rows", [2, 3, 4])
     def test_rows_around_a_chunk_edge(self, monkeypatch, rows):
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 8)
         text = "score,label,id\n" + "".join(f"{i},1,r{i}\n" for i in range(rows))
+        columns = column_blocks(monkeypatch)
         with strict_loop_only():
             d = parse_text(text)
         assert list(d.scores) == list(range(rows))
         assert list(d.labels) == [1] * rows
+        assert ["".join(blocks) for blocks in columns] == [text.partition("\n")[2]]
         with pytest.raises(DatasetError) as exc:
             parse_text(text + "9,0,r0\n")
         assert exc.value.issues == ((rows + 2, "duplicate id 'r0'"),)
@@ -753,29 +785,27 @@ class TestColumnPath:
         # The strict loop skips an all-blank row and ignores cells past the header's; it
         # reads the first block, which holds the odd row, and no other.  Scores whose sum
         # overflows are each finite, so their block stays on the column path.
-        monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", 64)
         text = f"id,score,label\n{odd}\n" + "".join(f"r{i},1,{i % 2}\n" for i in range(40))
         strict = parse_dataset(list(io.StringIO(text, newline="")))
-        calls = strict_reads(monkeypatch)
-        assert parse_dataset(io.StringIO(text, newline="")) == strict
-        stream = io.StringIO(text, newline="")
-        stream.readline()  # the header, a block of its own
-        block = stream.read(16) + stream.readline()  # the first block of rows
-        assert block.startswith(f"{odd}\n")
+        calls, columns = strict_reads(monkeypatch), column_blocks(monkeypatch)
+        assert parse_text(text, name="dataset") == strict
+        # The first block is the rest of the first read's lines, after the 15-byte header.
+        ((block, *blocks),) = columns
+        assert block.startswith(f"{odd}\n") and "".join([block, *blocks]) == text[15:]
+        assert len(blocks) > 2  # blocks that follow it, which the strict loop leaves alone
         assert calls == ([] if "e308" in odd else [(1, block.count("\n"))])
 
     def test_stream_read_from_where_it_stands(self, monkeypatch):
         # Lines are counted from where parsing began, not from the start of the stream.  The
-        # started stream has read a line end, so the column path reads it: a line a block,
-        # the strict loop only the bad one.
-        monkeypatch.setattr(dataset, "BLOCK_CHARS", 1)
+        # strict loop reads every row of a stream.
         stream = io.StringIO("# scores of run 7\nid,score,label\na,1,1\nb,x,0\n", newline="")
         stream.readline()
-        calls = strict_reads(monkeypatch)
+        calls, columns = strict_reads(monkeypatch), column_blocks(monkeypatch)
         with pytest.raises(DatasetError) as exc:
             parse_dataset(stream)
         assert exc.value.issues == ((3, "non-numeric score 'x'"),)
-        assert calls == [(2, 1)]
+        assert (calls, columns) == ([(1, 2)], [])
 
     @pytest.mark.parametrize("text", [
         "id,score,label\n" + "".join(f'"r{i}",{i},1\n' for i in range(40)),
@@ -788,14 +818,15 @@ class TestColumnPath:
         # are not read again.
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
         lines = io.StringIO(text, newline="").readlines()
-        quoted = next(i for i, line in enumerate(lines) if i and '"' in line)
         strict = parse_dataset(lines)
-        calls = strict_reads(monkeypatch)
-        assert parse_dataset(io.StringIO(text, newline="")) == strict
+        calls, columns = strict_reads(monkeypatch), column_blocks(monkeypatch)
+        assert parse_text(text, name="dataset") == strict
         ((before, read),) = calls
         assert before + read == len(lines)
-        # A block of these lines is 16 characters and then on to a line end: 3 lines at most.
-        assert 0 <= quoted - before < 3
+        (blocks,) = columns
+        assert "".join(blocks) == text.partition("\n")[2]
+        quoted = next(i for i, block in enumerate(blocks) if '"' in block)
+        assert before == 1 + "".join(blocks[:quoted]).count("\n")
 
     @pytest.mark.parametrize("delimiter", ["\t", " ", "\u00a7"], ids=["tab", "space", "section"])
     def test_other_delimiters_stay_on_the_column_path(self, monkeypatch, tmp_path, delimiter):
@@ -891,47 +922,74 @@ class TestColumnPath:
             assert outcome(lambda: parse_dataset(stream)) == strict
         assert "new-line character seen in unquoted field" in strict[0]
 
-    def test_read_error_is_raised(self, monkeypatch):
-        # A read that fails mid-file is raised, not taken for an end of input or a doubt,
-        # from a stream that the column path reads.
-        class FailingStream(io.StringIO):
-            """A stream whose reads fail from its second block on."""
+    def test_read_error_is_raised(self, tmp_path, monkeypatch):
+        # A read that fails mid-file is raised, not taken for an end of input or a doubt.
+        reads = []
 
-            reads = 0
+        class Failing(io.FileIO):
+            """A file whose reads fail from the third on."""
 
             def read(self, size=-1):
-                self.reads += 1
-                return self.readline() if self.reads > 1 else super().read(size)
-
-            def readline(self, size=-1):
-                if self.reads > 1:
+                reads.append(size)
+                if len(reads) > 2:
                     raise OSError(5, "Input/output error")
-                return super().readline(size)
+                return super().read(size)
 
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
-        stream = FailingStream("id,score,label\n" + "".join(f"r{i},1,0\n" for i in range(40)),
-                               newline="")
+        monkeypatch.setattr(dataset, "open", lambda path, *args, **kwargs: Failing(path),
+                            raising=False)
+        path = tmp_path / "m.csv"
+        path.write_text("id,score,label\n" + "".join(f"r{i},1,0\n" for i in range(40)))
+        columns = column_blocks(monkeypatch)
         with pytest.raises(OSError, match="Input/output error"):
-            parse_dataset(stream)
-        assert stream.reads == 2
+            read_dataset_file(path)
+        assert (reads, columns) == ([16] * 3, [["r0,1,0\nr1,1,0\n"]])
 
     def test_text_file_that_next_has_started(self, tmp_path, monkeypatch):
-        # tell() fails on such a file, but the parse never asks: the column path reads it.
+        # tell() fails on such a file, but the parse never asks: the strict loop reads on.
         path = tmp_path / "m.csv"
         path.write_text("# scores of run 7\nid,score,label\na,1,1\n")
-        calls = strict_reads(monkeypatch)
+        calls, columns = strict_reads(monkeypatch), column_blocks(monkeypatch)
         with open(path, newline="") as stream:
             next(stream)
             d = parse_dataset(stream)
         assert (list(d.scores), list(d.labels)) == ([1.0], [1])
-        assert calls == []
+        assert (calls, columns) == ([(1, 1)], [])
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_only_read_dataset_file_feeds_the_column_path(self, tmp_path, monkeypatch):
+        # Text streams, whatever their newline and started or not, and lists are read row by
+        # row; a file or a pipe that read_dataset_file reads, in blocks.
+        text = "id,score,label\na,1,1\nb,2,0\n"
+        path, started = tmp_path / "m.csv", tmp_path / "started.csv"
+        path.write_text(text)
+        started.write_text("# scores of run 7\n" + text)
+        expected = parse_dataset(text.splitlines(True), name="m")
+        columns = column_blocks(monkeypatch)
+        sources = [io.StringIO(text), io.StringIO(text, newline=""), text.splitlines(True)]
+        with contextlib.ExitStack() as files:
+            for newline in [None, ""]:
+                sources += [files.enter_context(open(p, newline=newline)) for p in (path, started)]
+                next(sources[-1])
+            for source in sources:
+                assert parse_dataset(source, name="m") == expected
+        assert columns == []
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        try:
+            assert read_dataset_file(f"/dev/fd/{read_end}", name="m")[0] == expected
+        finally:
+            os.close(read_end)
+        assert read_dataset_file(path)[0] == expected
+        assert columns == [["a,1,1\nb,2,0\n", ""]] * 2
 
 
-def stream_outcome(text: str, **kwargs) -> tuple:
-    return outcome(lambda: parse_dataset(io.StringIO(text, newline=""), name="m", **kwargs))
+def file_outcome(text: str, ids: bytearray | None = None) -> tuple:
+    return outcome(lambda: parse_text(text, name="m", ids=ids))
 
 
-@given(edited_inputs(surrogates=True), st.sampled_from([1, 2, 3, 7, 16, dataset.BLOCK_CHARS]))
+@given(edited_inputs(), st.sampled_from([1, 2, 3, 7, 16, dataset.BLOCK_CHARS]))
 # The same ids in order, at block edges of their own; one renamed at the end, where only a
 # block's last id differs; a prefix of the first id, which must not be taken for it, then
 # that id again; one that repeats an id of an earlier block; and a fault after a followed
@@ -949,40 +1007,43 @@ def test_later_inputs_parse_as_they_do_alone(texts, block_chars):
     first, *later = texts
     ids = bytearray()
     with mock.patch.object(dataset, "BLOCK_CHARS", block_chars):
-        assert stream_outcome(first, ids=ids) == stream_outcome(first)
+        assert file_outcome(first, ids) == file_outcome(first)
         rows = first.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:-1]
         held = "".join(row.rsplit(",", 2)[0].strip() + "\n" for row in rows)
-        assert ids == held.encode("utf-8", "surrogatepass")  # the column path took every row
+        assert ids == held.encode()  # the column path took every row
         for text in later:
-            assert stream_outcome(text, ids=ids) == stream_outcome(text)
-            assert ids == held.encode("utf-8", "surrogatepass")
+            assert file_outcome(text, ids) == file_outcome(text)
+            assert ids == held.encode()
 
 
 class TestRepeatedIds:
     """Later inputs that repeat the first input's ids in order need no id set."""
 
-    def test_the_buffer_is_a_keyword_that_one_input_fills(self):
-        text = "id,score,label\n a ,1,1\nb,2,0\n"
+    def test_the_buffer_is_a_keyword_that_one_input_fills(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("id,score,label\n a ,1,1\nb,2,0\n")
         with pytest.raises(TypeError):
-            parse_dataset(io.StringIO(text, newline=""), ColumnSchema(), "m", bytearray())
+            read_dataset_file(path, ColumnSchema(), "m", bytearray())
+        with pytest.raises(TypeError):  # read_dataset_file alone takes one
+            parse_dataset(["id,score,label\n", "c,1,1\n"], ids=bytearray())
         ids = bytearray()
-        parse_dataset(io.StringIO(text, newline=""), ids=ids)
+        read_dataset_file(path, ids=ids)
         assert ids == b"a\nb\n"
-        parse_dataset(io.StringIO("id,score,label\nc,1,1\n", newline=""), ids=ids)
+        path.write_text("id,score,label\nc,1,1\n")
+        read_dataset_file(path, ids=ids)
         assert ids == b"a\nb\n"  # later inputs follow the first and add nothing
-        parse_dataset(io.StringIO("id,score,label\nc,1,1\n", newline=""), ids=None)
+        read_dataset_file(path, ids=None)
 
     def test_a_first_input_read_row_by_row_leaves_the_buffer_to_the_next(self, monkeypatch):
         ids = bytearray()
-        parse_dataset(io.StringIO('id,score,label\n"a",1,1\nb,2,0\n', newline=""), ids=ids)
-        assert ids == b""
-        parse_dataset(["id,score,label\n", "a,1,1\n"], ids=ids)  # a list: the strict loop
+        parse_text('id,score,label\n"a",1,1\nb,2,0\n', ids=ids)
         assert ids == b""
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 1)
+        columns = column_blocks(monkeypatch)
         with pytest.raises(DatasetError):
-            parse_dataset(io.StringIO("id,score,label\na,1,1\nb,x,0\nc,2,0\n", newline=""),
-                          ids=ids)
+            parse_text("id,score,label\na,1,1\nb,x,0\nc,2,0\n", ids=ids)
         assert ids == b"a\nc\n"  # the strict loop's block is skipped: c is still distinct
+        assert columns == [["a,1,1\n", "b,x,0\n", "c,2,0\n", ""]]
 
     @pytest.mark.parametrize("line", ["r1,5,0", "r1,x,0", '"r1",5,0'])
     def test_an_earlier_id_after_a_followed_prefix(self, monkeypatch, line):
@@ -992,15 +1053,15 @@ class TestRepeatedIds:
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
         rows = [f"r{i},{i},{i % 2}\n" for i in range(40)]
         ids = bytearray()
-        parse_dataset(io.StringIO("id,score,label\n" + "".join(rows), newline=""), ids=ids)
+        parse_text("id,score,label\n" + "".join(rows), ids=ids)
         rows.insert(30, line + "\n")
         text = "id,score,label\n" + "".join(rows)
-        calls = strict_reads(monkeypatch)
+        calls, columns = strict_reads(monkeypatch), column_blocks(monkeypatch)
         with pytest.raises(DatasetError) as exc:
-            parse_dataset(io.StringIO(text, newline=""), ids=ids)
+            parse_text(text, ids=ids)
         assert exc.value.issues == ((32, "duplicate id 'r1'"),)
-        assert outcome(lambda: parse_dataset(io.StringIO(text, newline=""))) == outcome(
-            lambda: parse_dataset(io.StringIO(text, newline=""), ids=ids))
+        assert "".join(columns[0]) == "".join(rows)
+        assert outcome(lambda: parse_text(text)) == outcome(lambda: parse_text(text, ids=ids))
         (before, read), = calls[:1]
         assert 0 < before < 32 <= before + read
 
