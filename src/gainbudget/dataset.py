@@ -138,7 +138,7 @@ def parse_dataset(source: Iterable[str], schema: ColumnSchema = ColumnSchema(),
     if isinstance(source, _Text):
         _parse_columns(source, schema, name, state, reader.line_num, order, len(header))
     else:
-        _parse_rows(lines, schema, name, state, reader.line_num, order)
+        _parse_rows(lines, schema, name, state, reader.line_num, order, iter(()))
     if issues:
         raise DatasetError(f"{name}: {len(issues)} invalid row(s)", issues)
     if not labels:
@@ -148,11 +148,9 @@ def parse_dataset(source: Iterable[str], schema: ColumnSchema = ColumnSchema(),
 
 
 def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tuple,
-                before: int, order: list[int]) -> None:
-    """The strict loop: add each row of `lines` to `state` (score arrays, labels, the ids
-    seen, issues), a bad one as an issue on its line plus `before`.  `order` holds the
-    configured columns' indices."""
-    reader = csv.reader(lines, delimiter=schema.delimiter)
+                before: int, order: list[int], rest: Iterator[str]) -> int:
+    """The strict loop: add each row of `lines`, then of `rest` up to the first line that ends a
+    row, to `state`, a bad one as an issue on its line plus `before`; return the lines read."""
     id_idx, score_idx, label_idx = order
     width, label_of = max(order) + 1, _label_of(schema)
     chunks, labels, seen, issues = state
@@ -161,6 +159,12 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
     def bad(reason: str) -> None:
         issues.append((before + reader.line_num, reason))
 
+    def more() -> Iterator[str]:
+        last = row
+        while row is last and (line := next(rest, "")):  # csv reads no line ahead of a row
+            yield line
+
+    row, reader = None, csv.reader(chain(lines, more()), delimiter=schema.delimiter)
     try:
         for row in reader:
             # A blank row is short or has an empty id, so only those are tested.
@@ -197,6 +201,7 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
     except csv.Error as exc:
         issue = (before + reader.line_num, str(exc))
         raise DatasetError(f"{name}: malformed delimited text", [issue]) from None
+    return reader.line_num
 
 
 #: Bytes per raw read of a file or pipe.
@@ -205,27 +210,24 @@ BLOCK_CHARS = 1 << 15
 
 def _parse_columns(source: _Text, schema: ColumnSchema, name: str, state: tuple,
                    before: int, order: list[int], width: int) -> None:
-    """Add to `state` each block of whole lines that str methods prove good; the strict loop
-    reads each other block.  Unquoted, csv ends a row at \\r, \\n or \\r\\n and splits it at
-    each delimiter, so str methods split a block whose lines each hold `width` cells.  From a
-    block with a quote or an overlong line, which csv alone splits, the strict loop reads on
-    to the end.  Nothing is read twice.  Ids that repeat `source.ids` in order are distinct
-    as those are: `seen` takes the ids so far at the first block that strays, or is doubted."""
+    """Add to `state` each block of whole lines that str methods prove good.  Unquoted, csv
+    ends a row at \\r, \\n or \\r\\n and splits it at each delimiter, so str methods split a
+    block whose lines each hold `width` cells.  The strict loop reads each other block (csv alone
+    splits a quote or an overlong line) with its last line first in `rest`, so it reads past the
+    block only to end a record.  Ids that repeat `source.ids` in order are distinct as those are:
+    `seen` takes the ids so far at the first block that strays, or is doubted."""
     chunks, labels, seen, _ = state
     delim, limit, label_of = schema.delimiter, csv.field_size_limit(), _label_of(schema)
     mark = delim if delim.isascii() else "\0"  # NUL stands in: _read_blocks lets none through
     drop = bytes(range(256)).replace(mark.encode(), b"").replace(b"\n", b"")
     gaps = mark * (width - 1)  # the delimiters of each line
     fill, follow, at = source.ids == b"", source.ids or b"", 0  # follow[:at]: the ids so far
-    while True:
-        if not (text := source.read()):
-            return
-        lines = text.replace("\r\n", "\n").replace("\r", "\n")
-        body = lines.rstrip("\n")
-        strict = '"' in text or len(text) > limit
+    for text in iter(source.read, ""):
         try:  # A doubt is a ValueError or KeyError: the strict loop reads the block.
-            if strict:
+            if '"' in text or len(text) > limit:
                 raise ValueError("csv alone splits a quote or an overlong line")
+            lines = text.replace("\r\n", "\n").replace("\r", "\n")
+            body = lines.rstrip("\n")
             # The probe keeps only the block's delimiters and line ends.
             probe = body.replace(delim, mark).encode().translate(None, drop)
             ends = probe.count(b"\n")
@@ -260,14 +262,12 @@ def _parse_columns(source: _Text, schema: ColumnSchema, name: str, state: tuple,
                     source.ids += joined
         except (ValueError, KeyError):
             seen.update(bytes(follow[:at]).splitlines())
-            follow, read = b"", chain(io.StringIO(text, newline=""), source if strict else ())
-            _parse_rows(read, schema, name, state, before, order)
-            if strict:
-                return
+            follow, (*head, last) = b"", io.StringIO(text, newline="").readlines()
+            before += _parse_rows(head, schema, name, state, before, order, chain([last], source))
         else:
             chunks.append(scores)  # joined once: an array grown in place left holes in the heap
             labels += block
-        before += ends + len(lines) - len(body)  # the line ends that rstrip() took
+            before += ends + len(lines) - len(body)  # the line ends that rstrip() took
 
 
 def _read_blocks(raw: io.RawIOBase, sha: hashlib._Hash, name: str) -> Iterator[str]:

@@ -480,21 +480,25 @@ def strict_loop_only():
 
 
 def strict_reads(monkeypatch) -> list[tuple[int, int]]:
-    """Spy on the strict loop: for each call, (the lines before its first, the lines it read)."""
+    """Spy on the strict loop: for each call, (the lines before its first, the lines it read,
+    from its block and past it)."""
     calls, parse_rows = [], dataset._parse_rows
 
-    def spy(lines, schema, name, state, before=0, order=None):
+    def spy(lines, schema, name, state, before, order, rest):
         read = 0
 
-        def counted():
+        def counted(lines):
             nonlocal read
-            for read, line in enumerate(lines, 1):
+            for line in lines:
+                read += 1
                 yield line
 
         try:
-            return parse_rows(counted(), schema, name, state, before, order)
+            got = parse_rows(counted(lines), schema, name, state, before, order, counted(rest))
         finally:
             calls.append((before, read))
+        assert got == read, (got, read)
+        return got
 
     monkeypatch.setattr(dataset, "_parse_rows", spy)
     return calls
@@ -502,7 +506,7 @@ def strict_reads(monkeypatch) -> list[tuple[int, int]]:
 
 def column_blocks(monkeypatch) -> list[list[str]]:
     """Spy on the column path: for each call, the text of each read from its source, to the
-    "" that ends it.  The strict loop reads on through the same reads after a quote."""
+    "" that ends it.  The strict loop reads on through the same reads to end a record."""
     calls, parse_columns = [], dataset._parse_columns
 
     def spy(source, *args):
@@ -606,6 +610,48 @@ def test_column_path_matches_the_strict_loop(raw, block_chars):
         assert "NUL byte" in got[0] or "not valid UTF-8" in got[0]
         return
     assert got == outcome(lambda: parse_dataset(list(io.StringIO(text, newline="")), name="m"))
+
+
+@st.composite
+def quoted_files(draw) -> str:
+    """Rows whose ids, scores and labels may be quoted, an id holding a line end, a comma or
+    a doubled quote, under one line end throughout; now and then a row repeats an id."""
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    inner = st.sampled_from(["", "\n", "\r", "\r\n", ",", '""', "\n\n", ' ""x"",\r\n'])
+
+    def cell(text: str, quoted: bool) -> str:
+        return f'"{text}"' if quoted else text
+
+    lines = ["id,score,label"]
+    for i in range(draw(st.integers(1, 12))):
+        uid = f"r{draw(st.integers(0, i))}" if draw(st.integers(0, 9)) == 0 else f"r{i}"
+        piece = draw(inner)
+        lines.append(",".join([
+            cell(uid + piece, bool(piece) or draw(st.booleans())),
+            cell(draw(st.sampled_from(["1", "0.25", "-3e-2"])), draw(st.booleans())),
+            cell(draw(st.sampled_from(["1", "0", "true"])), draw(st.booleans())),
+        ]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@given(quoted_files())
+# A quoted line end at the last byte of a 16-byte read, so the record crosses the cut; a
+# lone \r in a quoted id under \r line ends; a doubled quote; a quoted header.
+@example('id,score,label\nr0,0,1\nr1,1,1\nr2,2,1\n"r3\nnote",3,1\nr4,4,1\n')
+@example('id,score,label\r"r0\r",1,1\r"r1\r\r",0,0\rr2,1,1\r')
+@example('id,score,label\r\n"r""0""",1,1\r\nr1,"1","0"\r\n')
+@example('"id","score","label"\n"a\n",1,1\nb,2,0')
+@settings(max_examples=600, deadline=None)
+def test_quoted_records_match_the_strict_loop_at_any_block_size(text):
+    """A file of quoted records, read at each block size, parses as its text does in the
+    strict loop: a record whose line end falls at a cut is read on to its end."""
+    strict = outcome(lambda: parse_dataset(list(io.StringIO(text, newline="")), name="m"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(text.encode())
+        for block_chars in [1, 2, 3, 7, 16, 64, dataset.BLOCK_CHARS]:
+            with mock.patch.object(dataset, "BLOCK_CHARS", block_chars):
+                assert outcome(lambda: read_dataset_file(path)[0]) == strict, block_chars
 
 
 DELIMITERS = [",", "\t", ";", " ", "\u00a7"]
@@ -807,26 +853,38 @@ class TestColumnPath:
         assert exc.value.issues == ((3, "non-numeric score 'x'"),)
         assert (calls, columns) == ([(1, 2)], [])
 
-    @pytest.mark.parametrize("text", [
-        "id,score,label\n" + "".join(f'"r{i}",{i},1\n' for i in range(40)),
-        "id,score,label\n" + "".join(f"r{i},{i},1\n" for i in range(40)) + '"r40",1,0\n',
-        '"id","score","label"\n"a","1","1"\n\n"b\nc",2,0\r\nd,3,1',
-    ], ids=["every-id", "last-row-only", "header-and-line-end-in-a-field"])
-    def test_quoted_fields_are_read_by_csv_from_their_block_on(self, monkeypatch, text):
-        # The strict loop reads on from the block that holds the first quote after the header
-        # (csv reads the header), to the end; the blocks before it are the column path's, and
-        # are not read again.
+    @pytest.mark.parametrize("text,expected", [
+        ("id,score,label\n" + "".join(f'"r{i}",{i},1\n' for i in range(40)), None),
+        ("id,score,label\n" + "".join(f"r{i},{i},1\n" for i in range(40)) + '"r40",1,0\n',
+         [(40, 2)]),
+        ('"id","score","label"\n"a","1","1"\n\n"b\nc",2,0\r\nd,3,1', [(1, 4)]),
+        ("id,score,label\nr0,0,1\n" + "".join(f'"r{i}",{i},1\n' if i == 1 else f"r{i},{i},1\n"
+                                              for i in range(1, 40)), [(1, 2)]),
+        ("id,score,label\n" + "".join(f'"r{i}\nnote",{i},1\n' if i == 3 else f"r{i},{i},1\n"
+                                      for i in range(40)), [(3, 3)]),
+    ], ids=["every-id", "last-row-only", "header-and-line-end-in-a-field", "line-3-only",
+            "line-end-across-a-cut"])
+    def test_quoted_fields_are_read_by_csv_from_their_block_on(self, monkeypatch, text,
+                                                               expected):
+        # A block that holds a quote is a doubt like any other (csv reads the header): the
+        # strict loop reads it from its first line, and past its end only the lines of a
+        # record still open there.  The column path goes on where that record ended.
         monkeypatch.setattr(dataset, "BLOCK_CHARS", 16)
         lines = io.StringIO(text, newline="").readlines()
         strict = parse_dataset(lines)
         calls, columns = strict_reads(monkeypatch), column_blocks(monkeypatch)
         assert parse_text(text, name="dataset") == strict
-        ((before, read),) = calls
-        assert before + read == len(lines)
         (blocks,) = columns
-        assert "".join(blocks) == text.partition("\n")[2]
-        quoted = next(i for i, block in enumerate(blocks) if '"' in block)
-        assert before == 1 + "".join(blocks[:quoted]).count("\n")
+        for before, read in calls:  # each starts at the first line of a quoted block
+            assert any('"' in block and "".join(lines[before:]).startswith(block)
+                       for block in blocks), (before, read)
+        if expected is None:  # every block holds a quote: one call each, read to its end
+            expected = [(1 + "".join(blocks[:i]).count("\n"), block.count("\n"))
+                        for i, block in enumerate(blocks) if block]
+            assert len(expected) > 20
+        assert calls == expected
+        # The last case's id spans a 16-byte cut: one line after its block closes the record.
+        assert any(block.endswith('"r3\n') for block in blocks) == ("note" in text)
 
     @pytest.mark.parametrize("delimiter", ["\t", " ", "\u00a7"], ids=["tab", "space", "section"])
     def test_other_delimiters_stay_on_the_column_path(self, monkeypatch, tmp_path, delimiter):
