@@ -278,8 +278,8 @@ class TestReadFile:
     @pytest.mark.parametrize("ending, raw", [
         ("\n", b"\xef\xbb\xbfid,score,label\na,1,1\nb,2,0\n"),
         ("\r", b"id,score,label\ra,1,1\rb,2,0\r"),
-        # The strict loop reads on from the block that holds the quote, past the first
-        # BLOCK_CHARS characters: the text already read, then the rest of the stream.
+        # The strict loop reads the block that holds the quote, past the first BLOCK_CHARS
+        # characters, and the column path the blocks after it.
         ("\n", ("id,score,label\n" + "".join(f"r{i},0.5,{i % 2}\n" for i in range(5000))
                 + '"q",1,1\n' + "".join(f"s{i},0.5,{i % 2}\n" for i in range(5000))).encode()),
     ], ids=["byte-order-mark", "cr", "quoted-block-past-the-first"])
@@ -534,9 +534,9 @@ def column_blocks(monkeypatch) -> list[list[str]]:
 # Lines that end in \r\n, read 6 bytes at a time.
 @example(b"id,score,label\r\na,1,1\r\nb,2,0\r\n", 6)
 # A block read that stops mid-line, lines that end at \r alone, and quoted fields,
-# which csv reads from the block that holds the first one: a later block (after a
-# byte-order mark, which the hand-off must not read again), the header's, and one
-# cut by the block read.
+# which csv reads in each block that holds one: a later block (after a byte-order
+# mark, which the strict loop must not read again), the header's, and one cut by
+# the block read.
 @example(b"id,score,label\na,1,1\nb,2,0\n", 7)
 @example(b"id,score,label\ra,1,1\rb,2,0\r", 7)
 @example(b'id,score,label\na,1,1\n"b",1,1\nc,2,0\n', 1)
