@@ -46,7 +46,7 @@ class CostModel(namedtuple("CostModel", "unit_cost currency_label cost_rule")):
     def __new__(cls, unit_cost: Decimal, currency_label: str = "$",
                 cost_rule: CostRule = CostRule.FRACTIONAL) -> CostModel:
         if not isinstance(unit_cost, Decimal):
-            unit_cost = Decimal(str(unit_cost))
+            raise TypeError(f"unit cost must be a Decimal, got {unit_cost!r}")
         if unit_cost <= 0:
             raise ValueError(f"unit cost must be positive, got {unit_cost}")
         return super().__new__(cls, unit_cost, currency_label, cost_rule)
@@ -119,7 +119,7 @@ def fixed_budget_plan(g: GainProfile, cm: CostModel, budget: Decimal) -> BudgetP
     rounded prefix cost is compared with the exact, unrounded budget.
     """
     if not isinstance(budget, Decimal):
-        budget = Decimal(str(budget))
+        raise TypeError(f"budget must be a Decimal, got {budget!r}")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     a, b = budget.as_integer_ratio()

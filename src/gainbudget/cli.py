@@ -43,16 +43,24 @@ _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 MAX_MONEY_EXPONENT = 100
 
 
+def _decimal(text: str, what: str = "") -> Decimal:
+    """A finite decimal with no `_` digit group, as a score must be; `what` begins a refusal."""
+    try:
+        if "_" in text:  # Decimal() accepts digit grouping such as 1_0
+            raise InvalidOperation
+        value = Decimal(text)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"{what}not a decimal number: {text!r}")
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"{what}not finite: {text!r}")
+    return value
+
+
 def _money(positive: bool):
-    """An argparse type: a finite decimal amount, positive or else not negative."""
+    """An argparse type: a decimal amount, positive or else not negative."""
 
     def parse(text: str) -> Decimal:
-        try:
-            value = Decimal(text)
-        except InvalidOperation:
-            raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
-        if not value.is_finite():
-            raise argparse.ArgumentTypeError(f"not a finite decimal number: {text!r}")
+        value = _decimal(text)
         if value < 0 or (positive and not value):
             sign = "positive" if positive else "non-negative"
             raise argparse.ArgumentTypeError(f"must be {sign}, got {text!r}")
@@ -68,19 +76,16 @@ def _int_at_least(minimum: int, maximum: int | None = None):
     """An argparse type: an integer no smaller than `minimum`, nor larger than any `maximum`."""
 
     def parse(text: str) -> int:
+        # No `_` group, as in a score; int() caps the digits it reads, so it gets significant ones.
+        if not (match := re.fullmatch(r"\s*([+-]?)(\d+)\s*", text)):
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        significant = match[2].lstrip("0") or "0"
         try:
-            value = int(text)
-        except ValueError:
-            # int() refuses more digits than sys.get_int_max_str_digits(), leading zeros included.
-            if not (match := re.fullmatch(r"\s*([+-]?)(\d(?:_?\d)*)\s*", text)):
-                raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-            significant = match[2].replace("_", "").lstrip("0") or "0"
-            try:
-                value = int(match[1] + significant)
-            except ValueError:  # too many significant digits: out of any bound here
-                bound = (f"must be at least {minimum}" if match[1] == "-" else
-                         f"must be at most {maximum}" if maximum is not None else "too large")
-                raise argparse.ArgumentTypeError(f"{bound}, got {len(significant)} digits")
+            value = int(match[1] + significant)
+        except ValueError:  # too many significant digits: out of any bound here
+            bound = (f"must be at least {minimum}" if match[1] == "-" else
+                     f"must be at most {maximum}" if maximum is not None else "too large")
+            raise argparse.ArgumentTypeError(f"{bound}, got {len(significant)} digits")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
@@ -91,11 +96,8 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 
 
 def _fraction(text: str) -> Decimal:
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (value.is_finite() and 0 <= value <= 1):
+    value = _decimal(text)
+    if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(f"must be between 0 and 1, got {text!r}")
     return value
 
@@ -106,11 +108,8 @@ def _fscore(entry: str) -> tuple[str, float]:
     name, sep, text = entry.rpartition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got {entry!r}")
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"value for {name!r} is not a number: {text!r}")
-    if not math.isfinite(value):
+    value = float(_decimal(text, f"value for {name!r} is "))  # correctly rounded
+    if not math.isfinite(value):  # a finite decimal past the float range, such as 1e999
         raise argparse.ArgumentTypeError(f"value for {name!r} is not finite: {text!r}")
     return name, value
 
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chart = sub.add_parser("chart", help="cumulative-gain chart as standalone SVG")
     _add_io_flags(p_chart, many=True)
-    p_chart.add_argument("--svg-out", default=None, metavar="PATH",
+    p_chart.add_argument("--svg-out", dest="out", default=None, metavar="PATH",
                          help="write the SVG to PATH instead of standard output")
     p_chart.add_argument("--width", type=_int_at_least(MIN_CHART_WIDTH, MAX_CHART_WIDTH),
                          default=640, help="chart width in pixels")
@@ -241,10 +240,9 @@ def _model_names(args: argparse.Namespace) -> list[str]:
         if bad:
             args.usage_error(f"argument --name: {problem} model name(s) "
                              f"{', '.join(map(repr, bad))}; give each a printable --name")
-    for name in scored:
-        if name not in names:
-            args.usage_error(
-                f"argument --fscore: unknown model {name!r} (models: {', '.join(names)})")
+    if unknown := [name for name in scored if name not in names]:
+        args.usage_error(
+            f"argument --fscore: unknown model {unknown[0]!r} (models: {', '.join(names)})")
     return names
 
 
@@ -275,12 +273,10 @@ def run(argv: list[str] | None = None) -> int:
         if unrecognized:  # parse_args would report these under the top-level usage
             args.usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
         return _dispatch(args)
-    except SystemExit as exc:  # --help, or a usage error from argparse or _dispatch
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, OSError) as exc:  # DatasetError is a ValueError
-        print(f"gainbudget: {exc}", file=sys.stderr)
+    except SystemExit as exc:  # argparse's exit: 0 after --help, 2 on a usage error
+        return exc.code
+    except (ValueError, OSError, MemoryError) as exc:  # DatasetError is a ValueError
+        print(f"gainbudget: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 
@@ -339,15 +335,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         del dataset, ranked
 
     if args.command == "chart":
-        _emit(render_chart([m.profile for m in results], args.baseline, args.ideal,
-                           args.width, args.height), args.svg_out)
-        return 0
-
-    report = EvaluationReport(models=tuple(results), tie_policy=policy, cost_model=cm)
-    if args.format == "json":
-        _emit(render_json(report), args.out)
+        text = render_chart([m.profile for m in results], args.baseline, args.ideal,
+                            args.width, args.height)
     else:
-        _emit(render_table(report, style=args.format), args.out)
+        report = EvaluationReport(models=tuple(results), tie_policy=policy, cost_model=cm)
+        text = render_json(report) if args.format == "json" else render_table(report, args.format)
+    _emit(text, args.out)
     return 0
 
 

@@ -88,9 +88,9 @@ MAX_LISTED_ISSUES = 20
 class DatasetError(ValueError):
     """A file could not be turned into a valid dataset.
 
-    `issues` lists every (1-based line number, reason) pair; line 0 marks
-    file-level problems such as a missing column.  The message names the
-    first MAX_LISTED_ISSUES of them and counts the rest.
+    `issues` lists every (1-based line number, reason) pair: a header that lacks a column or
+    names one twice is an issue on line 1, and an empty input has none.  The message names
+    the first MAX_LISTED_ISSUES of them and counts the rest.
     """
 
     def __init__(self, message: str, issues: Sequence[tuple[int, str]] = ()):

@@ -73,6 +73,19 @@ class TestQuantileCost:
         with pytest.raises(ValueError):
             CostModel(unit_cost=Decimal("0"))
 
+    @pytest.mark.parametrize("unit_cost", ["0_04", "0.04", 0.04, 1])
+    def test_unit_cost_must_be_a_decimal(self, unit_cost):
+        # The module reads no number text: "0_04" is not taken as 4.
+        with pytest.raises(TypeError, match="unit cost must be a Decimal"):
+            CostModel(unit_cost=unit_cost)
+
+    def test_quantile_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="quantile count must be positive, got 0"):
+            quantile_cost(CM, 10, 0, 0)
+
+    def test_full_recall_prints_its_name(self):
+        assert repr(FULL_RECALL) == "FULL_RECALL"
+
 
 class TestFixedBudget:
     def test_case_study_two_decile_budget(self, case_study_profiles):
@@ -119,6 +132,11 @@ class TestFixedBudget:
     def test_negative_budget_rejected(self, m1):
         with pytest.raises(ValueError):
             fixed_budget_plan(m1, CM, Decimal("-1"))
+
+    @pytest.mark.parametrize("budget", ["0_16", "16.73", 16.73, 16])
+    def test_budget_must_be_a_decimal(self, m1, budget):
+        with pytest.raises(TypeError, match="budget must be a Decimal"):
+            fixed_budget_plan(m1, CM, budget)
 
     def test_monotone_in_budget(self):
         rng = random.Random(7)

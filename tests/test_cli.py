@@ -398,6 +398,14 @@ BAD_FLAG_VALUES = [
     # Past int()'s 4,300-digit limit, so int() refuses them.
     ("chart", "--quantiles", "1" + "0" * 5000),
     ("chart", "--quantiles", "-1" + "0" * 5000),
+    # A `_` digit group is refused in every number flag, as in a score: 0_04 is not 4.
+    ("compare", "--unit-cost", "0_04"),
+    ("compare", "--budget", "16_73"),
+    ("compare", "--cutoff-frac", "0_5"),
+    ("compare", "--cutoff-frac", "0.0_5"),  # read as 0.05, inside [0, 1], without the rule
+    ("compare", "--fscore", "other=0_7"),
+    ("compare", "--quantiles", "1_0"),
+    ("chart", "--width", "1_000"),
     # The models are named before any read: no-such-file and other.
     ("compare", "--fscore", "other"),
     ("compare", "--fscore", "zz=0.5"),
@@ -511,7 +519,7 @@ class TestErrorsAndHelp:
     @pytest.mark.parametrize("command, flag, value, message", [
         ("chart", "--quantiles", "1" + "0" * 5000, "too large, got 5001 digits"),
         ("eval", "--cutoff-k", " -1" + "0" * 5000, "must be at least 0, got 5001 digits"),
-        ("chart", "--width", "+1_" + "0" * 5000, "must be at most 1000000, got 5001 digits"),
+        ("chart", "--width", "+1" + "0" * 5000, "must be at most 1000000, got 5001 digits"),
         # Leading zeros are no digits of the value: the bound is judged on what follows them.
         ("eval", "--cutoff-k", "-" + "0" * 5001 + "5", "must be at least 0, got -5"),
         ("chart", "--quantiles", "0" * 5001 + "1" + "0" * 5000, "too large, got 5001 digits"),
@@ -523,6 +531,14 @@ class TestErrorsAndHelp:
                                 f"{flag}={value}")
         assert (code, out) == (2, "")
         assert f"argument {flag}: {message}\n" in err
+
+    def test_out_of_memory_is_one_line_and_exit_one(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError  # as a failed allocation raises it: str() of it is empty
+
+        monkeypatch.setattr(cli, "read_dataset_file", exhausted)
+        code, out, err = invoke(capsys, "eval", str(worked_path("s1m1")), "--quantiles", "3")
+        assert (code, out, err) == (1, "", "gainbudget: out of memory\n")
 
     def test_zero_padded_integer_is_read_by_its_significant_digits(self, capsys):
         padded = invoke(capsys, "eval", str(worked_path("s1m1")), "--quantiles", "0" * 5001 + "5")

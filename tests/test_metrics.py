@@ -60,6 +60,11 @@ class TestGainProfile:
         with pytest.raises(ValueError, match="sum"):
             GainProfile("bad", (1, 1), positive_total=3, size=4)
 
+    def test_negative_count_rejected(self):
+        # The counts sum to positive_total, so only the sign check catches this.
+        with pytest.raises(ValueError, match="negative per-quantile count"):
+            GainProfile("m", (2, -1), 1, 4)
+
 
 class TestIdealProfile:
     def test_all_positives_on_top(self):

@@ -123,7 +123,8 @@ def test_replace_checks_and_derives_as_construction_does():
     assert PROFILE._replace(per_quantile_positive=(2, 0)).cumulative_positive_count == (2, 2)
     with pytest.raises(ValueError, match="must sum to positive_total"):
         PROFILE._replace(positive_total=3)
-    assert CostModel(Decimal(1))._replace(unit_cost=0.5).unit_cost == Decimal("0.5")
+    with pytest.raises(TypeError, match="unit cost must be a Decimal, got 0.5"):
+        CostModel(Decimal(1))._replace(unit_cost=0.5)
     with pytest.raises(ValueError, match="report needs at least one model"):
         EvaluationReport((ModelResult(PROFILE),), TiePolicy.STABLE)._replace(models=())
 
