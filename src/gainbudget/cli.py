@@ -44,9 +44,9 @@ MAX_MONEY_EXPONENT = 100
 
 
 def _decimal(text: str, what: str = "") -> Decimal:
-    """A finite decimal with no `_` digit group, as a score must be; `what` begins a refusal."""
+    """A finite ASCII decimal with no `_` group, as a score must be; `what` begins a refusal."""
     try:
-        if "_" in text:  # Decimal() accepts digit grouping such as 1_0
+        if "_" in text or not text.isascii():  # Decimal() reads 1_0 and any Unicode digit
             raise InvalidOperation
         value = Decimal(text)
     except InvalidOperation:
@@ -76,8 +76,8 @@ def _int_at_least(minimum: int, maximum: int | None = None):
     """An argparse type: an integer no smaller than `minimum`, nor larger than any `maximum`."""
 
     def parse(text: str) -> int:
-        # No `_` group, as in a score; int() caps the digits it reads, so it gets significant ones.
-        if not (match := re.fullmatch(r"\s*([+-]?)(\d+)\s*", text)):
+        # ASCII with no `_`, as a score; int() caps the digits it reads, so it gets significant ones.
+        if not (match := re.fullmatch(r"\s*([+-]?)(\d+)\s*", text, re.ASCII)):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         significant = match[2].lstrip("0") or "0"
         try:
@@ -334,11 +334,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         del dataset, ranked
 
+    report = EvaluationReport(models=tuple(results), tie_policy=policy, cost_model=cm)
     if args.command == "chart":
-        text = render_chart([m.profile for m in results], args.baseline, args.ideal,
-                            args.width, args.height)
+        text = render_chart(report, args.baseline, args.ideal, args.width, args.height)
     else:
-        report = EvaluationReport(models=tuple(results), tie_policy=policy, cost_model=cm)
         text = render_json(report) if args.format == "json" else render_table(report, args.format)
     _emit(text, args.out)
     return 0

@@ -180,7 +180,7 @@ def _parse_rows(lines: Iterable[str], schema: ColumnSchema, name: str, state: tu
 
             text = row[score_idx]
             try:
-                if "_" in text:  # float() accepts digit grouping such as 1_0
+                if "_" in text or not text.isascii():  # float() reads 1_0 and any Unicode digit
                     raise ValueError(text)
                 score = float(text)
             except ValueError:
@@ -237,8 +237,9 @@ def _parse_columns(source: _Text, schema: ColumnSchema, name: str, state: tuple,
                 uids = map(str.strip, uids)  # else each id would come back as it is
             joined = ("\n".join(uids) + "\n" if body else "").encode()
             shape = (gaps + "\n").encode() * ends + gaps.encode()
-            if body and probe != shape or "_" in "".join(texts):
-                raise ValueError("not split as csv splits it, or 1_0")
+            numbers = "".join(texts)  # str.isascii() reads a flag: no pass over the text
+            if body and probe != shape or "_" in numbers or not numbers.isascii():
+                raise ValueError("not split as csv splits it, 1_0, or a non-ASCII score")
             scores = array("d", map(float, texts))
             try:  # Tokens as written first: each str pass costs 5% of a 10^6-row eval.
                 block = bytearray(map(label_of.__getitem__, tokens))

@@ -58,13 +58,6 @@ _CLASS_GROUPS = ("positive", "negative", "weighted")
 _CLASS_MEASURES = ("precision", "recall", "f1")
 
 
-def _shared_quantile_count(profiles: Sequence[GainProfile], across: str) -> int:
-    counts = {p.quantile_count for p in profiles}
-    if len(counts) > 1:
-        raise ValueError(f"mismatched quantile counts across {across}: {sorted(counts)}")
-    return profiles[0].quantile_count
-
-
 class ModelResult(namedtuple("ModelResult", "profile class_metrics budget_plan target_plan "
                                             "marginal supplied_fscore path sha256",
                              defaults=[None] * 7)):
@@ -87,7 +80,8 @@ class EvaluationReport(namedtuple("EvaluationReport", "models tie_policy cost_mo
                 cost_model: CostModel | None = None) -> EvaluationReport:
         if not models:
             raise ValueError("report needs at least one model")
-        _shared_quantile_count([m.profile for m in models], "models")
+        if len(counts := {m.profile.quantile_count for m in models}) > 1:
+            raise ValueError(f"mismatched quantile counts across models: {sorted(counts)}")
         return super().__new__(cls, models, tie_policy, cost_model)
 
     @property
@@ -353,18 +347,17 @@ def render_json(r: EvaluationReport) -> str:
 
 
 def render_chart(
-    series: Sequence[GainProfile], include_baseline: bool = False, include_ideal: bool = False,
+    r: EvaluationReport, include_baseline: bool = False, include_ideal: bool = False,
     width: int = 640, height: int = 480,
 ) -> str:
-    """Render the cumulative-gain chart as a standalone SVG document.
+    """Render the report's cumulative-gain chart as a standalone SVG document.
 
-    One curve per profile in `series`, plus the optional references.  Curves
-    plot cumulative gain at quantile right edges with a (0, 0) origin point
-    prepended; the x axis is the fraction of the ranked list reviewed.
+    One curve per model of the report, in run order, plus the optional
+    references; the ideal curve is the first model's.  Curves plot cumulative
+    gain at quantile right edges with a (0, 0) origin point prepended; the x
+    axis is the fraction of the ranked list reviewed.
     """
-    if not series:
-        raise ValueError("chart needs at least one series")
-    quantile_count = _shared_quantile_count(series, "series")
+    quantile_count = r.quantile_count
     if width < MIN_CHART_WIDTH or height < MIN_CHART_HEIGHT:
         raise ValueError("chart dimensions too small")
     if width > MAX_CHART_WIDTH or height > MAX_CHART_HEIGHT:
@@ -432,12 +425,12 @@ def render_chart(
         curves.append(("random baseline", "#999999", "1.5", "6 4",
                        f"{x0:.2f},{y1:.2f} {x1:.2f},{y0:.2f}"))
     if include_ideal:
-        first = series[0]
+        first = r.models[0].profile
         ideal = ideal_profile(first.size, first.positive_total, quantile_count)
         curves.append(("ideal", "#333333", "1.5", "2 3", points(ideal)))
-    for i, profile in enumerate(series):
+    for i, m in enumerate(r.models):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
-        curves.append((profile.model_name, color, "2", "", points(profile)))
+        curves.append((m.name, color, "2", "", points(m.profile)))
 
     legend: list[str] = []  # drawn after every curve, so it stays on top
     for i, (name, color, stroke_width, dash, coords) in enumerate(curves):

@@ -406,6 +406,12 @@ BAD_FLAG_VALUES = [
     ("compare", "--fscore", "other=0_7"),
     ("compare", "--quantiles", "1_0"),
     ("chart", "--width", "1_000"),
+    # So is a non-ASCII digit, which int() and Decimal() read: Arabic-Indic and fullwidth.
+    ("eval", "--quantiles", "\u0663"),
+    ("eval", "--quantiles", "\uff11"),
+    ("budget", "--unit-cost", "0.0\u0664"),
+    ("compare", "--fscore", "other=0.\u0667"),
+    ("chart", "--quantiles", "\u0660" * 5001 + "3"),  # was "too large", where ASCII zeros read 3
     # The models are named before any read: no-such-file and other.
     ("compare", "--fscore", "other"),
     ("compare", "--fscore", "zz=0.5"),

@@ -145,6 +145,23 @@ class TestParse:
             parse_text(f"id,score,label\na,1,1\nb,{score},0\n")
         assert exc.value.issues == ((3, f"non-numeric score {score!r}"),)
 
+    @pytest.mark.parametrize("block_chars", [1, 7, dataset.BLOCK_CHARS])
+    @pytest.mark.parametrize("score", ["\u0663", "\uff11", "3\u2003", "\u20030.5"])
+    def test_non_ascii_score_rejected_on_both_paths(self, monkeypatch, score, block_chars):
+        # float() reads any Unicode digit and strips any Unicode space; a score is ASCII.
+        monkeypatch.setattr(dataset, "BLOCK_CHARS", block_chars)
+        text = f"id,score,label\na,1,1\nb,{score},0\nc,2,1\n"
+        for parse in (lambda: parse_text(text), lambda: parse_dataset(text.splitlines(True))):
+            with pytest.raises(DatasetError) as exc:
+                parse()
+            assert exc.value.issues == ((3, f"non-numeric score {score!r}"),)
+
+    def test_non_ascii_ids_stay_on_the_column_path(self):
+        # The rule is the scores': an id is no number, and may hold any character.
+        with strict_loop_only():
+            d = parse_text("id,score,label\n\u00e9,1,1\n\u0663,2,0\n")
+        assert (list(d.scores), list(d.labels)) == ([1.0, 2.0], [1, 0])
+
     def test_repeated_configured_column_rejected(self):
         with pytest.raises(DatasetError, match="score appear more than once") as exc:
             parse_text("id,score,label,score\na,1,1,2\n")
@@ -719,7 +736,7 @@ def test_well_formed_files_never_reach_the_strict_loop(raw):
 DOUBTS = [
     ",1,1", " ,1,1", " , , ", "", "\t", "b,1", "b,1,1,x", "a,2,0", "b,nan,1", "b,-inf,0",
     "b,1e400,1", "b,1_0,1", "b, 1 ,1", "b,0x1,1", "b,1,yes", "b,1, TRUE ", '"b\nc",1,0',
-    '"b,1,1', " b ,1,0", "b,1,1\n a,2,0",
+    '"b,1,1', " b ,1,0", "b,1,1\n a,2,0", "b,\u0663,1",
 ]
 
 
